@@ -8,11 +8,12 @@ u0_seed, u0_modes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .fields import GridSpec
 from .flow import FlowConfig
-from .initial_data import build_initial
+from .initial_data import PRESET_NAMES, build_initial
 
 
 class ConfigError(ValueError):
@@ -25,6 +26,16 @@ _ALL_KEYS = (
     "u0_preset", "u0_amplitude", "u0_seed", "u0_modes",
 )
 _REQUIRED_KEYS = ("dim", "sizes", "kappa", "t_max", "u0_preset", "u0_amplitude")
+# optional file key -> (FlowConfig field, type); absent keys keep FlowConfig's defaults
+_OPTIONAL_FLOW_KEYS = {
+    "cfl": ("cfl", float),
+    "scheme": ("scheme", str),
+    "conv_tol": ("conv_tol", float),
+    "c0": ("C0", float),
+    "c1": ("C1", float),
+    "eps1": ("eps1", float),
+    "checkpoint_every": ("checkpoint_every", int),
+}
 
 
 @dataclass(frozen=True)
@@ -108,19 +119,17 @@ def parse_config_text(text) -> RunSetup:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    scheme = _get(pairs, "scheme", str, "spectral")
+    optional = {
+        field: _get(pairs, key, kind)
+        for key, (field, kind) in _OPTIONAL_FLOW_KEYS.items()
+        if key in pairs
+    }
     try:
         cfg = FlowConfig(
             grid=grid,
             kappa=_get(pairs, "kappa", float),
             t_max=_get(pairs, "t_max", float),
-            cfl=_get(pairs, "cfl", float, 0.2),
-            scheme=scheme,
-            conv_tol=_get(pairs, "conv_tol", float, 1e-8),
-            C0=_get(pairs, "c0", float, 100.0),
-            C1=_get(pairs, "c1", float, 10.0),
-            eps1=_get(pairs, "eps1", float, 0.1),
-            checkpoint_every=_get(pairs, "checkpoint_every", int, 0),
+            **optional,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -138,7 +147,7 @@ def parse_config_text(text) -> RunSetup:
         u0_seed=_get(pairs, "u0_seed", int, 0),
         u0_modes=modes,
     )
-    if preset not in ("constant", "single_mode", "random_bandlimited"):
+    if preset not in PRESET_NAMES:
         raise ConfigError(f"unknown u0_preset {preset!r}")
     return setup
 
@@ -243,8 +252,6 @@ PRESETS = {
 
 def load_setup(config_arg) -> RunSetup:
     """Resolve a CLI config argument: a file path or a preset name."""
-    import os
-
     if os.path.exists(config_arg):
         return parse_config_file(config_arg)
     if config_arg in PRESETS:

@@ -13,8 +13,12 @@ Two differentiation schemes are provided:
   kept as an independent fallback so discretization error can be separated
   from modeling error.
 
-Symmetric tensor fields store each distinct component once (sorted
-multi-index layout); Frobenius norms account for index multiplicities.
+This module owns the packed symmetric layout: a symmetric tensor stores
+each distinct component once, in sorted multi-index order, and everything
+that depends on that layout lives here and works on raw component stacks —
+Frobenius norms weighted by index multiplicities (``sym_norm_sq``), the
+packed <-> dense matrix conversion, and the decay monitor
+psi = C0 u^2 + C1 |du|^2 + |D^2 u|^2 (``psi_values``).
 """
 
 from __future__ import annotations
@@ -162,6 +166,55 @@ def sym_multiplicities(dim, rank):
     return tuple(mults)
 
 
+@lru_cache(maxsize=None)
+def _multiplicity_weights(dim, rank):
+    weights = np.array(sym_multiplicities(dim, rank), dtype=np.float64)
+    weights.flags.writeable = False
+    return weights
+
+
+@lru_cache(maxsize=None)
+def sym_positions(dim, rank):
+    """Packed position of every (unsorted) multi-index of a symmetric tensor."""
+    return {
+        perm: pos
+        for pos, idx in enumerate(sym_indices(dim, rank))
+        for perm in itertools.permutations(idx)
+    }
+
+
+def sym_norm_sq(comps, dim, rank):
+    """Pointwise squared Frobenius norm of a packed stack of shape (ncomp, ...)."""
+    sq = comps * comps
+    if len(sq) == 1:  # a lone component has multiplicity 1
+        return sq[0]
+    return np.einsum("c...,c->...", sq, _multiplicity_weights(dim, rank))
+
+
+def sym_sup_norm(comps, dim, rank):
+    """Max over the grid of the Frobenius norm of a packed stack."""
+    return float(np.sqrt(np.max(sym_norm_sq(comps, dim, rank))))
+
+
+def sym_to_dense(comps, dim):
+    """Dense (..., n, n) matrices from a packed symmetric-matrix stack (ncomp, ...)."""
+    dense = np.empty(comps.shape[1:] + (dim, dim))
+    for pos, (i, j) in enumerate(sym_indices(dim, 2)):
+        dense[..., i, j] = comps[pos]
+        dense[..., j, i] = comps[pos]
+    return dense
+
+
+def sym_from_dense(dense, dim):
+    """Packed stack (ncomp, ...) of the symmetric matrices in a (..., n, n) array."""
+    return np.stack([dense[..., i, j] for i, j in sym_indices(dim, 2)])
+
+
+def psi_values(u, du_sq, d2u_sq, C0, C1):
+    """Pointwise psi = C0 u^2 + C1 |du|^2 + |D^2 u|^2 from u and its squared jet norms."""
+    return C0 * u * u + C1 * du_sq + d2u_sq
+
+
 @dataclass(frozen=True, eq=False)
 class SymTensorField:
     """Field of fully symmetric tensors, one array per distinct component."""
@@ -192,9 +245,9 @@ class SymTensorField:
 
     def pointwise_norm_sq(self):
         """|T|^2 at every point, counting index multiplicities."""
-        mults = np.array(sym_multiplicities(self.spec.dim, self.rank))
-        out = np.einsum("c...,c->...", self.components * self.components, mults)
-        return PeriodicScalarField(self.spec, out)
+        return PeriodicScalarField(
+            self.spec, sym_norm_sq(self.components, self.spec.dim, self.rank)
+        )
 
     def pointwise_norm(self):
         return PeriodicScalarField(self.spec, np.sqrt(self.pointwise_norm_sq().values))
@@ -211,17 +264,11 @@ class SymMatrixField(SymTensorField):
 
     def to_dense(self):
         """Dense (*sizes, n, n) array of the symmetric matrices."""
-        n = self.spec.dim
-        out = np.empty(self.spec.sizes + (n, n))
-        for pos, (i, j) in enumerate(self.indices):
-            out[..., i, j] = self.components[pos]
-            out[..., j, i] = self.components[pos]
-        return out
+        return sym_to_dense(self.components, self.spec.dim)
 
     @classmethod
     def from_dense(cls, spec, dense):
-        comps = np.stack([dense[..., i, j] for i, j in sym_indices(spec.dim, 2)])
-        return cls(spec, comps)
+        return cls(spec, sym_from_dense(dense, spec.dim))
 
 
 class SymTensor3Field(SymTensorField):
@@ -302,10 +349,6 @@ def _powers_of(idx, dim):
     return tuple(powers)
 
 
-def _spectral_derivative_components(spec, values, order):
-    return jet_ops(spec, "spectral").components(values, order)
-
-
 # ---------------------------------------------------------------------------
 # 4th-order centered stencils
 
@@ -333,18 +376,6 @@ def _central4_partial(values, axis, h, power):
     if power == 3:
         return _d1_central4(_d2_central4(values, axis, h), axis, h)
     return _d2_central4(_d2_central4(values, axis, h), axis, h)
-
-
-def _central4_derivative_components(spec, values, order):
-    hs = spec.spacings
-    comps = []
-    for idx in sym_indices(spec.dim, order):
-        out = values
-        for axis, m in enumerate(_powers_of(idx, spec.dim)):
-            if m:
-                out = _central4_partial(out, axis, hs[axis], m)
-        comps.append(out)
-    return np.stack(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +424,15 @@ class _Central4JetOps:
         self.spec = spec
 
     def components(self, values, rank):
-        return _central4_derivative_components(self.spec, values, rank)
+        hs = self.spec.spacings
+        comps = []
+        for idx in sym_indices(self.spec.dim, rank):
+            out = values
+            for axis, m in enumerate(_powers_of(idx, self.spec.dim)):
+                if m:
+                    out = _central4_partial(out, axis, hs[axis], m)
+            comps.append(out)
+        return np.stack(comps)
 
     def gradient(self, values):
         return self.components(values, 1)
@@ -427,15 +466,10 @@ def derivative(f: PeriodicScalarField, order: int, scheme: str = "spectral"):
         raise UnsupportedOrderError(f"derivative order must be an integer, got {order!r}") from None
     if order < 1 or order > 4:
         raise UnsupportedOrderError(f"derivative order must be 1..4, got {order}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    ops = jet_ops(f.spec, scheme)
     if not f.is_finite():
         raise NonFiniteError("derivative of a non-finite field")
-    if scheme == "spectral":
-        comps = _spectral_derivative_components(f.spec, f.values, order)
-    else:
-        comps = _central4_derivative_components(f.spec, f.values, order)
-    return _TENSOR_BY_RANK[order](f.spec, comps)
+    return _TENSOR_BY_RANK[order](f.spec, ops.components(f.values, order))
 
 
 def laplacian_flat(f: PeriodicScalarField, scheme: str = "spectral"):
@@ -452,7 +486,7 @@ def sup_norm(field):
     """Max over the grid of the pointwise norm (|.| for scalars, Frobenius for tensors)."""
     if isinstance(field, PeriodicScalarField):
         return float(np.max(np.abs(field.values)))
-    return float(np.sqrt(np.max(field.pointwise_norm_sq().values)))
+    return sym_sup_norm(field.components, field.spec.dim, field.rank)
 
 
 def tree_sum(a):

@@ -14,21 +14,23 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .fields import (
+    _TENSOR_BY_RANK,
+    SCHEMES,
     GridSpec,
     PeriodicScalarField,
     SymMatrixField,
     SymTensor3Field,
     VectorField,
     jet_ops,
-    sym_multiplicities,
-    tree_sum,
+    psi_values,
+    sym_norm_sq,
+    sym_sup_norm,
 )
-from .geometry import _angle_values, _metric_arrays
+from .geometry import _angle_values, hessian_volume
 from .monitors import MonitorRecord
 
 CHECKPOINT_MAGIC = b"LMCF"
@@ -68,7 +70,7 @@ class FlowConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.5):
             raise ValueError(f"cfl must be in (0, 0.5], got {self.cfl}")
-        if self.scheme not in ("spectral", "central4"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.t_max > 0.0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
@@ -95,9 +97,7 @@ class FlowState:
         self.u = u
         self.scheme = scheme
         self.last_dt = float(last_dt)
-        self._du = None
-        self._d2u = None
-        self._d3u = None
+        self._jets = {}
 
     @classmethod
     def initial(cls, u0, cfg):
@@ -107,26 +107,25 @@ class FlowState:
     def spec(self):
         return self.u.spec
 
+    def _jet(self, rank):
+        """Packed rank-``rank`` derivative field of u, computed once per state."""
+        field = self._jets.get(rank)
+        if field is None:
+            comps = jet_ops(self.spec, self.scheme).components(self.u.values, rank)
+            field = self._jets[rank] = _TENSOR_BY_RANK[rank](self.spec, comps)
+        return field
+
     @property
     def du(self) -> VectorField:
-        if self._du is None:
-            ops = jet_ops(self.spec, self.scheme)
-            self._du = VectorField(self.spec, ops.components(self.u.values, 1))
-        return self._du
+        return self._jet(1)
 
     @property
     def d2u(self) -> SymMatrixField:
-        if self._d2u is None:
-            ops = jet_ops(self.spec, self.scheme)
-            self._d2u = SymMatrixField(self.spec, ops.components(self.u.values, 2))
-        return self._d2u
+        return self._jet(2)
 
     @property
     def d3u(self) -> SymTensor3Field:
-        if self._d3u is None:
-            ops = jet_ops(self.spec, self.scheme)
-            self._d3u = SymTensor3Field(self.spec, ops.components(self.u.values, 3))
-        return self._d3u
+        return self._jet(3)
 
 
 @dataclass(frozen=True)
@@ -155,11 +154,11 @@ class FlowResult:
 def rhs(u: PeriodicScalarField, kappa: float, scheme: str = "spectral") -> PeriodicScalarField:
     """Right-hand side theta(D^2 u) + kappa*u of the potential flow."""
     ops = jet_ops(u.spec, scheme)
-    vals = _rhs_values(u.values, ops.hessian(u.values), kappa, ops, u.spec.dim)
+    vals = _rhs_values(u.values, ops.hessian(u.values), kappa, u.spec.dim)
     return PeriodicScalarField(u.spec, vals)
 
 
-def _rhs_values(u_vals, hess, kappa, ops, dim):
+def _rhs_values(u_vals, hess, kappa, dim):
     out = _angle_values(hess, dim)
     if kappa != 0.0:
         out += kappa * u_vals
@@ -168,13 +167,13 @@ def _rhs_values(u_vals, hess, kappa, ops, dim):
 
 def _rk4_update(u_vals, hess, dt, kappa, ops, dim):
     """One RK4 step from raw values; ``hess`` is the Hessian stack of u_vals."""
-    k1 = _rhs_values(u_vals, hess, kappa, ops, dim)
+    k1 = _rhs_values(u_vals, hess, kappa, dim)
     y = u_vals + (0.5 * dt) * k1
-    k2 = _rhs_values(y, ops.hessian(y), kappa, ops, dim)
+    k2 = _rhs_values(y, ops.hessian(y), kappa, dim)
     y = u_vals + (0.5 * dt) * k2
-    k3 = _rhs_values(y, ops.hessian(y), kappa, ops, dim)
+    k3 = _rhs_values(y, ops.hessian(y), kappa, dim)
     y = u_vals + dt * k3
-    k4 = _rhs_values(y, ops.hessian(y), kappa, ops, dim)
+    k4 = _rhs_values(y, ops.hessian(y), kappa, dim)
     return u_vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -193,40 +192,25 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
                      scheme=cfg.scheme, last_dt=dt)
 
 
-@lru_cache(maxsize=8)
-def _hessian_mults(dim):
-    return np.array(sym_multiplicities(dim, 2), dtype=np.float64)
-
-
-def _hessian_sup(hess, dim):
-    if dim == 1:
-        return float(np.max(np.abs(hess[0])))
-    nsq = np.einsum("c...,c->...", hess * hess, _hessian_mults(dim))
-    return float(np.sqrt(np.max(nsq)))
-
-
 def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
     """All tracked scalars of one state (sup norms, psi, angle range, volume)."""
+    dim = state.spec.dim
     u = state.u.values
-    du = state.du
-    d2u = state.d2u
-    d3u = state.d3u
-    du_sq = du.pointwise_norm_sq().values
-    d2u_sq = d2u.pointwise_norm_sq().values
-    psi = cfg.C0 * u * u + cfg.C1 * du_sq + d2u_sq
-    theta = _angle_values(d2u.components, state.spec.dim)
-    _, _, sqrt_det = _metric_arrays(d2u.components, state.spec.dim)
-    vol = tree_sum(sqrt_det) * state.spec.cell_volume
+    d2u = state.d2u.components
+    du_sq = sym_norm_sq(state.du.components, dim, 1)
+    d2u_sq = sym_norm_sq(d2u, dim, 2)
+    psi = psi_values(u, du_sq, d2u_sq, cfg.C0, cfg.C1)
+    theta = _angle_values(d2u, dim)
     return MonitorRecord(
         t=state.t,
         max_u=float(np.max(np.abs(u))),
         max_du=float(np.sqrt(np.max(du_sq))),
         max_d2u=float(np.sqrt(np.max(d2u_sq))),
-        max_d3u=float(np.sqrt(np.max(d3u.pointwise_norm_sq().values))),
+        max_d3u=sym_sup_norm(state.d3u.components, dim, 3),
         psi_max=float(np.max(psi)),
         theta_min=float(np.min(theta)),
         theta_max=float(np.max(theta)),
-        volume=vol,
+        volume=hessian_volume(d2u, state.spec),
         dt=state.last_dt if state.last_dt > 0.0 else cfg.dt,
     )
 
@@ -286,43 +270,36 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 
     def make_state(hess_stack):
         state = FlowState(t, PeriodicScalarField(cfg.grid, u), scheme=cfg.scheme, last_dt=dt if step else 0.0)
-        state._d2u = SymMatrixField(cfg.grid, hess_stack)
+        state._jets[2] = SymMatrixField(cfg.grid, hess_stack)
         return state
+
+    def finish(outcome, blowup=None):
+        state = make_state(hess)
+        if last_emitted != step:
+            emit(state)
+        return FlowResult(outcome, state, tuple(records), step, blowup=blowup)
 
     hess = ops.hessian(u)
     emit(make_state(hess))
 
     while True:
         # a non-finite u yields a non-finite Hessian, so this guard catches both
-        sup_d2 = _hessian_sup(hess, dim)
+        sup_d2 = sym_sup_norm(hess, dim, 2)
         if not (sup_d2 <= HESSIAN_BLOWUP_GUARD):
-            sup_u = float(np.max(np.abs(u)))
-            report = BlowupReport(
+            return finish("blowup", BlowupReport(
                 t=t,
-                sup_u=sup_u,
+                sup_u=float(np.max(np.abs(u))),
                 sup_d2u=sup_d2,
                 reason="non-finite field" if not np.isfinite(sup_d2)
                 else f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}",
-            )
-            state = make_state(hess)
-            if last_emitted != step:
-                emit(state)
-            return FlowResult("blowup", state, tuple(records), step, blowup=report)
+            ))
 
         if sup_d2 < tol and (kappa >= 0.0 or float(np.max(np.abs(u))) < tol):
-            grad = ops.gradient(u)
-            sup_du = float(np.sqrt(np.max((grad * grad).sum(axis=0))))
-            if sup_du < tol:
-                state = make_state(hess)
-                if last_emitted != step:
-                    emit(state)
-                return FlowResult("converged", state, tuple(records), step)
+            if sym_sup_norm(ops.gradient(u), dim, 1) < tol:
+                return finish("converged")
 
         if t + 0.5 * dt >= cfg.t_max:
-            state = make_state(hess)
-            if last_emitted != step:
-                emit(state)
-            return FlowResult("timed_out", state, tuple(records), step)
+            return finish("timed_out")
 
         u = _rk4_update(u, hess, dt, kappa, ops, dim)
         t += dt

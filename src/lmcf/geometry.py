@@ -24,8 +24,9 @@ from .fields import (
     SymMatrixField,
     VectorField,
     derivative,
-    l2_pairing,
     sym_indices,
+    sym_positions,
+    sym_to_dense,
     tree_sum,
 )
 
@@ -155,11 +156,7 @@ def _angle_values(qcomps, dim):
         mid = 0.5 * (q00 + q11)
         rad = np.sqrt((0.5 * (q00 - q11)) ** 2 + q01 * q01)
         return np.arctan(mid + rad) + np.arctan(mid - rad)
-    dense = np.empty(qcomps.shape[1:] + (3, 3))
-    for pos, (i, j) in enumerate(sym_indices(3, 2)):
-        dense[..., i, j] = qcomps[pos]
-        dense[..., j, i] = qcomps[pos]
-    lam = jacobi_eigenvalues_sym3(dense)
+    lam = jacobi_eigenvalues_sym3(sym_to_dense(qcomps, 3))
     at = np.arctan(lam)
     return at[..., 0] + at[..., 1] + at[..., 2]
 
@@ -202,13 +199,28 @@ def mean_curvature_one_form(u: PeriodicScalarField, kappa: float, scheme: str = 
     return VectorField(u.spec, -grad.components)
 
 
-def _component_lookup(tensor):
-    table = {}
-    for pos, idx in enumerate(tensor.indices):
-        table[idx] = tensor.components[pos]
-    def get(*idx):
-        return table[tuple(sorted(idx))]
-    return get
+def raise_index(M: InducedMetricField, covector):
+    """mu^{ij} v_j for a covector stack of shape (n, *sizes)."""
+    n = M.spec.dim
+    pos = sym_positions(n, 2)
+    inv = M.mu_inv.components
+    out = np.zeros((n,) + M.spec.sizes)
+    for i in range(n):
+        for j in range(n):
+            out[i] += inv[pos[i, j]] * covector[j]
+    return out
+
+
+def metric_trace(M: InducedMetricField, sym2):
+    """mu^{ij} S_ij for a packed symmetric 2-tensor stack S."""
+    n = M.spec.dim
+    pos = sym_positions(n, 2)
+    inv = M.mu_inv.components
+    out = np.zeros(M.spec.sizes)
+    for i in range(n):
+        for j in range(n):
+            out += inv[pos[i, j]] * sym2[pos[i, j]]
+    return out
 
 
 def laplace_beltrami(
@@ -228,46 +240,50 @@ def laplace_beltrami(
     if route not in ("divergence", "christoffel"):
         raise ValueError(f"unknown route {route!r}")
     n = f.spec.dim
-    inv = _component_lookup(M.mu_inv)
     grad_f = derivative(f, 1, scheme).components
 
     if route == "divergence":
         sqrt_det = M.sqrt_det.values
+        flux = raise_index(M, grad_f)
         out = np.zeros(f.spec.sizes)
         for i in range(n):
-            flux = np.zeros(f.spec.sizes)
-            for j in range(n):
-                flux += inv(i, j) * grad_f[j]
-            g = PeriodicScalarField(f.spec, sqrt_det * flux)
+            g = PeriodicScalarField(f.spec, sqrt_det * flux[i])
             out += derivative(g, 1, scheme).components[i]
         return PeriodicScalarField(f.spec, out / sqrt_det)
 
     # christoffel route
-    mu = _component_lookup(M.mu)
-    hess_f = _component_lookup(derivative(f, 2, scheme))
+    pos = sym_positions(n, 2)
+    inv = M.mu_inv.components
     dmu = {}  # dmu[(l, i, j)] = d_l mu_ij
     for i, j in sym_indices(n, 2):
-        comp = PeriodicScalarField(f.spec, mu(i, j))
+        comp = PeriodicScalarField(f.spec, M.mu.components[pos[i, j]])
         g = derivative(comp, 1, scheme).components
         for l in range(n):
             dmu[(l, i, j)] = g[l]
             dmu[(l, j, i)] = g[l]
-    out = np.zeros(f.spec.sizes)
+    out = metric_trace(M, derivative(f, 2, scheme).components)
     for i in range(n):
         for j in range(n):
-            out += inv(i, j) * hess_f(i, j)
             for k in range(n):
                 gamma = np.zeros(f.spec.sizes)
                 for l in range(n):
-                    gamma += inv(k, l) * (dmu[(i, j, l)] + dmu[(j, i, l)] - dmu[(l, i, j)])
-                out -= 0.5 * inv(i, j) * gamma * grad_f[k]
+                    gamma += inv[pos[k, l]] * (dmu[(i, j, l)] + dmu[(j, i, l)] - dmu[(l, i, j)])
+                out -= 0.5 * inv[pos[i, j]] * gamma * grad_f[k]
     return PeriodicScalarField(f.spec, out)
+
+
+def _sqrt_det_volume(sqrt_det, spec):
+    return tree_sum(sqrt_det) * spec.cell_volume
 
 
 def volume(M: InducedMetricField) -> float:
     """Total Riemannian volume of the graph."""
-    one = PeriodicScalarField.constant(M.spec, 1.0)
-    return l2_pairing(M.sqrt_det, one)
+    return _sqrt_det_volume(M.sqrt_det.values, M.spec)
+
+
+def hessian_volume(hess, spec) -> float:
+    """Graph volume from the raw packed Hessian stack of the potential."""
+    return _sqrt_det_volume(_metric_arrays(hess, spec.dim)[2], spec)
 
 
 def metric_from_potential(u: PeriodicScalarField, scheme: str = "spectral") -> InducedMetricField:
@@ -277,6 +293,4 @@ def metric_from_potential(u: PeriodicScalarField, scheme: str = "spectral") -> I
 
 def graph_volume(u: PeriodicScalarField, scheme: str = "spectral") -> float:
     """Volume of the graph generated by the potential u."""
-    hess = derivative(u, 2, scheme)
-    _, _, sqrt_det = _metric_arrays(hess.components, u.spec.dim)
-    return tree_sum(sqrt_det) * u.spec.cell_volume
+    return hessian_volume(derivative(u, 2, scheme).components, u.spec)

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .fields import GridSpec, PeriodicScalarField, jet_ops, sym_multiplicities
+from .fields import GridSpec, PeriodicScalarField, jet_ops, psi_values, sym_norm_sq
 
 PRESET_NAMES = ("constant", "single_mode", "random_bandlimited")
 
@@ -50,16 +50,6 @@ def _half_space_modes(dim, max_mode):
     return sorted(modes)
 
 
-def _psi_max(values, spec, C0, C1, scheme):
-    ops = jet_ops(spec, scheme)
-    grad = ops.components(values, 1)
-    hess = ops.components(values, 2)
-    du_sq = (grad * grad).sum(axis=0)
-    mults = np.array(sym_multiplicities(spec.dim, 2), dtype=np.float64)
-    d2_sq = np.einsum("c...,c->...", hess * hess, mults)
-    return float(np.max(C0 * values * values + C1 * du_sq + d2_sq))
-
-
 def random_bandlimited_potential(
     spec: GridSpec,
     amplitude: float,
@@ -81,7 +71,10 @@ def random_bandlimited_potential(
         for k, x, p in zip(mode, coords, spec.periods):
             phase += k * x / p
         values += a * np.cos(2.0 * np.pi * phase) + b * np.sin(2.0 * np.pi * phase)
-    psi_max = _psi_max(values, spec, C0, C1, scheme)
+    ops = jet_ops(spec, scheme)
+    du_sq = sym_norm_sq(ops.components(values, 1), spec.dim, 1)
+    d2_sq = sym_norm_sq(ops.components(values, 2), spec.dim, 2)
+    psi_max = float(np.max(psi_values(values, du_sq, d2_sq, C0, C1)))
     if psi_max <= 0.0:
         raise ValueError("degenerate random draw")
     values *= amplitude / np.sqrt(psi_max)

@@ -17,8 +17,10 @@ from .fields import (
     PeriodicScalarField,
     derivative,
     sup_norm,
+    sym_from_dense,
     sym_indices,
-    sym_multiplicities,
+    sym_norm_sq,
+    sym_to_dense,
 )
 from .flow import FlowConfig, integrate
 from .geometry import (
@@ -29,6 +31,7 @@ from .geometry import (
 from .initial_data import random_bandlimited_potential, single_mode_potential
 from .verification import (
     ResidualReport,
+    _fitted_constant,
     angle_oracle_values,
     check_angle_expansion,
     check_evolution_inequality,
@@ -44,24 +47,18 @@ from .verification import (
 )
 
 SUITE_NAMES = ("all", "geometry", "inequalities", "decay", "variation")
+EXPANSION_AMPLITUDES = (1e-1, 1e-2, 1e-3)
 
 
 def _report(name, samples, passed, order=math.nan, note=""):
-    fitted = 0.0
-    for _, res, bound in samples:
-        if res > 0.0 and bound > 0.0:
-            fitted = max(fitted, res / bound)
-        elif res > 0.0:
-            fitted = math.inf
-    return ResidualReport(name, tuple(samples), fitted, order, passed, note)
+    return ResidualReport(name, tuple(samples), _fitted_constant(samples), order, passed, note)
 
 
 def _random_sym_batch(rng, dim, count, fro_max):
     """Component stacks of random symmetric matrices with |Q|_F <= fro_max."""
     ncomp = len(sym_indices(dim, 2))
     comps = rng.standard_normal((ncomp, count))
-    mults = np.array(sym_multiplicities(dim, 2), dtype=np.float64)
-    fro = np.sqrt(np.einsum("c...,c->...", comps * comps, mults))
+    fro = np.sqrt(sym_norm_sq(comps, dim, 2))
     target = fro_max * rng.random(count)
     comps *= target / fro
     return comps
@@ -112,7 +109,7 @@ def _angle_gradient_report():
 
 def _angle_point(q):
     n = q.shape[0]
-    comps = np.array([q[i, j] for i, j in sym_indices(n, 2)]).reshape(-1, 1)
+    comps = sym_from_dense(q, n).reshape(-1, 1)
     return float(_angle_values(comps, n)[0])
 
 
@@ -152,10 +149,7 @@ def _metric_bounds_report():
     rng = np.random.default_rng(53)
     eps0 = 1.0
     comps = _random_sym_batch(rng, 2, 2000, eps0)
-    dense = np.empty((2000, 2, 2))
-    for pos, (i, j) in enumerate(sym_indices(2, 2)):
-        dense[:, i, j] = comps[pos]
-        dense[:, j, i] = comps[pos]
+    dense = sym_to_dense(comps, 2)
     mu = np.eye(2) + dense @ dense
     eig = np.linalg.eigvalsh(mu)
     low = float(np.min(eig))
@@ -172,23 +166,19 @@ def _sin_base(n):
     return PeriodicScalarField(spec, np.sin(2.0 * np.pi * x))
 
 
-def _scheme_independence_report():
-    """Fitted constants must agree within 2x between spectral and central4."""
+def _scheme_independence_report(expansion_128, lap_u, lap_f, laplacian_128):
+    """Fitted constants must agree within 2x between spectral and central4.
+
+    Takes the spectral reports already computed at N=128 by the battery.
+    """
     samples = []
     ok = True
-    base = _sin_base(128)
-    lap_u = random_bandlimited_potential(GridSpec(1, (128,)), 0.05, 3, seed=404)
-    lap_f = PeriodicScalarField(GridSpec(1, (128,)),
-                                np.cos(2.0 * np.pi * GridSpec(1, (128,)).coordinates()[0]))
     pairs = [
-        ("angle_expansion",
-         check_angle_expansion([base], (1e-1, 1e-2, 1e-3), scheme="spectral"),
-         check_angle_expansion([base], (1e-1, 1e-2, 1e-3), scheme="central4")),
-        ("laplacian_difference",
-         check_laplacian_difference(lap_u, lap_f, scheme="spectral"),
-         check_laplacian_difference(lap_u, lap_f, scheme="central4")),
+        (expansion_128,
+         check_angle_expansion([_sin_base(128)], EXPANSION_AMPLITUDES, scheme="central4")),
+        (laplacian_128, check_laplacian_difference(lap_u, lap_f, scheme="central4")),
     ]
-    for tag, spectral, central in pairs:
+    for spectral, central in pairs:
         stable = constants_stable(spectral, central)
         ok = ok and stable and spectral.passed and central.passed
         samples.append((0.0, spectral.fitted_constant, 2.0 * central.fitted_constant + 1e-8))
@@ -197,10 +187,9 @@ def _scheme_independence_report():
                    note="fitted constants, spectral vs central4 at N=128")
 
 
-def _grid_convergence_report():
+def _grid_convergence_report(rep_128):
     """Residual reports at N and 2N must agree on pass/fail."""
-    rep_64 = check_angle_expansion([_sin_base(64)], (1e-1, 1e-2, 1e-3))
-    rep_128 = check_angle_expansion([_sin_base(128)], (1e-1, 1e-2, 1e-3))
+    rep_64 = check_angle_expansion([_sin_base(64)], EXPANSION_AMPLITUDES)
     agree = rep_64.passed == rep_128.passed
     samples = [(64.0, rep_64.fitted_constant, 2.0 * rep_128.fitted_constant + 1e-8),
                (128.0, rep_128.fitted_constant, 2.0 * rep_64.fitted_constant + 1e-8)]
@@ -209,25 +198,25 @@ def _grid_convergence_report():
 
 
 def geometry_suite():
-    expansion = check_angle_expansion([_sin_base(128)], (1e-1, 1e-2, 1e-3))
-    expansion = dataclasses.replace(
-        expansion,
-        passed=expansion.passed and expansion.fitted_order >= 2.9,
-        note=expansion.note + "; cubic leading term requires slope >= 2.9",
-    )
-    lap_u = random_bandlimited_potential(GridSpec(1, (128,)), 0.05, 3, seed=404)
-    lap_f = PeriodicScalarField(GridSpec(1, (128,)),
-                                np.cos(2.0 * np.pi * GridSpec(1, (128,)).coordinates()[0]))
+    spec = GridSpec(1, (128,))
+    expansion_128 = check_angle_expansion([_sin_base(128)], EXPANSION_AMPLITUDES)
+    lap_u = random_bandlimited_potential(spec, 0.05, 3, seed=404)
+    lap_f = PeriodicScalarField(spec, np.cos(2.0 * np.pi * spec.coordinates()[0]))
+    laplacian_128 = check_laplacian_difference(lap_u, lap_f)
     return [
         _angle_oracle_report(),
         _angle_gradient_report(),
         _two_route_report(),
-        expansion,
-        check_laplacian_difference(lap_u, lap_f),
+        dataclasses.replace(
+            expansion_128,
+            passed=expansion_128.passed and expansion_128.fitted_order >= 2.9,
+            note=expansion_128.note + "; cubic leading term requires slope >= 2.9",
+        ),
+        laplacian_128,
         _orthogonal_invariance_report(),
         _metric_bounds_report(),
-        _scheme_independence_report(),
-        _grid_convergence_report(),
+        _scheme_independence_report(expansion_128, lap_u, lap_f, laplacian_128),
+        _grid_convergence_report(expansion_128),
     ]
 
 

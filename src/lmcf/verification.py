@@ -25,18 +25,20 @@ from .fields import (
     jet_ops,
     l2_pairing,
     laplacian_flat,
+    psi_values,
     sup_norm,
-    sym_multiplicities,
+    sym_norm_sq,
 )
 from .flow import FlowConfig, FlowState, step_rk4
 from .geometry import (
     InducedMetricField,
     _angle_values,
-    _component_lookup,
     graph_volume,
     induced_metric,
     laplace_beltrami,
     metric_from_potential,
+    metric_trace,
+    raise_index,
 )
 from .monitors import MonitorRecord
 
@@ -112,24 +114,15 @@ def _loglog_slope(xs, ys):
 def psi_field(u: PeriodicScalarField, cfg: FlowConfig) -> PeriodicScalarField:
     """Pointwise C0*u^2 + C1*|du|^2 + |D^2 u|^2 (the flow's decay monitor)."""
     ops = jet_ops(u.spec, cfg.scheme)
-    grad = ops.components(u.values, 1)
-    hess = ops.components(u.values, 2)
-    du_sq = (grad * grad).sum(axis=0)
-    d2_sq = _sym_norm_sq(hess, u.spec.dim, 2)
-    vals = cfg.C0 * u.values * u.values + cfg.C1 * du_sq + d2_sq
-    return PeriodicScalarField(u.spec, vals)
-
-
-def _sym_norm_sq(comps, dim, rank):
-    mults = np.array(sym_multiplicities(dim, rank), dtype=np.float64)
-    return np.einsum("c...,c->...", comps * comps, mults)
+    du_sq = sym_norm_sq(ops.components(u.values, 1), u.spec.dim, 1)
+    d2_sq = sym_norm_sq(ops.components(u.values, 2), u.spec.dim, 2)
+    return PeriodicScalarField(u.spec, psi_values(u.values, du_sq, d2_sq, cfg.C0, cfg.C1))
 
 
 def _psi_of_state(state: FlowState, cfg: FlowConfig):
-    u = state.u.values
     du_sq = state.du.pointwise_norm_sq().values
     d2_sq = state.d2u.pointwise_norm_sq().values
-    return cfg.C0 * u * u + cfg.C1 * du_sq + d2_sq
+    return psi_values(state.u.values, du_sq, d2_sq, cfg.C0, cfg.C1)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +160,7 @@ def angle_oracle_gap(qcomps, dim):
 
 def trace_metric_hessian(f: PeriodicScalarField, M: InducedMetricField, scheme="spectral"):
     """tr_mu(Hess f) = mu^{ij} d_i d_j f (no Christoffel correction)."""
-    inv = _component_lookup(M.mu_inv)
-    hess = _component_lookup(derivative(f, 2, scheme))
-    n = f.spec.dim
-    out = np.zeros(f.spec.sizes)
-    for i in range(n):
-        for j in range(n):
-            out += inv(i, j) * hess(i, j)
-    return PeriodicScalarField(f.spec, out)
+    return PeriodicScalarField(f.spec, metric_trace(M, derivative(f, 2, scheme).components))
 
 
 def two_route_gap(f: PeriodicScalarField, M: InducedMetricField, scheme="spectral"):
@@ -485,6 +471,14 @@ def constants_stable(report_a: ResidualReport, report_b: ResidualReport,
     return hi < factor * lo + floor
 
 
+def _non_increasing_report(name, series, slack):
+    """Each step of a (t, value) series may rise by at most ``slack``."""
+    rows = tuple((t, value - prev, slack) for (_, prev), (t, value) in zip(series, series[1:]))
+    passed = all(res <= bound for _, res, bound in rows)
+    fitted_c = max((res for _, res, _ in rows), default=0.0)
+    return ResidualReport(name, rows, fitted_c, math.nan, passed)
+
+
 def check_log_jet_monotone(trajectory: Trajectory, K, slack=MONOTONE_SLACK) -> ResidualReport:
     """max over the grid of log(1 + |D^3 u|^2) + K*psi must not increase."""
     if K < 1.0:
@@ -495,22 +489,12 @@ def check_log_jet_monotone(trajectory: Trajectory, K, slack=MONOTONE_SLACK) -> R
         d3_sq = tr.at.d3u.pointwise_norm_sq().values
         w = np.log1p(d3_sq) + K * _psi_of_state(tr.at, cfg)
         values.append((tr.at.t, float(np.max(w))))
-    rows = []
-    for (t_prev, w_prev), (t_cur, w_cur) in zip(values, values[1:]):
-        rows.append((t_cur, w_cur - w_prev, slack))
-    passed = all(res <= bound for _, res, bound in rows)
-    fitted_c = max((res for _, res, _ in rows), default=0.0)
-    return ResidualReport("log_jet_monotone", tuple(rows), fitted_c, math.nan, passed)
+    return _non_increasing_report("log_jet_monotone", values, slack)
 
 
 def check_psi_monotone(records, slack=MONOTONE_SLACK) -> ResidualReport:
     """Recorded max psi must be non-increasing within the slack, per sample."""
-    rows = []
-    for prev, cur in zip(records, records[1:]):
-        rows.append((cur.t, cur.psi_max - prev.psi_max, slack))
-    passed = all(res <= bound for _, res, bound in rows)
-    fitted_c = max((res for _, res, _ in rows), default=0.0)
-    return ResidualReport("psi_monotone", tuple(rows), fitted_c, math.nan, passed)
+    return _non_increasing_report("psi_monotone", [(r.t, r.psi_max) for r in records], slack)
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +519,8 @@ def _dissipation_integral(state: FlowState, cfg: FlowConfig, form):
         velocity = dtheta
     first = dtheta if form == "pairing" else velocity
     M = induced_metric(state.d2u)
-    inv = _component_lookup(M.mu_inv)
-    n = state.spec.dim
-    dens = np.zeros(state.spec.sizes)
-    for i in range(n):
-        for j in range(n):
-            dens += inv(i, j) * first[i] * velocity[j]
-    return l2_pairing(
-        PeriodicScalarField(state.spec, dens),
-        PeriodicScalarField.constant(state.spec, 1.0),
-        weight=M.sqrt_det,
-    )
+    dens = np.einsum("i...,i...->...", first, raise_index(M, velocity))
+    return l2_pairing(PeriodicScalarField(state.spec, dens), M.sqrt_det)
 
 
 def check_volume_dissipation(trajectory: Trajectory, rate_hint=None, form=None) -> ResidualReport:

@@ -368,3 +368,19 @@ class TestMonitorRecordContents:
         assert rec.volume >= 1.0 - 1e-10
         assert rec.theta_min <= rec.theta_max
         assert abs(rec.theta_max) < np.pi / 2
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+    def test_psi_and_volume_agree_across_modules(self, dim, n):
+        # the monitor, the verification psi, the initial-data rescaling and both
+        # volume routes read one definition each, so they agree bit for bit
+        from lmcf.geometry import graph_volume, metric_from_potential, volume
+        from lmcf.verification import psi_field
+
+        spec = GridSpec(dim, (n,) * dim)
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)
+        amp = 0.05
+        u0 = random_bandlimited_potential(spec, amp, 2, seed=17, C0=cfg.C0, C1=cfg.C1)
+        rec = monitor_record(FlowState.initial(u0, cfg), cfg)
+        assert rec.psi_max == np.max(psi_field(u0, cfg).values)
+        assert rec.volume == graph_volume(u0) == volume(metric_from_potential(u0))
+        assert abs(rec.psi_max - amp * amp) <= 1e-12 * amp * amp
