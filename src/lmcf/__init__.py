@@ -37,11 +37,8 @@ from .flow import (
     step_rk4,
 )
 from .geometry import (
-    AngleField,
     InducedMetricField,
-    OracleAngle,
     angle_gradient,
-    angle_oracle,
     graph_volume,
     induced_metric,
     lagrangian_angle,

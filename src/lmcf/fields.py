@@ -138,11 +138,6 @@ class PeriodicScalarField:
     def constant(cls, spec, value):
         return cls(spec, np.full(spec.sizes, float(value)))
 
-    @classmethod
-    def from_function(cls, spec, fn):
-        """Sample ``fn(*coords)`` on the grid."""
-        return cls(spec, fn(*spec.coordinates()))
-
     def is_finite(self):
         return bool(np.isfinite(self.values).all())
 

@@ -11,9 +11,12 @@ configurations reproduce bit-identical trajectories.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .geometry import _angle_values, hessian_volume
 from .monitors import MonitorRecord
 
 CHECKPOINT_MAGIC = b"LMCF"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 HESSIAN_BLOWUP_GUARD = 10.0  # far outside the small-data regime; not graph-like anymore
 
 
@@ -68,6 +71,10 @@ class FlowConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
+        for name in ("kappa", "t_max", "conv_tol", "C0", "C1"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0.0 < self.cfl <= 0.5):
             raise ValueError(f"cfl must be in (0, 0.5], got {self.cfl}")
         if self.scheme not in SCHEMES:
@@ -83,25 +90,26 @@ class FlowConfig:
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
 
-    @property
+    @cached_property
     def dt(self):
         h_min = min(self.grid.spacings)
         return self.cfl * h_min * h_min / (2.0 * self.grid.dim)
 
 
 class FlowState:
-    """Potential u at one time, with jets cached under the configured scheme."""
+    """Potential u at one time; its jets under the configured scheme and their
+    pointwise norms are computed once and cached."""
 
-    def __init__(self, t, u, scheme="spectral", last_dt=0.0):
+    def __init__(self, t, u, scheme="spectral"):
         self.t = float(t)
         self.u = u
         self.scheme = scheme
-        self.last_dt = float(last_dt)
         self._jets = {}
+        self._norms_sq = {}
 
     @classmethod
     def initial(cls, u0, cfg):
-        return cls(0.0, u0, scheme=cfg.scheme, last_dt=0.0)
+        return cls(0.0, u0, scheme=cfg.scheme)
 
     @property
     def spec(self):
@@ -126,6 +134,18 @@ class FlowState:
     @property
     def d3u(self) -> SymTensor3Field:
         return self._jet(3)
+
+    def norm_sq(self, rank):
+        """Read-only pointwise |D^rank u|^2 (u^2 for rank 0), computed once per state."""
+        out = self._norms_sq.get(rank)
+        if out is None:
+            if rank == 0:
+                out = self.u.values * self.u.values
+            else:
+                out = sym_norm_sq(self._jet(rank).components, self.spec.dim, rank)
+            out.flags.writeable = False
+            self._norms_sq[rank] = out
+        return out
 
 
 @dataclass(frozen=True)
@@ -188,30 +208,28 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
     sup_new = float(np.max(np.abs(u_new)))
     if not np.isfinite(sup_new):
         raise BlowupError(state.t + dt, float(np.max(np.abs(state.u.values))), "non-finite field")
-    return FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new),
-                     scheme=cfg.scheme, last_dt=dt)
+    return FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
 
 
 def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
     """All tracked scalars of one state (sup norms, psi, angle range, volume)."""
-    dim = state.spec.dim
     u = state.u.values
     d2u = state.d2u.components
-    du_sq = sym_norm_sq(state.du.components, dim, 1)
-    d2u_sq = sym_norm_sq(d2u, dim, 2)
+    du_sq = state.norm_sq(1)
+    d2u_sq = state.norm_sq(2)
     psi = psi_values(u, du_sq, d2u_sq, cfg.C0, cfg.C1)
-    theta = _angle_values(d2u, dim)
+    theta = _angle_values(d2u, state.spec.dim)
     return MonitorRecord(
         t=state.t,
         max_u=float(np.max(np.abs(u))),
         max_du=float(np.sqrt(np.max(du_sq))),
         max_d2u=float(np.sqrt(np.max(d2u_sq))),
-        max_d3u=sym_sup_norm(state.d3u.components, dim, 3),
+        max_d3u=float(np.sqrt(np.max(state.norm_sq(3)))),
         psi_max=float(np.max(psi)),
         theta_min=float(np.min(theta)),
         theta_max=float(np.max(theta)),
         volume=hessian_volume(d2u, state.spec),
-        dt=state.last_dt if state.last_dt > 0.0 else cfg.dt,
+        dt=cfg.dt,
     )
 
 
@@ -222,11 +240,12 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     sup|u| < conv_tol when kappa < 0 (the zero potential is the target);
     for kappa = 0 constants are stationary and any constant limit counts.
 
-    Emits a MonitorRecord at step 0, every ``checkpoint_every`` steps and at
+    Emits a MonitorRecord at the start, at every step whose global index
+    (counted from t = 0) is a multiple of ``checkpoint_every``, and at
     termination.  Raises nothing on blowup: the result carries a report.
 
-    ``t_start`` continues the clock from a checkpoint: the update sequence is
-    then bit-identical to the uninterrupted run.
+    ``t_start`` continues the clock from a checkpoint: the update sequence and
+    the record cadence are then bit-identical to the uninterrupted run.
     """
     if u0.spec != cfg.grid:
         raise ValueError("u0 grid does not match config grid")
@@ -249,6 +268,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     u = u0.values
     t = float(t_start)
     step = 0
+    first_step = round(t / dt)
     records = []
     last_emitted = -1
     warned_region = False
@@ -269,7 +289,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             )
 
     def make_state(hess_stack):
-        state = FlowState(t, PeriodicScalarField(cfg.grid, u), scheme=cfg.scheme, last_dt=dt if step else 0.0)
+        state = FlowState(t, PeriodicScalarField(cfg.grid, u), scheme=cfg.scheme)
         state._jets[2] = SymMatrixField(cfg.grid, hess_stack)
         return state
 
@@ -306,7 +326,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
         step += 1
         hess = ops.hessian(u)
 
-        if record_every and step % record_every == 0:
+        if record_every and (first_step + step) % record_every == 0:
             emit(make_state(hess))
 
 
@@ -314,20 +334,38 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 # checkpoint persistence (bit-exact round trip)
 #
 # layout, little-endian: magic "LMCF" | version u32 | n u32 | N_a u32 each |
-# P_a f64 each | t f64 | kappa f64 | row-major f64 grid values of u
+# P_a f64 each | t f64 | kappa f64 | [version 2: cfl, conv_tol, C0, C1, eps1
+# f64 each | scheme u32, the index into SCHEMES] | row-major f64 grid values of u
+#
+# version 1 files lack the bracketed block; they load with FlowConfig defaults
+
+_STEPPER_FIELDS = ("cfl", "conv_tol", "C0", "C1", "eps1")
+
 
 def checkpoint_save(state: FlowState, cfg: FlowConfig, path):
+    """Write a version-2 checkpoint atomically: an interrupted save leaves any
+    previous file at ``path`` intact."""
     spec = state.spec
     n = spec.dim
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", n))
-        fh.write(struct.pack(f"<{n}I", *spec.sizes))
-        fh.write(struct.pack(f"<{n}d", *spec.periods))
-        fh.write(struct.pack("<d", state.t))
-        fh.write(struct.pack("<d", cfg.kappa))
-        fh.write(np.ascontiguousarray(state.u.values, dtype="<f8").tobytes())
+    parts = [
+        CHECKPOINT_MAGIC,
+        struct.pack("<II", CHECKPOINT_VERSION, n),
+        struct.pack(f"<{n}I", *spec.sizes),
+        struct.pack(f"<{n}d", *spec.periods),
+        struct.pack("<2d", state.t, cfg.kappa),
+        struct.pack("<5d", *(getattr(cfg, name) for name in _STEPPER_FIELDS)),
+        struct.pack("<I", SCHEMES.index(cfg.scheme)),
+        np.ascontiguousarray(state.u.values, dtype="<f8").tobytes(),
+    ]
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, nbytes, what):
@@ -340,8 +378,9 @@ def _read_exact(fh, nbytes, what):
 def checkpoint_load(path, t_max=None):
     """Load a checkpoint; returns (FlowState, FlowConfig).
 
-    Only grid, time, kappa and u are stored; the returned config carries
-    defaults for everything else (t_max defaults to t + 1).  Jets are
+    Version 2 stores every stepper parameter except ``checkpoint_every``
+    (the returned config has 0) and ``t_max`` (defaults to t + 1); version 1
+    files get FlowConfig defaults for the stepper parameters.  Jets are
     recomputed on demand, so the round trip is bit-exact in u.
     """
     with open(path, "rb") as fh:
@@ -349,15 +388,22 @@ def checkpoint_load(path, t_max=None):
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (n,) = struct.unpack("<I", _read_exact(fh, 4, "dimension"))
         if n not in (1, 2, 3):
             raise CheckpointError(f"unsupported dimension {n}")
         sizes = struct.unpack(f"<{n}I", _read_exact(fh, 4 * n, "grid sizes"))
         periods = struct.unpack(f"<{n}d", _read_exact(fh, 8 * n, "periods"))
-        (t,) = struct.unpack("<d", _read_exact(fh, 8, "time"))
-        (kappa,) = struct.unpack("<d", _read_exact(fh, 8, "kappa"))
+        t, kappa = struct.unpack("<2d", _read_exact(fh, 16, "time and kappa"))
+        stepper = {}
+        if version == 2:
+            stepper = dict(zip(_STEPPER_FIELDS, struct.unpack(
+                "<5d", _read_exact(fh, 40, "stepper parameters"))))
+            (scheme,) = struct.unpack("<I", _read_exact(fh, 4, "scheme"))
+            if scheme >= len(SCHEMES):
+                raise CheckpointError(f"unknown scheme index {scheme}")
+            stepper["scheme"] = SCHEMES[scheme]
         try:
             spec = GridSpec(n, sizes, periods)
         except ValueError as exc:
@@ -366,10 +412,14 @@ def checkpoint_load(path, t_max=None):
         raw = _read_exact(fh, 8 * npoints, "grid values")
         if fh.read(1):
             raise CheckpointError("trailing bytes after grid values")
+    try:
+        cfg = FlowConfig(grid=spec, kappa=kappa, t_max=t + 1.0, **stepper)
+    except ValueError as exc:
+        raise CheckpointError(f"invalid run parameters in checkpoint: {exc}") from exc
+    if t_max is not None:
+        cfg = replace(cfg, t_max=t_max)
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(spec.sizes)
-    u = PeriodicScalarField(spec, values)
-    cfg = FlowConfig(grid=spec, kappa=kappa, t_max=t_max if t_max is not None else t + 1.0)
-    state = FlowState(t, u, scheme=cfg.scheme, last_dt=0.0)
+    state = FlowState(t, PeriodicScalarField(spec, values), scheme=cfg.scheme)
     return state, cfg
 
 

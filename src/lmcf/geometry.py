@@ -7,8 +7,8 @@ theta = sum_i arctan(lambda_i(Q)), and the mean curvature 1-form is
 matrix data plus flat partial derivatives.
 
 The angle uses the eigenvalue arctan sum, which picks the globally
-continuous branch; arg det(I + iQ) is kept only as an independent oracle
-valid on the principal branch (Re det(I + iQ) > 0).
+continuous branch.  The independent arg det(I + iQ) oracle, valid on the
+principal branch (Re det(I + iQ) > 0), lives in ``lmcf.verification``.
 """
 
 from __future__ import annotations
@@ -45,17 +45,6 @@ class InducedMetricField:
     @property
     def spec(self):
         return self.mu.spec
-
-
-@dataclass(frozen=True, eq=False)
-class AngleField:
-    """Lagrangian angle of the graph, |theta| < n*pi/2 pointwise."""
-
-    theta: PeriodicScalarField
-
-    @property
-    def spec(self):
-        return self.theta.spec
 
 
 def _square_components(q, dim):
@@ -161,27 +150,10 @@ def _angle_values(qcomps, dim):
     return at[..., 0] + at[..., 1] + at[..., 2]
 
 
-def lagrangian_angle(Q: SymMatrixField) -> AngleField:
-    """Lagrangian angle of the graph with Hessian field Q (continuous branch)."""
-    theta = _angle_values(np.asarray(Q.components), Q.spec.dim)
-    return AngleField(PeriodicScalarField(Q.spec, theta))
-
-
-@dataclass(frozen=True)
-class OracleAngle:
-    value: float
-    branch_valid: bool
-
-
-def angle_oracle(Q) -> OracleAngle:
-    """arg det(I + iQ) at one point, principal branch.
-
-    Independent of the eigenvalue route; only comparable to
-    ``lagrangian_angle`` while Re det(I + iQ) > 0 (``branch_valid``).
-    """
-    Q = np.asarray(Q, dtype=np.float64)
-    z = np.linalg.det(np.eye(Q.shape[0]) + 1j * Q)
-    return OracleAngle(value=float(np.arctan2(z.imag, z.real)), branch_valid=bool(z.real > 0.0))
+def lagrangian_angle(Q: SymMatrixField) -> PeriodicScalarField:
+    """Lagrangian angle of the graph with Hessian field Q (continuous branch),
+    |theta| < n*pi/2 pointwise."""
+    return PeriodicScalarField(Q.spec, _angle_values(np.asarray(Q.components), Q.spec.dim))
 
 
 def angle_gradient(Q) -> np.ndarray:

@@ -34,6 +34,7 @@ from .geometry import (
     InducedMetricField,
     _angle_values,
     graph_volume,
+    hessian_volume,
     induced_metric,
     laplace_beltrami,
     metric_from_potential,
@@ -42,6 +43,7 @@ from .geometry import (
 )
 from .monitors import MonitorRecord
 
+# the lettered quantity at index k is |D^k u|^2 (FlowState.norm_sq(k))
 EVOLUTION_NAMES = ("u2", "du2", "d2u2", "d3u2", "psi")
 PSI_SLACK_FACTOR = 1e-6
 MONOTONE_SLACK = 1e-8
@@ -120,9 +122,7 @@ def psi_field(u: PeriodicScalarField, cfg: FlowConfig) -> PeriodicScalarField:
 
 
 def _psi_of_state(state: FlowState, cfg: FlowConfig):
-    du_sq = state.du.pointwise_norm_sq().values
-    d2_sq = state.d2u.pointwise_norm_sq().values
-    return psi_values(state.u.values, du_sq, d2_sq, cfg.C0, cfg.C1)
+    return psi_values(state.u.values, state.norm_sq(1), state.norm_sq(2), cfg.C0, cfg.C1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +202,8 @@ def check_angle_expansion(samples, amplitudes, scheme="spectral") -> ResidualRep
             theta = _angle_values(hess.components, base.spec.dim)
             lap = laplacian_flat(scaled, scheme)
             res = max(res, float(np.max(np.abs(theta - lap.values))))
-            grad_sq = derivative(scaled, 1, scheme).pointwise_norm_sq().values
-            hess_sq = hess.pointwise_norm_sq().values
+            grad_sq = sym_norm_sq(derivative(scaled, 1, scheme).components, base.spec.dim, 1)
+            hess_sq = sym_norm_sq(hess.components, base.spec.dim, 2)
             bound = max(bound, float(np.max(grad_sq + hess_sq)))
             oracle_gap = max(oracle_gap, angle_oracle_gap(hess.components, base.spec.dim))
         rows.append((float(eps), res, bound))
@@ -269,13 +269,10 @@ class TrajectoryTriple:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    cfg: FlowConfig
-    dt: float
-    triples: tuple
+    """State triples sampled from one run; consecutive states are cfg.dt apart."""
 
-    @property
-    def times(self):
-        return tuple(tr.at.t for tr in self.triples)
+    cfg: FlowConfig
+    triples: tuple
 
 
 def sample_trajectory(u0, cfg, sample_every, n_samples) -> Trajectory:
@@ -292,7 +289,7 @@ def sample_trajectory(u0, cfg, sample_every, n_samples) -> Trajectory:
                          states[k * sample_every + 1])
         for k in range(1, n_samples + 1)
     )
-    return Trajectory(cfg=cfg, dt=cfg.dt, triples=triples)
+    return Trajectory(cfg=cfg, triples=triples)
 
 
 def _check_region(trajectory):
@@ -307,27 +304,15 @@ def _check_region(trajectory):
 
 
 def _phi_values(state: FlowState, name, cfg):
-    if name == "u2":
-        u = state.u.values
-        return u * u
-    if name == "du2":
-        return state.du.pointwise_norm_sq().values
-    if name == "d2u2":
-        return state.d2u.pointwise_norm_sq().values
-    if name == "d3u2":
-        return state.d3u.pointwise_norm_sq().values
     if name == "psi":
         return _psi_of_state(state, cfg)
-    raise ValueError(f"unknown evolution quantity {name!r}")
+    return state.norm_sq(EVOLUTION_NAMES.index(name))
 
 
 def _main_and_bound(state: FlowState, name, cfg):
     """Good-sign main term and the c-premultiplied bound of each estimate."""
     kappa = cfg.kappa
-    u_sq = state.u.values ** 2
-    du_sq = state.du.pointwise_norm_sq().values
-    d2_sq = state.d2u.pointwise_norm_sq().values
-    d3_sq = state.d3u.pointwise_norm_sq().values
+    u_sq, du_sq, d2_sq, d3_sq = (state.norm_sq(rank) for rank in range(4))
     if name == "u2":
         main = -du_sq + 2.0 * kappa * u_sq
         bound = np.sqrt(u_sq) * (d3_sq + d2_sq + du_sq)
@@ -353,15 +338,13 @@ def _main_and_bound(state: FlowState, name, cfg):
     return main, PSI_SLACK_FACTOR * scale
 
 
-def parabolic_lhs(triple: TrajectoryTriple, name, cfg, dt):
-    """(phi(t+dt) - phi(t-dt)) / (2 dt) - Laplace_mu phi(t), pointwise."""
-    phi_b = _phi_values(triple.before, name, cfg)
-    phi_a = _phi_values(triple.after, name, cfg)
-    phi_0 = _phi_values(triple.at, name, cfg)
-    M = induced_metric(triple.at.d2u)
-    lap = laplace_beltrami(
-        PeriodicScalarField(triple.at.spec, phi_0), M, "divergence", cfg.scheme
-    )
+def parabolic_lhs(phis, M: InducedMetricField, dt, scheme):
+    """(phi(t+dt) - phi(t-dt)) / (2 dt) - Laplace_mu phi(t), pointwise.
+
+    ``phis`` holds phi at (t - dt, t, t + dt); ``M`` is the metric at t.
+    """
+    phi_b, phi_0, phi_a = phis
+    lap = laplace_beltrami(PeriodicScalarField(M.spec, phi_0), M, "divergence", scheme)
     return (phi_a - phi_b) / (2.0 * dt) - lap.values
 
 
@@ -377,21 +360,17 @@ def _local_rates(times, magnitudes, floor=1.0):
     return rates
 
 
-def _centered_difference_slacks(trajectory, name, cfg):
+def _centered_difference_slacks(phi_triples, dt):
     """Per-sample error bar of the centered time difference.
 
     The centered difference carries a (dt^2 / 6) phi''' error.  Each triple
-    yields sup|phi'| and sup|phi''| directly, so phi''' is estimated locally
-    as (|phi''| / |phi'|)^2 * |phi'|; a 3x safety factor and a roundoff
-    floor are added.
+    (phi(t - dt), phi(t), phi(t + dt)) yields sup|phi'| and sup|phi''|
+    directly, so phi''' is estimated locally as (|phi''| / |phi'|)^2 * |phi'|;
+    a 3x safety factor and a roundoff floor are added.
     """
-    dt = trajectory.dt
     slacks = []
     fd_ref = 0.0
-    for tr in trajectory.triples:
-        phi_b = _phi_values(tr.before, name, cfg)
-        phi_a = _phi_values(tr.after, name, cfg)
-        phi_0 = _phi_values(tr.at, name, cfg)
+    for phi_b, phi_0, phi_a in phi_triples:
         fd = float(np.max(np.abs(phi_a - phi_b))) / (2.0 * dt)
         dd = float(np.max(np.abs(phi_a - 2.0 * phi_0 + phi_b))) / (dt * dt)
         fd_ref = max(fd_ref, fd)
@@ -404,7 +383,7 @@ def _centered_difference_slacks(trajectory, name, cfg):
     return [s + 1e-12 * fd_ref for s in slacks]
 
 
-def check_evolution_inequality(name, trajectory: Trajectory, cfg=None) -> ResidualReport:
+def check_evolution_inequality(name, trajectory: Trajectory) -> ResidualReport:
     """One parabolic estimate along a stored trajectory.
 
     For the lettered quantities (u2, du2, d2u2, d3u2) the report fits the
@@ -418,23 +397,25 @@ def check_evolution_inequality(name, trajectory: Trajectory, cfg=None) -> Residu
     """
     if name not in EVOLUTION_NAMES:
         raise ValueError(f"unknown evolution quantity {name!r}")
-    cfg = cfg or trajectory.cfg
+    cfg = trajectory.cfg
     _check_region(trajectory)
-    dt = trajectory.dt
-    slacks = _centered_difference_slacks(trajectory, name, cfg)
+    dt = cfg.dt
+    phi_triples = [
+        tuple(_phi_values(state, name, cfg) for state in (tr.before, tr.at, tr.after))
+        for tr in trajectory.triples
+    ]
+    slacks = _centered_difference_slacks(phi_triples, dt)
+    metrics = [induced_metric(tr.at.d2u) for tr in trajectory.triples]
     rows = []
-    for tr, slack in zip(trajectory.triples, slacks):
-        lhs = parabolic_lhs(tr, name, cfg, dt)
+    for tr, phis, M, slack in zip(trajectory.triples, phi_triples, metrics, slacks):
+        lhs = parabolic_lhs(phis, M, dt, cfg.scheme)
         main, bound = _main_and_bound(tr.at, name, cfg)
         residual = float(np.max(lhs - main)) - slack
         rows.append((tr.at.t, residual, bound))
     # oracle closure: the two Laplace-Beltrami routes must agree on this input
     # (measured spectrally; the 1e-8 statement is a spectral-accuracy property)
-    first = trajectory.triples[0].at
     gap, scale = two_route_gap(
-        PeriodicScalarField(first.spec, _phi_values(first, name, cfg)),
-        induced_metric(first.d2u),
-        "spectral",
+        PeriodicScalarField(cfg.grid, phi_triples[0][1]), metrics[0], "spectral"
     )
     routes_ok = gap <= 1e-8 * scale
     note_closure = f"two-route closure gap {gap / scale:.3g} (relative)"
@@ -486,8 +467,7 @@ def check_log_jet_monotone(trajectory: Trajectory, K, slack=MONOTONE_SLACK) -> R
     cfg = trajectory.cfg
     values = []
     for tr in trajectory.triples:
-        d3_sq = tr.at.d3u.pointwise_norm_sq().values
-        w = np.log1p(d3_sq) + K * _psi_of_state(tr.at, cfg)
+        w = np.log1p(tr.at.norm_sq(3)) + K * _psi_of_state(tr.at, cfg)
         values.append((tr.at.t, float(np.max(w))))
     return _non_increasing_report("log_jet_monotone", values, slack)
 
@@ -523,34 +503,31 @@ def _dissipation_integral(state: FlowState, cfg: FlowConfig, form):
     return l2_pairing(PeriodicScalarField(state.spec, dens), M.sqrt_det)
 
 
-def check_volume_dissipation(trajectory: Trajectory, rate_hint=None, form=None) -> ResidualReport:
+def check_volume_dissipation(trajectory: Trajectory, form=None) -> ResidualReport:
     """Centered volume difference against the negative dissipation integral.
 
     ``form`` selects the integrand (see ``_dissipation_integral``); by
     default the squared form is used at kappa = 0, where it is the exact
     mean curvature flow identity, and the pairing form otherwise.  The
     comparison slack is 5 dt^2 * lambda^2 * |I|, the size of the third time
-    derivative driving the centered-difference error; lambda comes from
-    ``rate_hint`` or is estimated from the decay of the integral itself.
+    derivative driving the centered-difference error; lambda is estimated
+    from the decay of the integral itself.
     """
     cfg = trajectory.cfg
     if form is None:
         form = "squared" if cfg.kappa == 0.0 else "pairing"
     if form not in ("squared", "pairing"):
         raise ValueError(f"unknown dissipation form {form!r}")
-    dt = trajectory.dt
+    dt = cfg.dt
     fd = []
     integrals = []
     for tr in trajectory.triples:
-        v_b = graph_volume(tr.before.u, cfg.scheme)
-        v_a = graph_volume(tr.after.u, cfg.scheme)
+        v_b = hessian_volume(tr.before.d2u.components, cfg.grid)
+        v_a = hessian_volume(tr.after.d2u.components, cfg.grid)
         fd.append((v_a - v_b) / (2.0 * dt))
         integrals.append(_dissipation_integral(tr.at, cfg, form))
     times = [tr.at.t for tr in trajectory.triples]
-    if rate_hint is None:
-        rates = _local_rates(times, [abs(i) for i in integrals])
-    else:
-        rates = [float(rate_hint)] * len(integrals)
+    rates = _local_rates(times, [abs(i) for i in integrals])
     rows = []
     for tr, f, integral, rate in zip(trajectory.triples, fd, integrals, rates):
         residual = abs(f + integral)

@@ -49,6 +49,12 @@ class TestConfigParsing:
             (QUICK_CONFIG.replace("u0_preset = single_mode", "u0_preset = wavelet"),
              "unknown u0_preset"),
             ("this is not a config\n", "expected 'key = value'"),
+            (QUICK_CONFIG.replace("kappa = 0", "kappa = nan"), "kappa must be finite"),
+            (QUICK_CONFIG.replace("t_max = 0.6", "t_max = inf"), "t_max must be finite"),
+            (QUICK_CONFIG.replace("conv_tol = 1e-8", "conv_tol = inf"),
+             "conv_tol must be finite"),
+            (QUICK_CONFIG + "c0 = inf\n", "C0 must be finite"),
+            (QUICK_CONFIG + "c1 = nan\n", "C1 must be finite"),
         ],
     )
     def test_malformed(self, text, match):
@@ -182,20 +188,72 @@ class TestSweepCommand:
         assert code == 2  # timed out
 
 
+def summary_values(outdir):
+    """``key = value`` lines of summary.txt, outcome and configuration echo alike."""
+    lines = (outdir / "summary.txt").read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines if " = " in line)
+
+
+STEPPER_KEYS = ("kappa", "cfl", "scheme", "t_max", "conv_tol", "c0", "c1", "eps1",
+                "checkpoint_every")
+
+
 class TestResumeCommand:
     def test_resume_continues_run(self, tmp_path):
+        text = QUICK_CONFIG.replace("conv_tol = 1e-8", "conv_tol = 1e-13")
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(QUICK_CONFIG.replace("t_max = 0.6", "t_max = 0.05")
-                       .replace("conv_tol = 1e-8", "conv_tol = 1e-13"))
+        cfg.write_text(text.replace("t_max = 0.6", "t_max = 0.05"))
         out1 = tmp_path / "first"
         assert main(["run", str(cfg), "-o", str(out1)]) == 2
         out2 = tmp_path / "second"
         code = main(["resume", str(out1 / "final.lmcf"), "-o", str(out2),
                      "--t-max", "0.5", "--checkpoint-every", "20"])
-        assert code == 0  # converges before 0.5 with default conv_tol
+        full_cfg = tmp_path / "full.cfg"
+        full_cfg.write_text(text.replace("t_max = 0.6", "t_max = 0.5"))
+        full = tmp_path / "full"
+        # the checkpoint carries conv_tol = 1e-13, so the resume times out at
+        # 0.5 exactly like the uninterrupted run
+        assert code == main(["run", str(full_cfg), "-o", str(full)]) == 2
         records = read_monitor_csv(out2 / "monitors.csv")
         assert records[0].t >= 0.05 - 1e-12
-        assert records[-1].max_du < 1e-8
+        full_records = read_monitor_csv(full / "monitors.csv")
+        assert records[1:] == [r for r in full_records if r.t > records[0].t]
+
+    @pytest.mark.parametrize("first_steps", [30, 40])
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    @pytest.mark.parametrize("cfl", [0.2, 0.5])
+    @pytest.mark.parametrize("scheme", ["spectral", "central4"])
+    def test_resume_matches_uninterrupted_run(self, tmp_path, scheme, cfl, kappa,
+                                              first_steps):
+        # every stored stepper parameter is off its default; the cadence is 20,
+        # so a checkpoint after 30 steps lies off the cadence and one after 40 on it
+        text = (QUICK_CONFIG.replace("kappa = 0", f"kappa = {kappa}")
+                .replace("conv_tol = 1e-8", "conv_tol = 1e-13")
+                + f"cfl = {cfl}\nscheme = {scheme}\nc0 = 50\nc1 = 2\neps1 = 0.5\n")
+        dt = parse_config_text(text).cfg.dt
+        t_first, t_total = first_steps * dt, 70 * dt
+
+        def run(name, t_max):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text.replace("t_max = 0.6", f"t_max = {t_max!r}"))
+            assert main(["run", str(path), "-o", str(tmp_path / name)]) == 2
+            return read_monitor_csv(tmp_path / name / "monitors.csv")
+
+        full = run("full", t_total)
+        first = run("first", t_first)
+        assert main(["resume", str(tmp_path / "first" / "final.lmcf"),
+                     "-o", str(tmp_path / "rest"), "--t-max", repr(t_total),
+                     "--checkpoint-every", "20"]) == 2
+        rest = read_monitor_csv(tmp_path / "rest" / "monitors.csv")
+
+        t_c = first[-1].t
+        assert rest[0] == first[-1]
+        assert [r for r in first + rest[1:] if r.t != t_c] == [r for r in full if r.t != t_c]
+        assert all(r == rest[0] for r in full if r.t == t_c)
+        assert ((tmp_path / "rest" / "final.lmcf").read_bytes()
+                == (tmp_path / "full" / "final.lmcf").read_bytes())
+        resumed, uninterrupted = summary_values(tmp_path / "rest"), summary_values(tmp_path / "full")
+        assert [resumed[k] for k in STEPPER_KEYS] == [uninterrupted[k] for k in STEPPER_KEYS]
 
     def test_resume_rejects_stale_t_max(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

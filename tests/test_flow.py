@@ -1,13 +1,16 @@
 """Time integration, convergence detection, checkpoints, determinism."""
 
+import dataclasses
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmcf.fields import GridSpec, PeriodicScalarField, sup_norm
+from lmcf.fields import GridSpec, PeriodicScalarField, sup_norm, sym_norm_sq
 from lmcf.flow import (
     CheckpointError,
     FlowConfig,
@@ -245,6 +248,13 @@ class TestFlowConfig:
             dict(eps1=1.5),
             dict(checkpoint_every=-1),
             dict(scheme="upwind"),
+            dict(kappa=math.nan),
+            dict(kappa=-math.inf),
+            dict(t_max=math.inf),
+            dict(conv_tol=math.inf),
+            dict(C0=math.nan),
+            dict(C0=math.inf),
+            dict(C1=math.nan),
         ],
     )
     def test_validation(self, kwargs):
@@ -269,6 +279,47 @@ class TestCheckpoint:
         assert loaded.t == state.t
         assert cfg2.kappa == cfg.kappa
         assert cfg2.grid == spec
+
+    def test_roundtrip_keeps_stepper_config(self, tmp_path):
+        spec = GridSpec(1, (16,))
+        cfg = FlowConfig(grid=spec, kappa=-0.25, t_max=3.0, cfl=0.5, scheme="central4",
+                         conv_tol=1e-11, C0=50.0, C1=2.0, eps1=0.3, checkpoint_every=7)
+        state = FlowState(0.5, single_mode_potential(spec, 1e-3, (1,)), scheme=cfg.scheme)
+        path = tmp_path / "s.lmcf"
+        checkpoint_save(state, cfg, path)
+        loaded, cfg2 = checkpoint_load(path)
+        assert cfg2 == dataclasses.replace(cfg, t_max=1.5, checkpoint_every=0)
+        assert loaded.scheme == "central4"
+        _, cfg3 = checkpoint_load(path, t_max=2.0)
+        assert cfg3.t_max == 2.0
+
+    def test_version_1_loads_with_defaults(self, tmp_path):
+        spec = GridSpec(2, (8, 8), (1.0, 2.0))
+        u = random_bandlimited_potential(spec, 0.05, 2, seed=3)
+        path = tmp_path / "v1.lmcf"
+        path.write_bytes(b"LMCF" + struct.pack("<II2I2d2d", 1, 2, 8, 8, 1.0, 2.0, 0.25, -0.5)
+                         + u.values.astype("<f8").tobytes())
+        state, cfg = checkpoint_load(path)
+        assert np.array_equal(state.u.values, u.values)
+        assert state.t == 0.25
+        assert cfg == FlowConfig(grid=spec, kappa=-0.5, t_max=1.25)
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        spec = GridSpec(1, (16,))
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)
+        path = tmp_path / "c.lmcf"
+        checkpoint_save(FlowState.initial(PeriodicScalarField.constant(spec, 1.0), cfg),
+                        cfg, path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint_save(FlowState(0.5, PeriodicScalarField.constant(spec, 2.0)), cfg, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.lmcf"]
 
     def test_truncated_file(self, tmp_path):
         spec = GridSpec(1, (16,))
@@ -384,3 +435,10 @@ class TestMonitorRecordContents:
         assert rec.psi_max == np.max(psi_field(u0, cfg).values)
         assert rec.volume == graph_volume(u0) == volume(metric_from_potential(u0))
         assert abs(rec.psi_max - amp * amp) <= 1e-12 * amp * amp
+        # the state computes each |D^k u|^2 once and hands out a read-only array
+        state = FlowState.initial(u0, cfg)
+        assert np.array_equal(state.norm_sq(0), u0.values * u0.values)
+        for k, jet in ((1, state.du), (2, state.d2u), (3, state.d3u)):
+            assert state.norm_sq(k) is state.norm_sq(k)
+            assert np.array_equal(state.norm_sq(k), sym_norm_sq(jet.components, dim, k))
+            assert not state.norm_sq(k).flags.writeable

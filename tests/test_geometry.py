@@ -11,7 +11,6 @@ from lmcf.fields import GridSpec, PeriodicScalarField, SymMatrixField, derivativ
 from lmcf.geometry import (
     _angle_values,
     angle_gradient,
-    angle_oracle,
     graph_volume,
     induced_metric,
     jacobi_eigenvalues_sym3,
@@ -22,6 +21,7 @@ from lmcf.geometry import (
     volume,
 )
 from lmcf.initial_data import random_bandlimited_potential
+from lmcf.verification import angle_oracle_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,13 +34,22 @@ def const_matrix_field(spec, matrix):
     return SymMatrixField(spec, comps)
 
 
-def angle_point(q):
+def point_stack(q):
+    """One-point packed component stack of the symmetric matrix q."""
     q = np.asarray(q, dtype=float)
-    n = q.shape[0]
     from lmcf.fields import sym_indices
 
-    comps = np.array([q[i, j] for i, j in sym_indices(n, 2)]).reshape(-1, 1)
-    return float(_angle_values(comps, n)[0])
+    return np.array([q[i, j] for i, j in sym_indices(q.shape[0], 2)]).reshape(-1, 1)
+
+
+def angle_point(q):
+    return float(_angle_values(point_stack(q), len(q))[0])
+
+
+def oracle_point(q):
+    """(arg det(I + iQ), principal-branch flag) at one point."""
+    value, valid = angle_oracle_values(point_stack(q), len(q))
+    return float(value[0]), bool(valid[0])
 
 
 class TestInducedMetric:
@@ -104,12 +113,12 @@ class TestLagrangianAngle:
     def test_zero(self):
         spec = GridSpec(2, (16, 16))
         theta = lagrangian_angle(const_matrix_field(spec, np.zeros((2, 2))))
-        assert sup_norm(theta.theta) == 0.0
+        assert sup_norm(theta) == 0.0
 
     def test_identity_hessian(self):
         spec = GridSpec(2, (16, 16))
         theta = lagrangian_angle(const_matrix_field(spec, np.eye(2)))
-        assert np.allclose(theta.theta.values, np.pi / 2.0)
+        assert np.allclose(theta.values, np.pi / 2.0)
 
     def test_small_1d_value(self):
         # atan(0.1) to machine precision
@@ -117,26 +126,26 @@ class TestLagrangianAngle:
         assert abs(angle_point([[0.1]]) - 0.09966865249116204) <= 1e-16
 
     def test_oracle_trivial_cases(self):
-        res = angle_oracle(np.zeros((2, 2)))
-        assert res.value == 0.0 and res.branch_valid
-        res = angle_oracle(np.diag([1.0, -1.0]))
-        assert res.branch_valid and abs(res.value) <= 1e-15
+        value, valid = oracle_point(np.zeros((2, 2)))
+        assert value == 0.0 and valid
+        value, valid = oracle_point(np.diag([1.0, -1.0]))
+        assert valid and abs(value) <= 1e-15
 
     def test_oracle_equivalence_sweep(self):
         rng = np.random.default_rng(8)
-        for n in (1, 2):
+        for n in (1, 2, 3):
             for _ in range(200):
                 q = rng.normal(size=(n, n))
                 q = q + q.T
                 q *= 0.5 * rng.random() / max(np.linalg.norm(q), 1e-12)
-                oracle = angle_oracle(q)
-                assert oracle.branch_valid
-                assert abs(angle_point(q) - oracle.value) <= 1e-10
+                value, valid = oracle_point(q)
+                assert valid
+                assert abs(angle_point(q) - value) <= 1e-10
 
     def test_oracle_branch_flag(self):
         # two large eigenvalues push arg det past pi/2 each: Re det < 0
-        res = angle_oracle(np.diag([5.0, 5.0]))
-        assert not res.branch_valid
+        _, valid = oracle_point(np.diag([5.0, 5.0]))
+        assert not valid
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=3, max_size=3))
@@ -218,7 +227,7 @@ class TestMeanCurvatureForm:
         u = random_bandlimited_potential(spec, 0.05, 3, seed=21)
         kappa = -0.5
         alpha = mean_curvature_one_form(u, kappa)
-        theta = lagrangian_angle(derivative(u, 2)).theta
+        theta = lagrangian_angle(derivative(u, 2))
         s = PeriodicScalarField(spec, theta.values + kappa * u.values)
         expected = derivative(s, 1)
         assert np.max(np.abs(alpha.components + expected.components)) <= 1e-12

@@ -56,7 +56,7 @@ def reversed_trajectory(traj):
         TrajectoryTriple(before=tr.after, at=tr.at, after=tr.before)
         for tr in reversed(traj.triples)
     )
-    return Trajectory(cfg=traj.cfg, dt=traj.dt, triples=flipped)
+    return Trajectory(cfg=traj.cfg, triples=flipped)
 
 
 class TestPsiField:
