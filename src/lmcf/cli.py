@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from .config_io import ConfigError, RunSetup, format_config, load_setup
+from .config_io import ConfigError, RunSetup, format_config, format_stepper_config, load_setup
 from .fields import GridSpec
 from .flow import checkpoint_load, checkpoint_save, integrate, resume_flow
 from .monitors import write_monitor_csv
@@ -35,10 +35,10 @@ EXIT_VERIFY_FAILED = 4
 _OUTCOME_EXIT = {"converged": EXIT_OK, "timed_out": EXIT_TIMEOUT, "blowup": EXIT_BLOWUP}
 
 
-def _write_run_outputs(result, setup, outdir, extra_lines=()):
+def _write_run_outputs(result, cfg, config_echo, outdir, extra_lines=()):
     os.makedirs(outdir, exist_ok=True)
     write_monitor_csv(result.records, os.path.join(outdir, "monitors.csv"))
-    checkpoint_save(result.state, setup.cfg, os.path.join(outdir, "final.lmcf"))
+    checkpoint_save(result.state, cfg, os.path.join(outdir, "final.lmcf"))
     first = result.records[0]
     last = result.records[-1]
     lines = [
@@ -59,7 +59,7 @@ def _write_run_outputs(result, setup, outdir, extra_lines=()):
         lines.append(f"blowup_sup_u = {result.blowup.sup_u:.17g}")
     lines.append("")
     lines.append("# configuration")
-    lines.append(format_config(setup).rstrip("\n"))
+    lines.append(config_echo.rstrip("\n"))
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -68,7 +68,7 @@ def cmd_run(args):
     setup = load_setup(args.config)
     u0 = setup.build_u0()
     result = integrate(u0, setup.cfg)
-    _write_run_outputs(result, setup, args.output)
+    _write_run_outputs(result, setup.cfg, format_config(setup), args.output)
     return _OUTCOME_EXIT[result.outcome]
 
 
@@ -128,7 +128,7 @@ def cmd_sweep(args):
             sub = _sweep_value_setup(setup, args.param, value)
             u0 = sub.build_u0()
             result = integrate(u0, sub.cfg)
-            _write_run_outputs(result, sub, subdir)
+            _write_run_outputs(result, sub.cfg, format_config(sub), subdir)
             code = _OUTCOME_EXIT[result.outcome]
             psi_final = result.records[-1].psi_max
             rate = _fitted_psi_rate(result.records)
@@ -153,11 +153,9 @@ def cmd_resume(args):
         raise ConfigError(f"--t-max {args.t_max} is not beyond checkpoint time {state.t:.6g}")
     cfg = dataclasses.replace(cfg, checkpoint_every=args.checkpoint_every)
     result = resume_flow(state, cfg)
-    # the initial data lives in the checkpoint; the echo below only carries
-    # the continued run's stepper parameters
-    setup = RunSetup(cfg=cfg, u0_preset="constant", u0_amplitude=0.0,
-                     u0_seed=0, u0_modes=(1,))
-    _write_run_outputs(result, setup, args.output,
+    # the initial data is the checkpoint (resumed_from): an echo without u0_*
+    # keys fails in ``lmcf run`` instead of integrating another potential
+    _write_run_outputs(result, cfg, format_stepper_config(cfg), args.output,
                        extra_lines=(f"resumed_from = {args.checkpoint} "
                                     f"(t = {state.t:.17g})",))
     return _OUTCOME_EXIT[result.outcome]

@@ -161,8 +161,8 @@ def parse_config_file(path) -> RunSetup:
     return parse_config_text(text)
 
 
-def format_config(setup: RunSetup) -> str:
-    cfg = setup.cfg
+def format_stepper_config(cfg: FlowConfig) -> str:
+    """``key = value`` lines of the grid and stepper keys (no initial data)."""
     lines = [
         f"dim = {cfg.grid.dim}",
         "sizes = " + ",".join(str(s) for s in cfg.grid.sizes),
@@ -176,12 +176,19 @@ def format_config(setup: RunSetup) -> str:
         f"c1 = {cfg.C1:.17g}",
         f"eps1 = {cfg.eps1:.17g}",
         f"checkpoint_every = {cfg.checkpoint_every}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def format_config(setup: RunSetup) -> str:
+    """Every key of a run configuration, as ``parse_config_text`` reads it."""
+    lines = [
         f"u0_preset = {setup.u0_preset}",
         f"u0_amplitude = {setup.u0_amplitude:.17g}",
         f"u0_seed = {setup.u0_seed}",
         "u0_modes = " + ",".join(str(m) for m in setup.u0_modes),
     ]
-    return "\n".join(lines) + "\n"
+    return format_stepper_config(setup.cfg) + "\n".join(lines) + "\n"
 
 
 PRESETS = {

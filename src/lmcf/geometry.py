@@ -6,9 +6,10 @@ theta = sum_i arctan(lambda_i(Q)), and the mean curvature 1-form is
 -d(theta + kappa*u).  Everything here is a pure function of pointwise
 matrix data plus flat partial derivatives.
 
-The angle uses the eigenvalue arctan sum, which picks the globally
-continuous branch.  The independent arg det(I + iQ) oracle, valid on the
-principal branch (Re det(I + iQ) > 0), lives in ``lmcf.verification``.
+The angle is the closed form arg det(I + iQ) = atan2(s1 - s3, 1 - s2) of
+Harvey and Lawson (s_k the elementary symmetric functions of the eigenvalues
+of Q), lifted by 2*pi off the principal branch; the eigenvalue route is kept
+as the reference ``lmcf.verification.eigen_angle_values``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .fields import (
     derivative,
     sym_indices,
     sym_positions,
-    sym_to_dense,
     tree_sum,
 )
 
@@ -105,7 +105,7 @@ def induced_metric(Q: SymMatrixField) -> InducedMetricField:
     )
 
 
-def jacobi_eigenvalues_sym3(dense, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
+def jacobi_eigenvalues_sym3(dense):
     """Eigenvalues of a (..., 3, 3) stack of symmetric matrices.
 
     Vectorized cyclic Jacobi sweeps; exact symmetry is maintained by
@@ -113,11 +113,11 @@ def jacobi_eigenvalues_sym3(dense, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS)
     """
     a = np.array(dense, dtype=np.float64)
     ref = max(float(np.max(np.abs(a))), 1e-300)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = max(
             float(np.max(np.abs(a[..., p, q]))) for p, q in ((0, 1), (0, 2), (1, 2))
         )
-        if off <= tol * ref:
+        if off <= JACOBI_TOL * ref:
             break
         for p, q in ((0, 1), (0, 2), (1, 2)):
             apq = a[..., p, q]
@@ -137,17 +137,24 @@ def jacobi_eigenvalues_sym3(dense, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS)
 
 
 def _angle_values(qcomps, dim):
-    """theta = sum_i arctan(lambda_i(Q)) from the component stack of Q."""
+    """theta = sum_i arctan(lambda_i(Q)) = arg det(I + iQ) from the component stack of Q."""
     if dim == 1:
         return np.arctan(qcomps[0])
     if dim == 2:
         q00, q01, q11 = qcomps
-        mid = 0.5 * (q00 + q11)
-        rad = np.sqrt((0.5 * (q00 - q11)) ** 2 + q01 * q01)
-        return np.arctan(mid + rad) + np.arctan(mid - rad)
-    lam = jacobi_eigenvalues_sym3(sym_to_dense(qcomps, 3))
-    at = np.arctan(lam)
-    return at[..., 0] + at[..., 1] + at[..., 2]
+        return np.arctan2(q00 + q11, 1.0 - (q00 * q11 - q01 * q01))
+    q00, q01, q02, q11, q12, q22 = qcomps
+    m01 = q00 * q11 - q01 * q01
+    m12 = q11 * q22 - q12 * q12
+    s2 = m01 + (q00 * q22 - q02 * q02) + m12
+    s3 = q00 * m12 + q01 * (q12 * q02 - q01 * q22) + q02 * (q01 * q12 - q11 * q02)
+    theta = np.arctan2((q00 + q11 + q22) - s3, 1.0 - s2)
+    # |theta| > pi forces all three arctans to one sign, so off the principal
+    # branch Q is definite (Sylvester on q00, m01, s3)
+    definite = m01 > 0.0
+    theta[definite & (q00 > 0.0) & (s3 > 0.0) & (theta < -0.5 * np.pi)] += 2.0 * np.pi
+    theta[definite & (q00 < 0.0) & (s3 < 0.0) & (theta > 0.5 * np.pi)] -= 2.0 * np.pi
+    return theta
 
 
 def lagrangian_angle(Q: SymMatrixField) -> PeriodicScalarField:

@@ -32,7 +32,7 @@ from .initial_data import random_bandlimited_potential, single_mode_potential
 from .verification import (
     ResidualReport,
     _fitted_constant,
-    angle_oracle_values,
+    angle_oracle_gap,
     check_angle_expansion,
     check_evolution_inequality,
     check_laplacian_difference,
@@ -70,13 +70,9 @@ def _random_sym_batch(rng, dim, count, fro_max):
 def _angle_oracle_report():
     rng = np.random.default_rng(2024)
     samples = []
-    for dim in (1, 2):
+    for dim in (1, 2, 3):
         comps = _random_sym_batch(rng, dim, 1000, 0.5)
-        theta = _angle_values(comps, dim)
-        oracle, valid = angle_oracle_values(comps, dim)
-        assert valid.all()  # |Q|_F <= 0.5 stays well inside the principal branch
-        gap = float(np.max(np.abs(theta - oracle)))
-        samples.append((float(dim), gap, 1e-10))
+        samples.append((float(dim), angle_oracle_gap(comps, dim), 1e-10))
     passed = all(res <= bound for _, res, bound in samples)
     return _report("angle_oracle_equivalence", samples, passed)
 

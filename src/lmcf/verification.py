@@ -28,6 +28,7 @@ from .fields import (
     psi_values,
     sup_norm,
     sym_norm_sq,
+    sym_to_dense,
 )
 from .flow import FlowConfig, FlowState, step_rk4
 from .geometry import (
@@ -36,6 +37,7 @@ from .geometry import (
     graph_volume,
     hessian_volume,
     induced_metric,
+    jacobi_eigenvalues_sym3,
     laplace_beltrami,
     metric_from_potential,
     metric_trace,
@@ -128,34 +130,23 @@ def _psi_of_state(state: FlowState, cfg: FlowConfig):
 # ---------------------------------------------------------------------------
 # oracle closures shared by several reports
 
-def angle_oracle_values(qcomps, dim):
-    """Vectorized arg det(I + iQ) with a principal-branch validity mask."""
+def eigen_angle_values(qcomps, dim):
+    """Reference angle sum_i arctan(lambda_i(Q)) from the eigenvalues of Q:
+    closed-form eigenvalues for n <= 2, cyclic Jacobi sweeps for n = 3."""
     if dim == 1:
-        q = qcomps[0]
-        re, im = np.ones_like(q), q
-    elif dim == 2:
+        return np.arctan(qcomps[0])
+    if dim == 2:
         q00, q01, q11 = qcomps
-        re = 1.0 - (q00 * q11 - q01 * q01)
-        im = q00 + q11
-    else:
-        q00, q01, q02, q11, q12, q22 = (1j * c for c in qcomps)
-        e = np.ones_like(qcomps[0], dtype=np.complex128)
-        det = (
-            (e + q00) * ((e + q11) * (e + q22) - q12 * q12)
-            - q01 * (q01 * (e + q22) - q12 * q02)
-            + q02 * (q01 * q12 - (e + q11) * q02)
-        )
-        re, im = det.real, det.imag
-    return np.arctan2(im, re), re > 0.0
+        mid = 0.5 * (q00 + q11)
+        rad = np.sqrt((0.5 * (q00 - q11)) ** 2 + q01 * q01)
+        return np.arctan(mid + rad) + np.arctan(mid - rad)
+    at = np.arctan(jacobi_eigenvalues_sym3(sym_to_dense(qcomps, 3)))
+    return at[..., 0] + at[..., 1] + at[..., 2]
 
 
 def angle_oracle_gap(qcomps, dim):
-    """Sup distance between the arctan-sum angle and the principal-branch oracle."""
-    theta = _angle_values(qcomps, dim)
-    oracle, valid = angle_oracle_values(qcomps, dim)
-    if not valid.any():
-        return 0.0
-    return float(np.max(np.abs(theta - oracle)[valid]))
+    """Sup distance between the closed-form angle and the eigenvalue reference."""
+    return float(np.max(np.abs(_angle_values(qcomps, dim) - eigen_angle_values(qcomps, dim))))
 
 
 def trace_metric_hessian(f: PeriodicScalarField, M: InducedMetricField, scheme="spectral"):
@@ -533,7 +524,7 @@ def check_volume_dissipation(trajectory: Trajectory, form=None) -> ResidualRepor
         residual = abs(f + integral)
         bound = 5.0 * dt * dt * rate * rate * max(abs(integral), 1e-300)
         rows.append((tr.at.t, residual, bound))
-    # oracle closure: the angle entering the integrand against arg det(I + iQ)
+    # oracle closure: the angle entering the integrand against the eigenvalue route
     first = trajectory.triples[0].at
     oracle_gap = angle_oracle_gap(first.d2u.components, first.spec.dim)
     passed = oracle_gap <= 1e-10 and all(res <= bound for _, res, bound in rows)

@@ -255,6 +255,28 @@ class TestResumeCommand:
         resumed, uninterrupted = summary_values(tmp_path / "rest"), summary_values(tmp_path / "full")
         assert [resumed[k] for k in STEPPER_KEYS] == [uninterrupted[k] for k in STEPPER_KEYS]
 
+    def test_resume_summary_echoes_stepper_config_only(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(QUICK_CONFIG.replace("t_max = 0.6", "t_max = 0.05")
+                       .replace("conv_tol = 1e-8", "conv_tol = 1e-13"))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "first")]) == 2
+        checkpoint = tmp_path / "first" / "final.lmcf"
+        assert main(["resume", str(checkpoint), "-o", str(tmp_path / "rest"),
+                     "--t-max", "0.1"]) == 2
+        text = (tmp_path / "rest" / "summary.txt").read_text()
+        assert f"resumed_from = {checkpoint} (t = " in text
+        echo = text.split("# configuration\n", 1)[1]
+        assert "u0_" not in echo
+        resumed = summary_values(tmp_path / "rest")
+        assert [resumed[k] for k in STEPPER_KEYS] == [
+            "0", "0.20000000000000001", "spectral", "0.10000000000000001", "1e-13",
+            "100", "10", "0.10000000000000001", "0"]
+        # the echo cannot silently rerun as some other initial data
+        (tmp_path / "echo.cfg").write_text(echo)
+        capsys.readouterr()
+        assert main(["run", str(tmp_path / "echo.cfg"), "-o", str(tmp_path / "again")]) == 1
+        assert "missing required key 'u0_preset'" in capsys.readouterr().err
+
     def test_resume_rejects_stale_t_max(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(QUICK_CONFIG.replace("t_max = 0.6", "t_max = 0.05")

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmcf.fields import GridSpec, PeriodicScalarField, SymMatrixField, derivative, l2_pairing, sup_norm
+from lmcf.fields import (
+    GridSpec,
+    PeriodicScalarField,
+    SymMatrixField,
+    derivative,
+    l2_pairing,
+    sup_norm,
+    sym_from_dense,
+)
 from lmcf.geometry import (
     _angle_values,
     angle_gradient,
@@ -21,7 +29,7 @@ from lmcf.geometry import (
     volume,
 )
 from lmcf.initial_data import random_bandlimited_potential
-from lmcf.verification import angle_oracle_values
+from lmcf.verification import eigen_angle_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,10 +54,9 @@ def angle_point(q):
     return float(_angle_values(point_stack(q), len(q))[0])
 
 
-def oracle_point(q):
-    """(arg det(I + iQ), principal-branch flag) at one point."""
-    value, valid = angle_oracle_values(point_stack(q), len(q))
-    return float(value[0]), bool(valid[0])
+def reference_point(q):
+    """Eigenvalue arctan sum of Q at one point (the reference route)."""
+    return float(eigen_angle_values(point_stack(q), len(q))[0])
 
 
 class TestInducedMetric:
@@ -126,10 +133,8 @@ class TestLagrangianAngle:
         assert abs(angle_point([[0.1]]) - 0.09966865249116204) <= 1e-16
 
     def test_oracle_trivial_cases(self):
-        value, valid = oracle_point(np.zeros((2, 2)))
-        assert value == 0.0 and valid
-        value, valid = oracle_point(np.diag([1.0, -1.0]))
-        assert valid and abs(value) <= 1e-15
+        assert reference_point(np.zeros((2, 2))) == 0.0
+        assert abs(reference_point(np.diag([1.0, -1.0]))) <= 1e-15
 
     def test_oracle_equivalence_sweep(self):
         rng = np.random.default_rng(8)
@@ -138,14 +143,14 @@ class TestLagrangianAngle:
                 q = rng.normal(size=(n, n))
                 q = q + q.T
                 q *= 0.5 * rng.random() / max(np.linalg.norm(q), 1e-12)
-                value, valid = oracle_point(q)
-                assert valid
-                assert abs(angle_point(q) - value) <= 1e-10
+                assert abs(angle_point(q) - reference_point(q)) <= 1e-10
 
-    def test_oracle_branch_flag(self):
-        # two large eigenvalues push arg det past pi/2 each: Re det < 0
-        _, valid = oracle_point(np.diag([5.0, 5.0]))
-        assert not valid
+    def test_oracle_branch(self):
+        # Re det(I + iQ) < 0 at diag(5, 5), so arctan(Im/Re) is off by pi there;
+        # at diag(5, 5, 5) the angle exceeds pi, so atan2 alone is off by 2 pi
+        assert abs(angle_point(np.diag([5.0, 5.0])) - 2.0 * math.atan(5.0)) <= 1e-13
+        assert abs(angle_point(np.diag([5.0, 5.0, 5.0])) - 3.0 * math.atan(5.0)) <= 1e-13
+        assert 3.0 * math.atan(5.0) > math.pi
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=3, max_size=3))
@@ -159,12 +164,12 @@ class TestLagrangianAngle:
     def test_oddness_exact_1d(self, q):
         assert angle_point([[-q]]) == -angle_point([[q]])
 
-    def test_oddness_3d_close(self):
+    def test_oddness_exact_3d(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             q = rng.normal(size=(3, 3))
             q = 0.4 * (q + q.T)
-            assert abs(angle_point(-q) + angle_point(q)) <= 1e-13
+            assert angle_point(-q) == -angle_point(q)
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(10)
@@ -213,6 +218,59 @@ class TestLagrangianAngle:
         lam = jacobi_eigenvalues_sym3(qs)
         lam_ref = np.linalg.eigvalsh(qs)
         assert np.max(np.abs(lam - lam_ref)) <= 1e-11
+
+
+class TestClosedFormAngle3D:
+    """arg det(I + iQ) with the branch lift against eigenvalue arctan sums."""
+
+    @staticmethod
+    def angles(qs):
+        return _angle_values(sym_from_dense(qs, 3), 3)
+
+    @staticmethod
+    def rotated(eigs, rng):
+        rot, _ = np.linalg.qr(rng.normal(size=(len(eigs), 3, 3)))
+        return np.einsum("kij,kj,klj->kil", rot, eigs, rot)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+    def test_matches_eigvalsh(self, scale):
+        rng = np.random.default_rng(int(round(np.log10(scale))) + 40)
+        qs = rng.normal(size=(2000, 3, 3)) * scale
+        qs = qs + np.transpose(qs, (0, 2, 1))
+        ref = np.arctan(np.linalg.eigvalsh(qs)).sum(axis=-1)
+        gap = np.abs(self.angles(qs) - ref) / (1.0 + np.linalg.norm(qs, axis=(1, 2)))
+        assert np.max(gap) <= 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_definite_on_both_sides_of_pi(self, sign):
+        # every eigenvalue sqrt(3) * (1 + d) sums to 3 arctan(.) = pi + O(d)
+        rng = np.random.default_rng(50)
+        d = np.array([-1e-2, -1e-6, -1e-10, 1e-10, 1e-6, 1e-2, 0.5, 5.0])
+        base = np.sqrt(3.0) * (1.0 + d)[:, None] * np.exp(0.1 * rng.normal(size=(len(d), 3)))
+        eigs = sign * np.concatenate([base, rng.uniform(0.01, 50.0, size=(200, 3))])
+        qs = self.rotated(eigs, rng)
+        ref = np.arctan(eigs).sum(axis=-1)
+        assert (np.abs(ref) > np.pi).any() and (np.abs(ref) < np.pi).any()
+        gap = np.abs(self.angles(qs) - ref) / (1.0 + np.linalg.norm(qs, axis=(1, 2)))
+        assert np.max(gap) <= 1e-12
+
+    @pytest.mark.parametrize("t0", [np.sqrt(3.0), -np.sqrt(3.0)])
+    def test_continuous_across_pi(self, t0):
+        values = [angle_point(np.diag([t, t, t])) for t in (t0 - 1e-15, t0, t0 + 1e-15)]
+        assert abs(values[1] - math.copysign(np.pi, t0)) <= 1e-15
+        assert max(values) - min(values) <= 1e-14
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 7.0, 1e3])
+    def test_repeated_and_zero_eigenvalues(self, lam):
+        rng = np.random.default_rng(60)
+        eigs = np.array([
+            [0.0, 0.0, 0.0], [lam, 0.0, 0.0], [lam, lam, 0.0], [lam, lam, lam],
+            [lam, -lam, 0.0], [-lam, -lam, -lam], [lam, lam, -lam], [-lam, 0.0, 0.0],
+        ])
+        qs = np.concatenate([self.rotated(eigs, rng), eigs[:, None, :] * np.eye(3)])
+        ref = np.tile(np.arctan(eigs).sum(axis=-1), 2)
+        gap = np.abs(self.angles(qs) - ref) / (1.0 + np.linalg.norm(qs, axis=(1, 2)))
+        assert np.max(gap) <= 1e-12
 
 
 class TestMeanCurvatureForm:
