@@ -11,7 +11,10 @@ from lmcf.fields import (
     PeriodicScalarField,
     SpecMismatchError,
     UnsupportedOrderError,
+    _DftMatrixJetOps,
+    _SpectralJetOps,
     derivative,
+    jet_ops,
     l2_pairing,
     laplacian_flat,
     mean_value,
@@ -154,6 +157,52 @@ class TestDerivative:
         spec = GridSpec(1, (16,))
         f = PeriodicScalarField.constant(spec, c)
         assert sup_norm(derivative(f, 1)) <= 1e-12 * (abs(c) + 1.0)
+
+
+DFT_SIZES = [8, 12, 16, 24, 64, 96, 128]
+
+
+class TestDftMatrixRoute:
+    """Small 1-D spectral grids: the DFT matrix pair against numpy.fft."""
+
+    @pytest.mark.parametrize("n", DFT_SIZES)
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_fft_route(self, n, rank):
+        spec = GridSpec(1, (n,))
+        u = np.random.default_rng(n).standard_normal(n) + 2.0
+        ref = _SpectralJetOps(spec).components(u, rank)
+        out = _DftMatrixJetOps(spec).components(u, rank)
+        assert out.shape == ref.shape == (1, n)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", DFT_SIZES)
+    def test_constant_maps_to_exact_zero(self, n):
+        ops = _DftMatrixJetOps(GridSpec(1, (n,)))
+        u = np.full(n, 0.7)
+        for rank in (1, 2, 3, 4):
+            assert (ops.components(u, rank) == 0.0).all()
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_first_derivative_twice_is_second(self, n):
+        spec = GridSpec(1, (n,))
+        ops = jet_ops(spec, "spectral")
+        f = np.cos(TWO_PI * spec.coordinates()[0])
+        d2 = ops.components(f, 2)[0]
+        d1d1 = ops.components(ops.components(f, 1)[0], 1)[0]
+        assert np.max(np.abs(d1d1 - d2)) <= 1e-13 * np.max(np.abs(d2))
+
+    def test_route_chosen_by_grid(self):
+        assert type(jet_ops(GridSpec(1, (128,)), "spectral")) is _DftMatrixJetOps
+        assert type(jet_ops(GridSpec(1, (130,)), "spectral")) is _SpectralJetOps
+        assert type(jet_ops(GridSpec(2, (16, 16)), "spectral")) is _SpectralJetOps
+
+    def test_fresh_builds_bit_identical(self):
+        spec = GridSpec(1, (96,))
+        u = np.random.default_rng(3).standard_normal(96)
+        for rank in (1, 2, 3, 4):
+            a = _DftMatrixJetOps(spec).components(u, rank)
+            b = _DftMatrixJetOps(spec).components(u, rank)
+            assert np.array_equal(a, b)
 
 
 class TestLaplacian:

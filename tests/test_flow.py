@@ -1,16 +1,27 @@
 """Time integration, convergence detection, checkpoints, determinism."""
 
+import ast
 import dataclasses
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmcf.fields import GridSpec, PeriodicScalarField, sup_norm, sym_norm_sq
+import lmcf.flow
+from lmcf.fields import (
+    GridSpec,
+    PeriodicScalarField,
+    _DftMatrixJetOps,
+    jet_ops,
+    sup_norm,
+    sym_norm_sq,
+)
 from lmcf.flow import (
     CheckpointError,
     FlowConfig,
@@ -26,6 +37,17 @@ from lmcf.flow import (
 from lmcf.initial_data import random_bandlimited_potential, single_mode_potential
 
 TWO_PI = 2.0 * np.pi
+
+BLAS_THREADS_RUN = """
+import dataclasses
+from lmcf.fields import GridSpec
+from lmcf.flow import FlowConfig, integrate
+from lmcf.initial_data import random_bandlimited_potential
+spec = GridSpec(1, (64,))
+cfg = FlowConfig(grid=spec, kappa=-0.2, t_max=0.02, conv_tol=1e-13, checkpoint_every=10)
+res = integrate(random_bandlimited_potential(spec, 0.05, 3, seed=11), cfg)
+print(repr([dataclasses.astuple(rec) for rec in res.records]))
+"""
 
 
 def rk4_scalar_factor(dt, lam):
@@ -194,6 +216,28 @@ class TestIntegrate:
         assert res.outcome == "blowup"
         assert res.blowup is not None and res.blowup.sup_d2u > 10.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_blowup_guard_non_finite(self, monkeypatch, bad):
+        # the guard reads only sup|D2u|, so the bad value must reach it through
+        # the Hessian, here the DFT matrix pair of a small 1-D grid (inf * 0 in
+        # the matvec makes NaNs, which numpy reports as an invalid value)
+        spec = GridSpec(1, (64,))
+        assert type(jet_ops(spec, "spectral")) is _DftMatrixJetOps
+        update = lmcf.flow._rk4_update
+
+        def poisoned(*args):
+            out = update(*args)
+            out[5] = bad
+            return out
+
+        monkeypatch.setattr(lmcf.flow, "_rk4_update", poisoned)
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)
+        res = integrate(random_bandlimited_potential(spec, 0.01, 2, seed=4), cfg)
+        assert res.outcome == "blowup"
+        assert res.blowup.reason == "non-finite field"
+        assert res.steps == 1
+
     def test_sink_receives_every_record(self):
         spec = GridSpec(1, (32,))
         cfg = FlowConfig(grid=spec, kappa=0.0, t_max=0.02, conv_tol=1e-13,
@@ -214,6 +258,22 @@ class TestIntegrate:
         for a, b in zip(res1.records, res2.records):
             assert a == b  # dataclass equality on floats: bitwise
         assert np.array_equal(res1.state.u.values, res2.state.u.values)
+
+    def test_records_identical_across_blas_threads(self):
+        # small 1-D spectral jets are BLAS matvecs; thread settings must not
+        # change a bit of the result
+        outs = []
+        for threads in ("1", None):
+            env = dict(os.environ)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(var, None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], env=env,
+                                  capture_output=True, text=True, timeout=60, check=True)
+            outs.append(ast.literal_eval(proc.stdout))
+        assert len(outs[0]) > 2
+        assert outs[0] == outs[1]
 
     def test_kappa_positive_warns(self):
         spec = GridSpec(1, (16,))
