@@ -12,9 +12,17 @@ Two differentiation schemes are provided:
   ``DFT_MATRIX_MAX_N`` = 128 points the same operator runs as two real
   matrix-vector products, which skip numpy.fft's fixed per-call cost; the
   input is shifted by its first value so that a constant maps to exact zeros.
+  On the FFT route each state's jets cost one forward transform inside
+  ``reusing_spectra`` (the block ``flow.integrate`` runs in): the spectrum of
+  the last frozen input is kept and serves every rank.  Arrays lmcf freezes
+  must stay frozen; a caller who turns writes back on would get stale jets.
 * ``central4`` — 4th-order centered finite differences with periodic wrap,
   kept as an independent fallback so discretization error can be separated
   from modeling error.
+
+Every operator writes its components straight into one packed stack.  The
+stacks it returns are read-only; ``hessian_into`` fills caller-owned buffers
+instead, so that a time stepper allocates its stage Hessians once.
 
 This module owns the packed symmetric layout: a symmetric tensor stores
 each distinct component once, in sorted multi-index order, and everything
@@ -29,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -191,7 +200,8 @@ def sym_norm_sq(comps, dim, rank):
 
 def sym_sup_norm(comps, dim, rank):
     """Max over the grid of the Frobenius norm of a packed stack."""
-    return float(np.sqrt(np.max(sym_norm_sq(comps, dim, rank))))
+    # ndarray.max skips np.max's dispatch (~3 us of a 64-point call), same reduction
+    return float(np.sqrt(sym_norm_sq(comps, dim, rank).max()))
 
 
 def sym_to_dense(comps, dim):
@@ -247,9 +257,6 @@ class SymTensorField:
             self.spec, sym_norm_sq(self.components, self.spec.dim, self.rank)
         )
 
-    def pointwise_norm(self):
-        return PeriodicScalarField(self.spec, np.sqrt(self.pointwise_norm_sq().values))
-
 
 class VectorField(SymTensorField):
     def __init__(self, spec, components):
@@ -263,10 +270,6 @@ class SymMatrixField(SymTensorField):
     def to_dense(self):
         """Dense (*sizes, n, n) array of the symmetric matrices."""
         return sym_to_dense(self.components, self.spec.dim)
-
-    @classmethod
-    def from_dense(cls, spec, dense):
-        return cls(spec, sym_from_dense(dense, spec.dim))
 
 
 class SymTensor3Field(SymTensorField):
@@ -379,42 +382,114 @@ def _central4_partial(values, axis, h, power):
 # ---------------------------------------------------------------------------
 # cached per-grid differentiation operators (hot-loop path)
 
-class _SpectralJetOps:
+def _rank_multipliers(spec, rank):
+    """Spectral multipliers of the packed rank-``rank`` components, in order."""
+    return tuple(
+        _spectral_multiplier(spec, _powers_of(idx, spec.dim))
+        for idx in sym_indices(spec.dim, rank)
+    )
+
+
+class _JetOps:
+    """Jets of raw value arrays on one grid, written into packed stacks.
+
+    ``components`` returns a fresh read-only stack.  ``hessian_into`` writes
+    into buffers from ``hessian_buffers`` and returns their (writable) stack,
+    which the next call overwrites: a stepper allocates its stage buffers once.
+    """
+
     def __init__(self, spec):
         self.spec = spec
-        self._axes = tuple(range(spec.dim))
-        self._mults = {}
+        self._shapes = {rank: (len(sym_indices(spec.dim, rank)),) + spec.sizes
+                        for rank in (1, 2, 3, 4)}
 
-    def _rank_multipliers(self, rank):
-        mults = self._mults.get(rank)
-        if mults is None:
-            mults = tuple(
-                _spectral_multiplier(self.spec, _powers_of(idx, self.spec.dim))
-                for idx in sym_indices(self.spec.dim, rank)
-            )
-            self._mults[rank] = mults
-        return mults
+    def _work(self):
+        """Work buffer that ``_write`` needs besides the output stack."""
+        return None
+
+    def reusing_spectra(self):
+        """Block whose read-only inputs are not written again while it runs;
+        only the FFT route keeps spectra in it."""
+        return nullcontext()
 
     def components(self, values, rank):
-        sizes = self.spec.sizes
-        if self.spec.dim == 1:
-            fhat = np.fft.rfft(values)
-            outs = [np.fft.irfft(fhat * m, n=sizes[0]) for m in self._rank_multipliers(rank)]
-        else:
-            fhat = np.fft.rfftn(values, axes=self._axes)
-            outs = [
-                np.fft.irfftn(fhat * m, s=sizes, axes=self._axes)
-                for m in self._rank_multipliers(rank)
-            ]
-        if len(outs) == 1:
-            return outs[0][np.newaxis]
-        return np.stack(outs)
+        out = np.empty(self._shapes[rank])
+        self._write(values, rank, out, self._work())
+        out.flags.writeable = False
+        return out
 
     def gradient(self, values):
         return self.components(values, 1)
 
     def hessian(self, values):
         return self.components(values, 2)
+
+    def hessian_buffers(self):
+        return np.empty(self._shapes[2]), self._work()
+
+    def hessian_into(self, values, buffers):
+        out, work = buffers
+        self._write(values, 2, out, work)
+        return out
+
+
+class _FftJetOps(_JetOps):
+    """FFT jets.  Inside ``reusing_spectra`` the spectrum of the last input
+    that is read-only and owns its data is kept, so every jet of one state
+    costs one forward transform; a writable array or a view (whose base may
+    be writable) is transformed on every call.  The kept pair is dropped when
+    the block ends, and outside it every call transforms its input.
+    """
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self._axes = tuple(range(spec.dim))
+        self._mults = {}
+        self._reuse = False
+        self._held = None, None  # (input, spectrum)
+
+    @contextmanager
+    def reusing_spectra(self):
+        reuse, self._reuse = self._reuse, True
+        try:
+            yield
+        finally:
+            self._reuse = reuse
+            self._held = None, None
+
+    def _multipliers(self, rank):
+        mults = self._mults.get(rank)
+        if mults is None:
+            mults = self._mults[rank] = _rank_multipliers(self.spec, rank)
+        return mults
+
+    def _forward(self, values):
+        if self.spec.dim == 1:
+            return np.fft.rfft(values)
+        return np.fft.rfftn(values, axes=self._axes)
+
+    def _spectrum(self, values):
+        held, spectrum = self._held
+        if values is held:
+            return spectrum
+        spectrum = self._forward(values)
+        if self._reuse and not values.flags.writeable and values.flags.owndata:
+            self._held = values, spectrum
+        return spectrum
+
+    def _work(self):
+        sizes = self.spec.sizes
+        return np.empty(sizes[:-1] + (sizes[-1] // 2 + 1,), dtype=np.complex128)
+
+    def _write(self, values, rank, out, work):
+        spectrum = self._spectrum(values)
+        sizes = self.spec.sizes
+        for comp, mult in zip(out, self._multipliers(rank)):
+            np.multiply(spectrum, mult, out=work)
+            if self.spec.dim == 1:
+                np.fft.irfft(work, n=sizes[0], out=comp)
+            else:
+                np.fft.irfftn(work, s=sizes, axes=self._axes, out=comp)
 
 
 # Largest 1-D spectral grid on which the DFT matrix pair beats numpy.fft.  One
@@ -424,7 +499,7 @@ class _SpectralJetOps:
 DFT_MATRIX_MAX_N = 128
 
 
-class _DftMatrixJetOps(_SpectralJetOps):
+class _DftMatrixJetOps(_JetOps):
     """Spectral jets on a small 1-D grid as two real matrix-vector products.
 
     ``D_r u = G_r @ (F @ (u - u[0]))``: F (N+2, N) stacks the real and
@@ -433,13 +508,14 @@ class _DftMatrixJetOps(_SpectralJetOps):
     the transform and the multiplier apart keeps the FFT's roundoff structure,
     so ``D1(D1 u)`` and ``D2 u`` agree as closely as on the FFT route.  The
     shift by ``u[0]`` changes no derivative and makes a constant input map to
-    exact zeros.
+    exact zeros.  No spectrum is kept: on these grids the forward product is
+    cheaper than the bookkeeping, and the inputs are mostly RK4 stages.
     """
 
     def __init__(self, spec):
         super().__init__(spec)
         fhat = np.fft.rfft(np.eye(spec.sizes[0]), axis=0)
-        self._forward = _frozen_array(np.concatenate([fhat.real, fhat.imag]))
+        self._forward_matrix = _frozen_array(np.concatenate([fhat.real, fhat.imag]))
         self._inverse = {}
 
     def _inverse_matrix(self, rank):
@@ -447,35 +523,25 @@ class _DftMatrixJetOps(_SpectralJetOps):
         if inv is None:
             n = self.spec.sizes[0]
             half = np.eye(n // 2 + 1)
-            (mult,) = self._rank_multipliers(rank)
+            (mult,) = _rank_multipliers(self.spec, rank)
             basis = np.concatenate([half, 1j * half]) * mult
             inv = self._inverse[rank] = _frozen_array(np.fft.irfft(basis, n=n).T)
         return inv
 
-    def components(self, values, rank):
-        return (self._inverse_matrix(rank) @ (self._forward @ (values - values[0])))[np.newaxis]
+    def _write(self, values, rank, out, work):
+        np.matmul(self._inverse_matrix(rank), self._forward_matrix @ (values - values[0]),
+                  out=out[0])
 
 
-class _Central4JetOps:
-    def __init__(self, spec):
-        self.spec = spec
-
-    def components(self, values, rank):
+class _Central4JetOps(_JetOps):
+    def _write(self, values, rank, out, work):
         hs = self.spec.spacings
-        comps = []
-        for idx in sym_indices(self.spec.dim, rank):
-            out = values
+        for comp, idx in zip(out, sym_indices(self.spec.dim, rank)):
+            deriv = values
             for axis, m in enumerate(_powers_of(idx, self.spec.dim)):
                 if m:
-                    out = _central4_partial(out, axis, hs[axis], m)
-            comps.append(out)
-        return np.stack(comps)
-
-    def gradient(self, values):
-        return self.components(values, 1)
-
-    def hessian(self, values):
-        return self.components(values, 2)
+                    deriv = _central4_partial(deriv, axis, hs[axis], m)
+            comp[...] = deriv
 
 
 @lru_cache(maxsize=32)
@@ -487,7 +553,7 @@ def jet_ops(spec, scheme):
         return _Central4JetOps(spec)
     if spec.dim == 1 and spec.sizes[0] <= DFT_MATRIX_MAX_N:
         return _DftMatrixJetOps(spec)
-    return _SpectralJetOps(spec)
+    return _FftJetOps(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,8 @@ class FlowConfig:
 
 
 class FlowState:
-    """Potential u at one time; its jets under the configured scheme and their
-    pointwise norms are computed once and cached."""
+    """Potential u at one time; its jets under the configured scheme, their
+    pointwise norms and psi are computed once and cached."""
 
     def __init__(self, t, u, scheme="spectral"):
         self.t = float(t)
@@ -106,6 +106,7 @@ class FlowState:
         self.scheme = scheme
         self._jets = {}
         self._norms_sq = {}
+        self._psi = {}
 
     @classmethod
     def initial(cls, u0, cfg):
@@ -147,6 +148,16 @@ class FlowState:
             self._norms_sq[rank] = out
         return out
 
+    def psi(self, C0, C1):
+        """Read-only pointwise psi = C0 u^2 + C1 |du|^2 + |D^2 u|^2, computed
+        once per state and (C0, C1)."""
+        out = self._psi.get((C0, C1))
+        if out is None:
+            out = psi_values(self.u.values, self.norm_sq(1), self.norm_sq(2), C0, C1)
+            out.flags.writeable = False
+            self._psi[C0, C1] = out
+        return out
+
 
 @dataclass(frozen=True)
 class BlowupReport:
@@ -185,16 +196,32 @@ def _rhs_values(u_vals, hess, kappa, dim):
     return out
 
 
-def _rk4_update(u_vals, hess, dt, kappa, ops, dim):
-    """One RK4 step from raw values; ``hess`` is the Hessian stack of u_vals."""
+def _rk4_update(u_vals, hess, dt, kappa, ops, dim, buffers):
+    """One RK4 step from raw values; ``hess`` is the Hessian stack of u_vals and
+    ``buffers`` come from ``ops.hessian_buffers()``.  Returns a fresh array.
+
+    The stage arithmetic runs in place, in the order of
+    ``u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with ``y = u + c dt k``, so the
+    result is bit-identical to the expression.
+    """
     k1 = _rhs_values(u_vals, hess, kappa, dim)
-    y = u_vals + (0.5 * dt) * k1
-    k2 = _rhs_values(y, ops.hessian(y), kappa, dim)
-    y = u_vals + (0.5 * dt) * k2
-    k3 = _rhs_values(y, ops.hessian(y), kappa, dim)
-    y = u_vals + dt * k3
-    k4 = _rhs_values(y, ops.hessian(y), kappa, dim)
-    return u_vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = k1 * (0.5 * dt)
+    y += u_vals
+    k2 = _rhs_values(y, ops.hessian_into(y, buffers), kappa, dim)
+    np.multiply(k2, 0.5 * dt, out=y)
+    y += u_vals
+    k3 = _rhs_values(y, ops.hessian_into(y, buffers), kappa, dim)
+    np.multiply(k3, dt, out=y)
+    y += u_vals
+    k4 = _rhs_values(y, ops.hessian_into(y, buffers), kappa, dim)
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += u_vals
+    return k1
 
 
 def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
@@ -202,12 +229,12 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
     if dt is None:
         dt = cfg.dt
     ops = jet_ops(state.spec, cfg.scheme)
-    u_new = _rk4_update(
-        state.u.values, state.d2u.components, dt, cfg.kappa, ops, state.spec.dim
-    )
-    sup_new = float(np.max(np.abs(u_new)))
+    u_new = _rk4_update(state.u.values, state.d2u.components, dt, cfg.kappa, ops,
+                        state.spec.dim, ops.hessian_buffers())
+    u_new.flags.writeable = False
+    sup_new = float(np.abs(u_new).max())
     if not np.isfinite(sup_new):
-        raise BlowupError(state.t + dt, float(np.max(np.abs(state.u.values))), "non-finite field")
+        raise BlowupError(state.t + dt, float(np.abs(state.u.values).max()), "non-finite field")
     return FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
 
 
@@ -217,17 +244,17 @@ def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
     d2u = state.d2u.components
     du_sq = state.norm_sq(1)
     d2u_sq = state.norm_sq(2)
-    psi = psi_values(u, du_sq, d2u_sq, cfg.C0, cfg.C1)
+    psi = state.psi(cfg.C0, cfg.C1)
     theta = _angle_values(d2u, state.spec.dim)
     return MonitorRecord(
         t=state.t,
-        max_u=float(np.max(np.abs(u))),
-        max_du=float(np.sqrt(np.max(du_sq))),
-        max_d2u=float(np.sqrt(np.max(d2u_sq))),
-        max_d3u=float(np.sqrt(np.max(state.norm_sq(3)))),
-        psi_max=float(np.max(psi)),
-        theta_min=float(np.min(theta)),
-        theta_max=float(np.max(theta)),
+        max_u=float(np.abs(u).max()),
+        max_du=float(np.sqrt(du_sq.max())),
+        max_d2u=float(np.sqrt(d2u_sq.max())),
+        max_d3u=float(np.sqrt(state.norm_sq(3).max())),
+        psi_max=float(psi.max()),
+        theta_min=float(theta.min()),
+        theta_max=float(theta.max()),
         volume=hessian_volume(d2u, state.spec),
         dt=cfg.dt,
     )
@@ -246,6 +273,13 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 
     ``t_start`` continues the clock from a checkpoint: the update sequence and
     the record cadence are then bit-identical to the uninterrupted run.
+
+    A non-finite field is reported as a blowup, so numpy's invalid-value
+    warnings are off inside the loop; ``sink`` runs under the caller's
+    floating-point error state.
+
+    Each state's jets share one forward transform (``ops.reusing_spectra``);
+    the kept spectrum is dropped when ``integrate`` returns.
     """
     if u0.spec != cfg.grid:
         raise ValueError("u0 grid does not match config grid")
@@ -258,6 +292,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
         )
 
     ops = jet_ops(cfg.grid, cfg.scheme)
+    buffers = ops.hessian_buffers()
     dim = cfg.grid.dim
     dt = cfg.dt
     tol = cfg.conv_tol
@@ -272,13 +307,15 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     records = []
     last_emitted = -1
     warned_region = False
+    caller_errstate = np.geterr()
 
     def emit(state):
         nonlocal last_emitted, warned_region
         rec = monitor_record(state, cfg)
         records.append(rec)
         if sink is not None:
-            sink(rec)
+            with np.errstate(**caller_errstate):
+                sink(rec)
         last_emitted = step
         if not warned_region and rec.psi_max >= eps1_sq:
             warned_region = True
@@ -299,35 +336,37 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             emit(state)
         return FlowResult(outcome, state, tuple(records), step, blowup=blowup)
 
-    hess = ops.hessian(u)
-    emit(make_state(hess))
-
-    while True:
-        # a non-finite u yields a non-finite Hessian, so this guard catches both
-        sup_d2 = sym_sup_norm(hess, dim, 2)
-        if not (sup_d2 <= HESSIAN_BLOWUP_GUARD):
-            return finish("blowup", BlowupReport(
-                t=t,
-                sup_u=float(np.max(np.abs(u))),
-                sup_d2u=sup_d2,
-                reason="non-finite field" if not np.isfinite(sup_d2)
-                else f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}",
-            ))
-
-        if sup_d2 < tol and (kappa >= 0.0 or float(np.max(np.abs(u))) < tol):
-            if sym_sup_norm(ops.gradient(u), dim, 1) < tol:
-                return finish("converged")
-
-        if t + 0.5 * dt >= cfg.t_max:
-            return finish("timed_out")
-
-        u = _rk4_update(u, hess, dt, kappa, ops, dim)
-        t += dt
-        step += 1
+    with np.errstate(invalid="ignore"), ops.reusing_spectra():
         hess = ops.hessian(u)
+        emit(make_state(hess))
 
-        if record_every and (first_step + step) % record_every == 0:
-            emit(make_state(hess))
+        while True:
+            # a non-finite u yields a non-finite Hessian, so this guard catches both
+            sup_d2 = sym_sup_norm(hess, dim, 2)
+            if not (sup_d2 <= HESSIAN_BLOWUP_GUARD):
+                return finish("blowup", BlowupReport(
+                    t=t,
+                    sup_u=float(np.abs(u).max()),
+                    sup_d2u=sup_d2,
+                    reason="non-finite field" if not np.isfinite(sup_d2)
+                    else f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}",
+                ))
+
+            if sup_d2 < tol and (kappa >= 0.0 or float(np.abs(u).max()) < tol):
+                if sym_sup_norm(ops.gradient(u), dim, 1) < tol:
+                    return finish("converged")
+
+            if t + 0.5 * dt >= cfg.t_max:
+                return finish("timed_out")
+
+            u = _rk4_update(u, hess, dt, kappa, ops, dim, buffers)
+            u.flags.writeable = False  # wrapped without a copy; its spectrum can be kept
+            t += dt
+            step += 1
+            hess = ops.hessian(u)
+
+            if record_every and (first_step + step) % record_every == 0:
+                emit(make_state(hess))
 
 
 # ---------------------------------------------------------------------------

@@ -65,32 +65,43 @@ def _square_components(q, dim):
     )
 
 
-def _metric_arrays(qcomps, dim):
-    """(mu comps, mu_inv comps, sqrt_det) for mu = I + Q^2."""
+def _metric_det(qcomps, dim):
+    """(mu comps, det mu, first-row cofactors of mu in 3-D) for mu = I + Q^2."""
     sq = _square_components(qcomps, dim)
     if dim == 1:
         m00 = 1.0 + sq[0]
-        return (m00,), (1.0 / m00,), np.sqrt(m00)
+        return (m00,), m00, ()
     if dim == 2:
         m00, m01, m11 = 1.0 + sq[0], sq[1], 1.0 + sq[2]
-        det = m00 * m11 - m01 * m01
-        inv = (m11 / det, -m01 / det, m00 / det)
-        return (m00, m01, m11), inv, np.sqrt(det)
+        return (m00, m01, m11), m00 * m11 - m01 * m01, ()
     m00, m01, m02 = 1.0 + sq[0], sq[1], sq[2]
     m11, m12, m22 = 1.0 + sq[3], sq[4], 1.0 + sq[5]
     c00 = m11 * m22 - m12 * m12
     c01 = m02 * m12 - m01 * m22
     c02 = m01 * m12 - m02 * m11
     det = m00 * c00 + m01 * c01 + m02 * c02
-    inv = (
-        c00 / det,
-        c01 / det,
-        c02 / det,
-        (m00 * m22 - m02 * m02) / det,
-        (m01 * m02 - m00 * m12) / det,
-        (m00 * m11 - m01 * m01) / det,
-    )
-    return (m00, m01, m02, m11, m12, m22), inv, np.sqrt(det)
+    return (m00, m01, m02, m11, m12, m22), det, (c00, c01, c02)
+
+
+def _metric_arrays(qcomps, dim):
+    """(mu comps, mu_inv comps, sqrt_det) for mu = I + Q^2."""
+    mu, det, cof = _metric_det(qcomps, dim)
+    if dim == 1:
+        inv = (1.0 / mu[0],)
+    elif dim == 2:
+        m00, m01, m11 = mu
+        inv = (m11 / det, -m01 / det, m00 / det)
+    else:
+        m00, m01, m02, m11, m12, m22 = mu
+        inv = (
+            cof[0] / det,
+            cof[1] / det,
+            cof[2] / det,
+            (m00 * m22 - m02 * m02) / det,
+            (m01 * m02 - m00 * m12) / det,
+            (m00 * m11 - m01 * m01) / det,
+        )
+    return mu, inv, np.sqrt(det)
 
 
 def induced_metric(Q: SymMatrixField) -> InducedMetricField:
@@ -262,7 +273,7 @@ def volume(M: InducedMetricField) -> float:
 
 def hessian_volume(hess, spec) -> float:
     """Graph volume from the raw packed Hessian stack of the potential."""
-    return _sqrt_det_volume(_metric_arrays(hess, spec.dim)[2], spec)
+    return _sqrt_det_volume(np.sqrt(_metric_det(hess, spec.dim)[1]), spec)
 
 
 def metric_from_potential(u: PeriodicScalarField, scheme: str = "spectral") -> InducedMetricField:

@@ -123,18 +123,15 @@ def psi_field(u: PeriodicScalarField, cfg: FlowConfig) -> PeriodicScalarField:
     return PeriodicScalarField(u.spec, psi_values(u.values, du_sq, d2_sq, cfg.C0, cfg.C1))
 
 
-def _psi_of_state(state: FlowState, cfg: FlowConfig):
-    return psi_values(state.u.values, state.norm_sq(1), state.norm_sq(2), cfg.C0, cfg.C1)
-
-
 # ---------------------------------------------------------------------------
 # oracle closures shared by several reports
 
 def eigen_angle_values(qcomps, dim):
     """Reference angle sum_i arctan(lambda_i(Q)) from the eigenvalues of Q:
-    closed-form eigenvalues for n <= 2, cyclic Jacobi sweeps for n = 3."""
+    arg(1 + iq) for n = 1 (independent of the closed form's arctan),
+    closed-form eigenvalues for n = 2, cyclic Jacobi sweeps for n = 3."""
     if dim == 1:
-        return np.arctan(qcomps[0])
+        return np.angle(1.0 + 1j * qcomps[0])
     if dim == 2:
         q00, q01, q11 = qcomps
         mid = 0.5 * (q00 + q11)
@@ -287,7 +284,7 @@ def _check_region(trajectory):
     cfg = trajectory.cfg
     lim = cfg.eps1 * cfg.eps1
     for tr in trajectory.triples:
-        psi_max = float(np.max(_psi_of_state(tr.at, cfg)))
+        psi_max = float(np.max(tr.at.psi(cfg.C0, cfg.C1)))
         if psi_max >= lim:
             raise RegionViolationError(
                 f"max psi = {psi_max:.3g} >= eps1^2 = {lim:.3g} at t = {tr.at.t:.6g}"
@@ -296,7 +293,7 @@ def _check_region(trajectory):
 
 def _phi_values(state: FlowState, name, cfg):
     if name == "psi":
-        return _psi_of_state(state, cfg)
+        return state.psi(cfg.C0, cfg.C1)
     return state.norm_sq(EVOLUTION_NAMES.index(name))
 
 
@@ -458,7 +455,7 @@ def check_log_jet_monotone(trajectory: Trajectory, K, slack=MONOTONE_SLACK) -> R
     cfg = trajectory.cfg
     values = []
     for tr in trajectory.triples:
-        w = np.log1p(tr.at.norm_sq(3)) + K * _psi_of_state(tr.at, cfg)
+        w = np.log1p(tr.at.norm_sq(3)) + K * tr.at.psi(cfg.C0, cfg.C1)
         values.append((tr.at.t, float(np.max(w))))
     return _non_increasing_report("log_jet_monotone", values, slack)
 

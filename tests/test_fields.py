@@ -10,9 +10,10 @@ from lmcf.fields import (
     NonFiniteError,
     PeriodicScalarField,
     SpecMismatchError,
+    SymMatrixField,
     UnsupportedOrderError,
     _DftMatrixJetOps,
-    _SpectralJetOps,
+    _FftJetOps,
     derivative,
     jet_ops,
     l2_pairing,
@@ -170,7 +171,7 @@ class TestDftMatrixRoute:
     def test_matches_fft_route(self, n, rank):
         spec = GridSpec(1, (n,))
         u = np.random.default_rng(n).standard_normal(n) + 2.0
-        ref = _SpectralJetOps(spec).components(u, rank)
+        ref = _FftJetOps(spec).components(u, rank)
         out = _DftMatrixJetOps(spec).components(u, rank)
         assert out.shape == ref.shape == (1, n)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -193,8 +194,8 @@ class TestDftMatrixRoute:
 
     def test_route_chosen_by_grid(self):
         assert type(jet_ops(GridSpec(1, (128,)), "spectral")) is _DftMatrixJetOps
-        assert type(jet_ops(GridSpec(1, (130,)), "spectral")) is _SpectralJetOps
-        assert type(jet_ops(GridSpec(2, (16, 16)), "spectral")) is _SpectralJetOps
+        assert type(jet_ops(GridSpec(1, (130,)), "spectral")) is _FftJetOps
+        assert type(jet_ops(GridSpec(2, (16, 16)), "spectral")) is _FftJetOps
 
     def test_fresh_builds_bit_identical(self):
         spec = GridSpec(1, (96,))
@@ -203,6 +204,80 @@ class TestDftMatrixRoute:
             a = _DftMatrixJetOps(spec).components(u, rank)
             b = _DftMatrixJetOps(spec).components(u, rank)
             assert np.array_equal(a, b)
+
+
+class TestOnePassPerState:
+    """Jets of one frozen state share one forward transform and are written once."""
+
+    @pytest.mark.parametrize("sizes", [(32, 24), (16, 12, 8)])
+    def test_reused_spectrum_matches_fresh_transform(self, sizes, monkeypatch):
+        spec = GridSpec(len(sizes), sizes)
+        frozen = random_bandlimited_potential(spec, 0.3, 3, seed=5).values
+        assert not frozen.flags.writeable and frozen.flags.owndata
+        ops = _FftJetOps(spec)
+        forward = ops._forward
+        calls = []
+        monkeypatch.setattr(ops, "_forward", lambda v: calls.append(v) or forward(v))
+        with ops.reusing_spectra():
+            for rank in (1, 2, 3, 4):
+                fresh = ops.components(frozen.copy(), rank)
+                assert np.array_equal(ops.components(frozen, rank), fresh)
+        assert sum(v is frozen for v in calls) == 1
+        assert len(calls) == 5
+        # the kept pair goes with the block; outside it every call transforms
+        assert ops._held == (None, None)
+        ops.hessian(frozen)
+        ops.hessian(frozen)
+        assert sum(v is frozen for v in calls) == 3
+
+    @pytest.mark.parametrize("scheme,sizes", [
+        ("spectral", (64,)), ("spectral", (256,)), ("spectral", (16, 24)),
+        ("spectral", (8, 8, 16)), ("central4", (16, 16)),
+    ])
+    def test_stacks_read_only_and_written_in_place(self, scheme, sizes):
+        spec = GridSpec(len(sizes), sizes)
+        ops = jet_ops(spec, scheme)
+        u = random_bandlimited_potential(spec, 0.3, 2, seed=2).values
+        for rank in (1, 2, 3, 4):
+            stack = ops.components(u, rank)
+            assert stack.shape == (len(sym_indices(spec.dim, rank)),) + sizes
+            assert not stack.flags.writeable
+        buffers = ops.hessian_buffers()
+        for v in (u, 2.0 * u):
+            out = ops.hessian_into(v, buffers)
+            assert out is buffers[0]
+            assert np.array_equal(out, ops.hessian(v))
+
+    def test_wrapping_a_stack_makes_no_copy(self):
+        spec = GridSpec(2, (16, 16))
+        stack = jet_ops(spec, "spectral").hessian(np.cos(TWO_PI * spec.coordinates()[0]))
+        assert SymMatrixField(spec, stack).components is stack
+
+    @pytest.mark.parametrize("sizes", [(64,), (256,), (16, 16), (8, 8, 8)])
+    def test_writable_input_mutated_between_calls(self, sizes):
+        spec = GridSpec(len(sizes), sizes)
+        ops = jet_ops(spec, "spectral")
+        u = np.array(random_bandlimited_potential(spec, 0.3, 2, seed=3).values)
+        with ops.reusing_spectra():
+            first = ops.hessian(u)
+            u *= 2.0
+            second = ops.hessian(u)
+        assert not np.array_equal(first, second)
+        assert np.array_equal(second, type(ops)(spec).hessian(u.copy()))
+
+    @pytest.mark.parametrize("sizes", [(64,), (256,), (16, 16), (8, 8, 8)])
+    def test_read_only_view_mutated_through_base(self, sizes):
+        spec = GridSpec(len(sizes), sizes)
+        ops = jet_ops(spec, "spectral")
+        base = np.array(random_bandlimited_potential(spec, 0.3, 2, seed=3).values)
+        view = base.view()
+        view.flags.writeable = False
+        with ops.reusing_spectra():
+            first = ops.hessian(view)
+            base *= 2.0
+            second = ops.hessian(view)
+        assert not np.array_equal(first, second)
+        assert np.array_equal(second, type(ops)(spec).hessian(base.copy()))
 
 
 class TestLaplacian:

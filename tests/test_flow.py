@@ -217,11 +217,11 @@ class TestIntegrate:
         assert res.blowup is not None and res.blowup.sup_d2u > 10.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_guard_non_finite(self, monkeypatch, bad):
         # the guard reads only sup|D2u|, so the bad value must reach it through
         # the Hessian, here the DFT matrix pair of a small 1-D grid (inf * 0 in
-        # the matvec makes NaNs, which numpy reports as an invalid value)
+        # the matvec makes NaNs); integrate reports it without a numpy warning
         spec = GridSpec(1, (64,))
         assert type(jet_ops(spec, "spectral")) is _DftMatrixJetOps
         update = lmcf.flow._rk4_update
@@ -237,6 +237,32 @@ class TestIntegrate:
         assert res.outcome == "blowup"
         assert res.blowup.reason == "non-finite field"
         assert res.steps == 1
+
+    @pytest.mark.parametrize("sizes,steps", [((32, 32), 6), ((16, 16, 16), 3)])
+    def test_records_match_step_rk4_chain(self, sizes, steps, monkeypatch):
+        # integrate reuses its stage buffers and each state's spectrum; a
+        # step_rk4 chain allocates afresh for every step and reuses nothing
+        spec = GridSpec(len(sizes), sizes)
+        base = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0)
+        cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
+                                  checkpoint_every=1)
+        u0 = random_bandlimited_potential(spec, 0.05, 2, seed=6)
+        ops = jet_ops(spec, "spectral")
+        forward = ops._forward
+        calls = []
+        monkeypatch.setattr(ops, "_forward", lambda v: calls.append(v) or forward(v))
+        res = integrate(u0, cfg)
+        assert res.steps == steps
+        # one transform per state and per RK4 stage; nothing kept afterwards
+        assert len(calls) == 1 + 4 * steps
+        assert ops._held == (None, None)
+        state = FlowState.initial(u0, cfg)
+        chain = [monitor_record(state, cfg)]
+        for _ in range(steps):
+            state = step_rk4(state, cfg)
+            chain.append(monitor_record(state, cfg))
+        assert res.records == tuple(chain)
+        assert np.array_equal(res.state.u.values, state.u.values)
 
     def test_sink_receives_every_record(self):
         spec = GridSpec(1, (32,))
@@ -502,3 +528,8 @@ class TestMonitorRecordContents:
             assert state.norm_sq(k) is state.norm_sq(k)
             assert np.array_equal(state.norm_sq(k), sym_norm_sq(jet.components, dim, k))
             assert not state.norm_sq(k).flags.writeable
+        # psi likewise, once per (C0, C1)
+        psi = state.psi(cfg.C0, cfg.C1)
+        assert psi is state.psi(cfg.C0, cfg.C1) and not psi.flags.writeable
+        assert np.array_equal(psi, psi_field(u0, cfg).values)
+        assert not np.array_equal(state.psi(1.0, 1.0), psi)
