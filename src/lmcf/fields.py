@@ -12,17 +12,18 @@ Two differentiation schemes are provided:
   ``DFT_MATRIX_MAX_N`` = 128 points the same operator runs as two real
   matrix-vector products, which skip numpy.fft's fixed per-call cost; the
   input is shifted by its first value so that a constant maps to exact zeros.
-  On the FFT route each state's jets cost one forward transform inside
-  ``reusing_spectra`` (the block ``flow.integrate`` runs in): the spectrum of
-  the last frozen input is kept and serves every rank.  Arrays lmcf freezes
-  must stay frozen; a caller who turns writes back on would get stale jets.
 * ``central4`` — 4th-order centered finite differences with periodic wrap,
   kept as an independent fallback so discretization error can be separated
   from modeling error.
 
-Every operator writes its components straight into one packed stack.  The
-stacks it returns are read-only; ``hessian_into`` fills caller-owned buffers
-instead, so that a time stepper allocates its stage Hessians once.
+Every operator comes in two halves: ``forward`` maps values to coefficients
+(the half-spectrum, or the values themselves for ``central4``) and ``jets``
+synthesizes one rank's components from them, so a caller holding one state's
+coefficients gets every rank for one forward transform.  The operators keep
+no input between calls.  Components are written straight into one packed
+stack.  The stacks ``jets`` returns are read-only; ``hessian_into`` fills
+caller-owned buffers instead, so that a time stepper allocates its stage
+Hessians once.
 
 This module owns the packed symmetric layout: a symmetric tensor stores
 each distinct component once, in sorted multi-index order, and everything
@@ -37,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -393,9 +393,11 @@ def _rank_multipliers(spec, rank):
 class _JetOps:
     """Jets of raw value arrays on one grid, written into packed stacks.
 
-    ``components`` returns a fresh read-only stack.  ``hessian_into`` writes
-    into buffers from ``hessian_buffers`` and returns their (writable) stack,
-    which the next call overwrites: a stepper allocates its stage buffers once.
+    ``jets(forward(values), rank)`` is ``components(values, rank)``; one
+    ``forward`` serves every rank.  ``jets`` returns a fresh read-only stack.
+    ``hessian_into`` writes into buffers from ``hessian_buffers`` and returns
+    their (writable) stack, which the next call overwrites: a stepper
+    allocates its stage buffers once.
     """
 
     def __init__(self, spec):
@@ -407,19 +409,14 @@ class _JetOps:
         """Work buffer that ``_write`` needs besides the output stack."""
         return None
 
-    def reusing_spectra(self):
-        """Block whose read-only inputs are not written again while it runs;
-        only the FFT route keeps spectra in it."""
-        return nullcontext()
-
-    def components(self, values, rank):
+    def jets(self, coeffs, rank):
         out = np.empty(self._shapes[rank])
-        self._write(values, rank, out, self._work())
+        self._write(coeffs, rank, out, self._work())
         out.flags.writeable = False
         return out
 
-    def gradient(self, values):
-        return self.components(values, 1)
+    def components(self, values, rank):
+        return self.jets(self.forward(values), rank)
 
     def hessian(self, values):
         return self.components(values, 2)
@@ -429,33 +426,17 @@ class _JetOps:
 
     def hessian_into(self, values, buffers):
         out, work = buffers
-        self._write(values, 2, out, work)
+        self._write(self.forward(values), 2, out, work)
         return out
 
 
 class _FftJetOps(_JetOps):
-    """FFT jets.  Inside ``reusing_spectra`` the spectrum of the last input
-    that is read-only and owns its data is kept, so every jet of one state
-    costs one forward transform; a writable array or a view (whose base may
-    be writable) is transformed on every call.  The kept pair is dropped when
-    the block ends, and outside it every call transforms its input.
-    """
+    """FFT jets: the coefficients are the ``rfftn`` half-spectrum."""
 
     def __init__(self, spec):
         super().__init__(spec)
         self._axes = tuple(range(spec.dim))
         self._mults = {}
-        self._reuse = False
-        self._held = None, None  # (input, spectrum)
-
-    @contextmanager
-    def reusing_spectra(self):
-        reuse, self._reuse = self._reuse, True
-        try:
-            yield
-        finally:
-            self._reuse = reuse
-            self._held = None, None
 
     def _multipliers(self, rank):
         mults = self._mults.get(rank)
@@ -463,26 +444,16 @@ class _FftJetOps(_JetOps):
             mults = self._mults[rank] = _rank_multipliers(self.spec, rank)
         return mults
 
-    def _forward(self, values):
+    def forward(self, values):
         if self.spec.dim == 1:
             return np.fft.rfft(values)
         return np.fft.rfftn(values, axes=self._axes)
-
-    def _spectrum(self, values):
-        held, spectrum = self._held
-        if values is held:
-            return spectrum
-        spectrum = self._forward(values)
-        if self._reuse and not values.flags.writeable and values.flags.owndata:
-            self._held = values, spectrum
-        return spectrum
 
     def _work(self):
         sizes = self.spec.sizes
         return np.empty(sizes[:-1] + (sizes[-1] // 2 + 1,), dtype=np.complex128)
 
-    def _write(self, values, rank, out, work):
-        spectrum = self._spectrum(values)
+    def _write(self, spectrum, rank, out, work):
         sizes = self.spec.sizes
         for comp, mult in zip(out, self._multipliers(rank)):
             np.multiply(spectrum, mult, out=work)
@@ -508,8 +479,7 @@ class _DftMatrixJetOps(_JetOps):
     the transform and the multiplier apart keeps the FFT's roundoff structure,
     so ``D1(D1 u)`` and ``D2 u`` agree as closely as on the FFT route.  The
     shift by ``u[0]`` changes no derivative and makes a constant input map to
-    exact zeros.  No spectrum is kept: on these grids the forward product is
-    cheaper than the bookkeeping, and the inputs are mostly RK4 stages.
+    exact zeros.  The coefficients are ``F @ (u - u[0])``.
     """
 
     def __init__(self, spec):
@@ -528,12 +498,19 @@ class _DftMatrixJetOps(_JetOps):
             inv = self._inverse[rank] = _frozen_array(np.fft.irfft(basis, n=n).T)
         return inv
 
-    def _write(self, values, rank, out, work):
-        np.matmul(self._inverse_matrix(rank), self._forward_matrix @ (values - values[0]),
-                  out=out[0])
+    def forward(self, values):
+        return self._forward_matrix @ (values - values[0])
+
+    def _write(self, coeffs, rank, out, work):
+        np.matmul(self._inverse_matrix(rank), coeffs, out=out[0])
 
 
 class _Central4JetOps(_JetOps):
+    """Finite-difference jets: the coefficients are the values themselves."""
+
+    def forward(self, values):
+        return values
+
     def _write(self, values, rank, out, work):
         hs = self.spec.spacings
         for comp, idx in zip(out, sym_indices(self.spec.dim, rank)):

@@ -98,12 +98,14 @@ class FlowConfig:
 
 class FlowState:
     """Potential u at one time; its jets under the configured scheme, their
-    pointwise norms and psi are computed once and cached."""
+    pointwise norms and psi are computed once and cached.  All jets come
+    from one forward transform of u, made on the first jet."""
 
     def __init__(self, t, u, scheme="spectral"):
         self.t = float(t)
         self.u = u
         self.scheme = scheme
+        self._coeffs = None
         self._jets = {}
         self._norms_sq = {}
         self._psi = {}
@@ -120,7 +122,10 @@ class FlowState:
         """Packed rank-``rank`` derivative field of u, computed once per state."""
         field = self._jets.get(rank)
         if field is None:
-            comps = jet_ops(self.spec, self.scheme).components(self.u.values, rank)
+            ops = jet_ops(self.spec, self.scheme)
+            if self._coeffs is None:
+                self._coeffs = ops.forward(self.u.values)
+            comps = ops.jets(self._coeffs, rank)
             field = self._jets[rank] = _TENSOR_BY_RANK[rank](self.spec, comps)
         return field
 
@@ -260,6 +265,14 @@ def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
     )
 
 
+def _check_u0(u0: PeriodicScalarField, cfg: FlowConfig):
+    """Raise ValueError unless u0 is finite and sampled on the config's grid."""
+    if u0.spec != cfg.grid:
+        raise ValueError("u0 grid does not match config grid")
+    if not u0.is_finite():
+        raise ValueError("u0 is not finite")
+
+
 def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) -> FlowResult:
     """Run the flow from u0 until convergence, t_max or blowup.
 
@@ -278,13 +291,10 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     warnings are off inside the loop; ``sink`` runs under the caller's
     floating-point error state.
 
-    Each state's jets share one forward transform (``ops.reusing_spectra``);
-    the kept spectrum is dropped when ``integrate`` returns.
+    Each state costs one forward transform: its Hessian, the convergence
+    gradient and the jets of its record all come from the same coefficients.
     """
-    if u0.spec != cfg.grid:
-        raise ValueError("u0 grid does not match config grid")
-    if not u0.is_finite():
-        raise ValueError("u0 is not finite")
+    _check_u0(u0, cfg)
     if cfg.kappa > 0.0:
         warnings.warn(
             "kappa > 0 is experimental: no convergence guarantee is certified",
@@ -325,20 +335,22 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                 stacklevel=3,
             )
 
-    def make_state(hess_stack):
+    def make_state():
         state = FlowState(t, PeriodicScalarField(cfg.grid, u), scheme=cfg.scheme)
-        state._jets[2] = SymMatrixField(cfg.grid, hess_stack)
+        state._coeffs = coeffs
+        state._jets[2] = SymMatrixField(cfg.grid, hess)
         return state
 
     def finish(outcome, blowup=None):
-        state = make_state(hess)
+        state = make_state()
         if last_emitted != step:
             emit(state)
         return FlowResult(outcome, state, tuple(records), step, blowup=blowup)
 
-    with np.errstate(invalid="ignore"), ops.reusing_spectra():
-        hess = ops.hessian(u)
-        emit(make_state(hess))
+    with np.errstate(invalid="ignore"):
+        coeffs = ops.forward(u)
+        hess = ops.jets(coeffs, 2)
+        emit(make_state())
 
         while True:
             # a non-finite u yields a non-finite Hessian, so this guard catches both
@@ -353,20 +365,21 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                 ))
 
             if sup_d2 < tol and (kappa >= 0.0 or float(np.abs(u).max()) < tol):
-                if sym_sup_norm(ops.gradient(u), dim, 1) < tol:
+                if sym_sup_norm(ops.jets(coeffs, 1), dim, 1) < tol:
                     return finish("converged")
 
             if t + 0.5 * dt >= cfg.t_max:
                 return finish("timed_out")
 
             u = _rk4_update(u, hess, dt, kappa, ops, dim, buffers)
-            u.flags.writeable = False  # wrapped without a copy; its spectrum can be kept
+            u.flags.writeable = False  # so the record state wraps it without a copy
             t += dt
             step += 1
-            hess = ops.hessian(u)
+            coeffs = ops.forward(u)
+            hess = ops.jets(coeffs, 2)
 
             if record_every and (first_step + step) % record_every == 0:
-                emit(make_state(hess))
+                emit(make_state())
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,11 @@ from .fields import (
     jet_ops,
     l2_pairing,
     laplacian_flat,
-    psi_values,
     sup_norm,
     sym_norm_sq,
     sym_to_dense,
 )
-from .flow import FlowConfig, FlowState, step_rk4
+from .flow import FlowConfig, FlowState, _check_u0, step_rk4
 from .geometry import (
     InducedMetricField,
     _angle_values,
@@ -117,10 +116,7 @@ def _loglog_slope(xs, ys):
 
 def psi_field(u: PeriodicScalarField, cfg: FlowConfig) -> PeriodicScalarField:
     """Pointwise C0*u^2 + C1*|du|^2 + |D^2 u|^2 (the flow's decay monitor)."""
-    ops = jet_ops(u.spec, cfg.scheme)
-    du_sq = sym_norm_sq(ops.components(u.values, 1), u.spec.dim, 1)
-    d2_sq = sym_norm_sq(ops.components(u.values, 2), u.spec.dim, 2)
-    return PeriodicScalarField(u.spec, psi_values(u.values, du_sq, d2_sq, cfg.C0, cfg.C1))
+    return PeriodicScalarField(u.spec, FlowState(0.0, u, cfg.scheme).psi(cfg.C0, cfg.C1))
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +260,23 @@ class Trajectory:
 
 
 def sample_trajectory(u0, cfg, sample_every, n_samples) -> Trajectory:
-    """Integrate and keep (t-dt, t, t+dt) state triples every ``sample_every`` steps."""
+    """Integrate and keep (t-dt, t, t+dt) state triples every ``sample_every`` steps.
+
+    Only the states of the triples are kept; the others are dropped as the
+    chain of ``step_rk4`` calls passes them.
+    """
     if sample_every < 1 or n_samples < 1:
         raise ValueError("sample_every and n_samples must be >= 1")
-    states = [FlowState.initial(u0, cfg)]
-    total = sample_every * n_samples + 1
-    for _ in range(total):
-        states.append(step_rk4(states[-1], cfg))
-    triples = tuple(
-        TrajectoryTriple(states[k * sample_every - 1],
-                         states[k * sample_every],
-                         states[k * sample_every + 1])
-        for k in range(1, n_samples + 1)
-    )
+    _check_u0(u0, cfg)
+    centers = [k * sample_every for k in range(1, n_samples + 1)]
+    kept = {c + d: None for c in centers for d in (-1, 0, 1)}
+    state = FlowState.initial(u0, cfg)
+    for index in range(centers[-1] + 2):
+        if index:
+            state = step_rk4(state, cfg)
+        if index in kept:
+            kept[index] = state
+    triples = tuple(TrajectoryTriple(kept[c - 1], kept[c], kept[c + 1]) for c in centers)
     return Trajectory(cfg=cfg, triples=triples)
 
 
@@ -478,11 +478,10 @@ def _dissipation_integral(state: FlowState, cfg: FlowConfig, form):
     every kappa in this reduction (the flat-ambient mean curvature 1-form
     is d theta, while the velocity is d(theta + kappa u)).
     """
-    ops = jet_ops(state.spec, cfg.scheme)
     theta = _angle_values(state.d2u.components, state.spec.dim)
-    dtheta = ops.components(theta, 1)
+    dtheta = jet_ops(state.spec, cfg.scheme).components(theta, 1)
     if cfg.kappa != 0.0:
-        velocity = dtheta + cfg.kappa * ops.components(state.u.values, 1)
+        velocity = dtheta + cfg.kappa * state.du.components
     else:
         velocity = dtheta
     first = dtheta if form == "pairing" else velocity

@@ -207,28 +207,25 @@ class TestDftMatrixRoute:
 
 
 class TestOnePassPerState:
-    """Jets of one frozen state share one forward transform and are written once."""
+    """One forward transform serves every rank; jets are written once."""
 
     @pytest.mark.parametrize("sizes", [(32, 24), (16, 12, 8)])
     def test_reused_spectrum_matches_fresh_transform(self, sizes, monkeypatch):
         spec = GridSpec(len(sizes), sizes)
-        frozen = random_bandlimited_potential(spec, 0.3, 3, seed=5).values
-        assert not frozen.flags.writeable and frozen.flags.owndata
+        u = random_bandlimited_potential(spec, 0.3, 3, seed=5).values
         ops = _FftJetOps(spec)
-        forward = ops._forward
+        forward = ops.forward
         calls = []
-        monkeypatch.setattr(ops, "_forward", lambda v: calls.append(v) or forward(v))
-        with ops.reusing_spectra():
-            for rank in (1, 2, 3, 4):
-                fresh = ops.components(frozen.copy(), rank)
-                assert np.array_equal(ops.components(frozen, rank), fresh)
-        assert sum(v is frozen for v in calls) == 1
+        monkeypatch.setattr(ops, "forward", lambda v: calls.append(v) or forward(v))
+        spectrum = ops.forward(u)
+        for rank in (1, 2, 3, 4):
+            assert np.array_equal(ops.jets(spectrum, rank), ops.components(u.copy(), rank))
+        assert sum(v is u for v in calls) == 1
         assert len(calls) == 5
-        # the kept pair goes with the block; outside it every call transforms
-        assert ops._held == (None, None)
-        ops.hessian(frozen)
-        ops.hessian(frozen)
-        assert sum(v is frozen for v in calls) == 3
+        # the ops object keeps nothing: every call on the same input transforms it
+        ops.hessian(u)
+        ops.hessian(u)
+        assert sum(v is u for v in calls) == 3
 
     @pytest.mark.parametrize("scheme,sizes", [
         ("spectral", (64,)), ("spectral", (256,)), ("spectral", (16, 24)),
@@ -258,10 +255,23 @@ class TestOnePassPerState:
         spec = GridSpec(len(sizes), sizes)
         ops = jet_ops(spec, "spectral")
         u = np.array(random_bandlimited_potential(spec, 0.3, 2, seed=3).values)
-        with ops.reusing_spectra():
-            first = ops.hessian(u)
-            u *= 2.0
-            second = ops.hessian(u)
+        first = ops.hessian(u)
+        u *= 2.0
+        second = ops.hessian(u)
+        assert not np.array_equal(first, second)
+        assert np.array_equal(second, type(ops)(spec).hessian(u.copy()))
+
+    @pytest.mark.parametrize("sizes", [(64,), (256,), (16, 16), (8, 8, 8)])
+    def test_refrozen_input_mutated_between_calls(self, sizes):
+        spec = GridSpec(len(sizes), sizes)
+        ops = jet_ops(spec, "spectral")
+        u = np.array(random_bandlimited_potential(spec, 0.3, 2, seed=3).values)
+        u.flags.writeable = False
+        first = ops.hessian(u)
+        u.flags.writeable = True
+        u *= 2.0
+        u.flags.writeable = False
+        second = ops.hessian(u)
         assert not np.array_equal(first, second)
         assert np.array_equal(second, type(ops)(spec).hessian(u.copy()))
 
@@ -272,10 +282,9 @@ class TestOnePassPerState:
         base = np.array(random_bandlimited_potential(spec, 0.3, 2, seed=3).values)
         view = base.view()
         view.flags.writeable = False
-        with ops.reusing_spectra():
-            first = ops.hessian(view)
-            base *= 2.0
-            second = ops.hessian(view)
+        first = ops.hessian(view)
+        base *= 2.0
+        second = ops.hessian(view)
         assert not np.array_equal(first, second)
         assert np.array_equal(second, type(ops)(spec).hessian(base.copy()))
 

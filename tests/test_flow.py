@@ -240,22 +240,21 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("sizes,steps", [((32, 32), 6), ((16, 16, 16), 3)])
     def test_records_match_step_rk4_chain(self, sizes, steps, monkeypatch):
-        # integrate reuses its stage buffers and each state's spectrum; a
-        # step_rk4 chain allocates afresh for every step and reuses nothing
+        # integrate reuses its stage buffers and hands each state's forward
+        # transform to its record; a step_rk4 chain allocates afresh every step
         spec = GridSpec(len(sizes), sizes)
         base = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0)
         cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
                                   checkpoint_every=1)
         u0 = random_bandlimited_potential(spec, 0.05, 2, seed=6)
         ops = jet_ops(spec, "spectral")
-        forward = ops._forward
+        forward = ops.forward
         calls = []
-        monkeypatch.setattr(ops, "_forward", lambda v: calls.append(v) or forward(v))
+        monkeypatch.setattr(ops, "forward", lambda v: calls.append(v) or forward(v))
         res = integrate(u0, cfg)
         assert res.steps == steps
-        # one transform per state and per RK4 stage; nothing kept afterwards
+        # one transform per state and per RK4 stage, records included
         assert len(calls) == 1 + 4 * steps
-        assert ops._held == (None, None)
         state = FlowState.initial(u0, cfg)
         chain = [monitor_record(state, cfg)]
         for _ in range(steps):
@@ -533,3 +532,22 @@ class TestMonitorRecordContents:
         assert psi is state.psi(cfg.C0, cfg.C1) and not psi.flags.writeable
         assert np.array_equal(psi, psi_field(u0, cfg).values)
         assert not np.array_equal(state.psi(1.0, 1.0), psi)
+
+
+class TestFlowState:
+    @pytest.mark.parametrize("scheme,sizes", [
+        ("spectral", (64,)), ("spectral", (256,)), ("spectral", (16, 12)),
+        ("spectral", (8, 8, 16)), ("central4", (16, 16)),
+    ])
+    def test_one_forward_serves_every_rank(self, scheme, sizes, monkeypatch):
+        spec = GridSpec(len(sizes), sizes)
+        u0 = random_bandlimited_potential(spec, 0.05, 2, seed=9)
+        ops = jet_ops(spec, scheme)
+        forward = ops.forward
+        calls = []
+        monkeypatch.setattr(ops, "forward", lambda v: calls.append(v) or forward(v))
+        state = FlowState(0.0, u0, scheme)
+        jets = {rank: state._jet(rank).components for rank in (1, 2, 3, 4)}
+        assert len(calls) == 1 and calls[0] is u0.values
+        for rank, comps in jets.items():
+            assert np.array_equal(comps, ops.components(u0.values.copy(), rank))

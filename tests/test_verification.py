@@ -1,12 +1,15 @@
 """Residual reports: estimates, monotone quantities, decay fits, variation."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import lmcf.verification
 from lmcf.fields import GridSpec, PeriodicScalarField
-from lmcf.flow import FlowConfig
+from lmcf.flow import FlowConfig, FlowState, step_rk4
 from lmcf.initial_data import random_bandlimited_potential, single_mode_potential
 from lmcf.monitors import MonitorRecord
 from lmcf.verification import (
@@ -147,6 +150,60 @@ class TestLaplacianDifference:
         rep = check_laplacian_difference(u, f)
         assert rep.passed
         assert rep.fitted_order >= 0.9
+
+
+class TestSampleTrajectory:
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    def test_triples_are_states_of_a_step_rk4_chain(self, sample_every):
+        cfg = make_cfg(sizes=(32,), kappa=-0.5)
+        u0 = random_bandlimited_potential(cfg.grid, 0.05, 3, seed=7)
+        n_samples = 3
+        traj = sample_trajectory(u0, cfg, sample_every, n_samples)
+        chain = [FlowState.initial(u0, cfg)]
+        for _ in range(sample_every * n_samples + 1):
+            chain.append(step_rk4(chain[-1], cfg))
+        assert len(traj.triples) == n_samples
+        for k, tr in enumerate(traj.triples, start=1):
+            center = k * sample_every
+            for state, ref in zip((tr.before, tr.at, tr.after), chain[center - 1:center + 2]):
+                assert state.t == ref.t
+                assert np.array_equal(state.u.values, ref.u.values)
+                assert np.array_equal(state.psi(cfg.C0, cfg.C1), ref.psi(cfg.C0, cfg.C1))
+
+    def test_keeps_only_the_states_it_returns(self, monkeypatch):
+        cfg = make_cfg(sizes=(32,), kappa=0.0)
+        u0 = random_bandlimited_potential(cfg.grid, 0.05, 3, seed=7)
+        made = []  # weak references to the states of steps 1, 2, ...
+        alive_at_step = []
+
+        def recording_step(state, cfg):
+            gc.collect()
+            alive_at_step.append({i for i, ref in enumerate(made, start=1)
+                                  if ref() is not None and ref() is not state})
+            out = step_rk4(state, cfg)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(lmcf.verification, "step_rk4", recording_step)
+        traj = sample_trajectory(u0, cfg, sample_every=4, n_samples=2)
+        assert len(made) == 9
+        # besides the state being stepped, only triple members stay alive
+        assert all(alive <= {3, 4, 5, 7, 8} for alive in alive_at_step)
+        assert [tr.at.t for tr in traj.triples] == [made[3]().t, made[7]().t]
+
+    def test_rejects_u0_on_another_grid(self):
+        cfg = make_cfg(sizes=(64,))
+        u0 = random_bandlimited_potential(GridSpec(1, (32,)), 0.05, 2, seed=1)
+        with pytest.raises(ValueError, match="u0 grid does not match config grid"):
+            sample_trajectory(u0, cfg, sample_every=2, n_samples=2)
+
+    def test_rejects_non_finite_u0(self):
+        cfg = make_cfg(sizes=(32,))
+        values = np.zeros(32)
+        values[3] = np.nan
+        with pytest.raises(ValueError, match="u0 is not finite"):
+            sample_trajectory(PeriodicScalarField(cfg.grid, values), cfg,
+                              sample_every=2, n_samples=2)
 
 
 class TestEvolutionInequalities:
