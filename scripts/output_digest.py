@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Print sha256 digests of lmcf's deterministic outputs, to compare checkouts.
+
+Runs ``lmcf run`` and then ``lmcf resume`` from its checkpoint on the
+certified presets and on configs that cover every jet route (1-D DFT matrix
+pair and FFT, 2-D and 3-D FFT, 2-D central4), then ``lmcf verify all``.
+Prints one sha256 per run pair, one over all of them (exit codes,
+monitors.csv, summary.txt, final.lmcf) and one over the files of
+``lmcf verify all``.  A resumed summary echoes its checkpoint path, so run
+it from the root of each checkout with the same relative output directory:
+
+    PYTHONPATH=src python scripts/output_digest.py [out_dir]
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from lmcf.cli import main
+
+CERTIFIED_PRESETS = ("stability_kappa0", "constant_decay", "psi_random", "psi_random_2d")
+_RANDOM = "u0_preset = random_bandlimited\nu0_seed = 5\n"
+CONFIGS = {
+    "dft_1d_64": "dim = 1\nsizes = 64\nkappa = -0.5\nt_max = 0.02\ncheckpoint_every = 1\n"
+                 "u0_amplitude = 0.09\nu0_modes = 3\n" + _RANDOM,
+    "fft_1d_256": "dim = 1\nsizes = 256\nkappa = 0\nt_max = 0.004\ncheckpoint_every = 1\n"
+                  "u0_amplitude = 0.05\nu0_modes = 3\n" + _RANDOM,
+    "fft_2d_64": "dim = 2\nsizes = 64,64\nkappa = -1\nt_max = 0.01\ncheckpoint_every = 4\n"
+                 "u0_amplitude = 0.05\nu0_modes = 3\n" + _RANDOM,
+    "fft_3d_16": "dim = 3\nsizes = 16,16,16\nkappa = 0\nt_max = 0.05\ncheckpoint_every = 2\n"
+                 "u0_amplitude = 0.04\nu0_modes = 2\n" + _RANDOM,
+    "central4_2d_32": "dim = 2\nsizes = 32,32\nkappa = -0.5\nscheme = central4\nt_max = 0.1\n"
+                      "checkpoint_every = 3\nu0_amplitude = 0.05\nu0_modes = 2\n" + _RANDOM,
+}
+RUN_FILES = ("monitors.csv", "summary.txt", "final.lmcf")
+
+
+def _digest_files(sha, directory, names):
+    for name in names:
+        sha.update(name.encode() + b"\0" + (directory / name).read_bytes())
+
+
+def run_pair(out, name, config):
+    """``lmcf run`` then ``lmcf resume`` to twice the run's final time; sha256 of both."""
+    first, second = out / name, out / f"{name}_resume"
+    code_run = main(["run", config, "-o", str(first)])
+    t_final = float(next(line.split("=")[1] for line in
+                         (first / "summary.txt").read_text().splitlines()
+                         if line.startswith("t_final")))
+    code_resume = main(["resume", str(first / "final.lmcf"), "-o", str(second),
+                        "--t-max", repr(2.0 * t_final), "--checkpoint-every", "3"])
+    sha = hashlib.sha256(f"{code_run},{code_resume}".encode())
+    _digest_files(sha, first, RUN_FILES)
+    _digest_files(sha, second, RUN_FILES)
+    return sha
+
+
+def digest(out_dir):
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cases = {name: name for name in CERTIFIED_PRESETS}
+    for name, text in CONFIGS.items():
+        path = out / f"{name}.cfg"
+        path.write_text(text)
+        cases[name] = str(path)
+    runs = hashlib.sha256()
+    for name, config in cases.items():
+        sha = run_pair(out, name, config)
+        print(f"{name:20s} {sha.hexdigest()}")
+        runs.update(sha.digest())
+    verify_dir = out / "verify_all"
+    with contextlib.redirect_stdout(io.StringIO()):  # the summary lines are in the files
+        code = main(["verify", "all", "-o", str(verify_dir)])
+    names = sorted(p.name for p in verify_dir.iterdir())
+    verify = hashlib.sha256(f"{code},{len(names)}".encode())
+    _digest_files(verify, verify_dir, names)
+    print(f"{'runs':20s} {runs.hexdigest()}")
+    print(f"{'verify_all':20s} {verify.hexdigest()}  ({len(names)} files, exit {code})")
+
+
+if __name__ == "__main__":
+    digest(sys.argv[1] if len(sys.argv) > 1 else ".digest_out")

@@ -243,26 +243,32 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
     return FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
 
 
-def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
-    """All tracked scalars of one state (sup norms, psi, angle range, volume)."""
-    u = state.u.values
-    d2u = state.d2u.components
-    du_sq = state.norm_sq(1)
-    d2u_sq = state.norm_sq(2)
-    psi = state.psi(cfg.C0, cfg.C1)
-    theta = _angle_values(d2u, state.spec.dim)
+def _record(t, u, coeffs, hess, d2u_sq, ops, cfg) -> MonitorRecord:
+    """The one definition of a record, on raw arrays: u, its forward
+    coefficients under ``ops``, its Hessian stack and pointwise |D^2 u|^2."""
+    dim = ops.spec.dim
+    du_sq = sym_norm_sq(ops.jets(coeffs, 1), dim, 1)
+    psi = psi_values(u, du_sq, d2u_sq, cfg.C0, cfg.C1)
+    theta = _angle_values(hess, dim)
     return MonitorRecord(
-        t=state.t,
+        t=t,
         max_u=float(np.abs(u).max()),
         max_du=float(np.sqrt(du_sq.max())),
         max_d2u=float(np.sqrt(d2u_sq.max())),
-        max_d3u=float(np.sqrt(state.norm_sq(3).max())),
+        max_d3u=float(np.sqrt(sym_norm_sq(ops.jets(coeffs, 3), dim, 3).max())),
         psi_max=float(psi.max()),
         theta_min=float(theta.min()),
         theta_max=float(theta.max()),
-        volume=hessian_volume(d2u, state.spec),
+        volume=hessian_volume(hess, ops.spec),
         dt=cfg.dt,
     )
+
+
+def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
+    """All tracked scalars of one state (sup norms, psi, angle range, volume)."""
+    hess = state.d2u.components  # makes the state's forward transform
+    return _record(state.t, state.u.values, state._coeffs, hess, state.norm_sq(2),
+                   jet_ops(state.spec, state.scheme), cfg)
 
 
 def _check_u0(u0: PeriodicScalarField, cfg: FlowConfig):
@@ -277,8 +283,9 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     """Run the flow from u0 until convergence, t_max or blowup.
 
     Convergence means sup|du| < conv_tol and sup|D^2 u| < conv_tol, plus
-    sup|u| < conv_tol when kappa < 0 (the zero potential is the target);
-    for kappa = 0 constants are stationary and any constant limit counts.
+    sup|u| < conv_tol when kappa != 0: then only the zero potential is
+    stationary.  For kappa = 0 every constant is stationary and any constant
+    limit counts.
 
     Emits a MonitorRecord at the start, at every step whose global index
     (counted from t = 0) is a multiple of ``checkpoint_every``, and at
@@ -293,6 +300,9 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 
     Each state costs one forward transform: its Hessian, the convergence
     gradient and the jets of its record all come from the same coefficients.
+    Records are built from the loop's own arrays, with no ``FlowState`` per
+    record (only the result's state is one), and the blowup guard and the
+    record read the same pointwise |D^2 u|^2.
     """
     _check_u0(u0, cfg)
     if cfg.kappa > 0.0:
@@ -319,9 +329,9 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     warned_region = False
     caller_errstate = np.geterr()
 
-    def emit(state):
+    def emit():
         nonlocal last_emitted, warned_region
-        rec = monitor_record(state, cfg)
+        rec = _record(t, u, coeffs, hess, d2u_sq, ops, cfg)
         records.append(rec)
         if sink is not None:
             with np.errstate(**caller_errstate):
@@ -335,26 +345,24 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                 stacklevel=3,
             )
 
-    def make_state():
+    def finish(outcome, blowup=None):
+        if last_emitted != step:
+            emit()
         state = FlowState(t, PeriodicScalarField(cfg.grid, u), scheme=cfg.scheme)
         state._coeffs = coeffs
         state._jets[2] = SymMatrixField(cfg.grid, hess)
-        return state
-
-    def finish(outcome, blowup=None):
-        state = make_state()
-        if last_emitted != step:
-            emit(state)
         return FlowResult(outcome, state, tuple(records), step, blowup=blowup)
 
     with np.errstate(invalid="ignore"):
-        coeffs = ops.forward(u)
-        hess = ops.jets(coeffs, 2)
-        emit(make_state())
-
         while True:
+            coeffs = ops.forward(u)
+            hess = ops.jets(coeffs, 2)
+            d2u_sq = sym_norm_sq(hess, dim, 2)
+            if step == 0 or (record_every and (first_step + step) % record_every == 0):
+                emit()
+
             # a non-finite u yields a non-finite Hessian, so this guard catches both
-            sup_d2 = sym_sup_norm(hess, dim, 2)
+            sup_d2 = float(np.sqrt(d2u_sq.max()))
             if not (sup_d2 <= HESSIAN_BLOWUP_GUARD):
                 return finish("blowup", BlowupReport(
                     t=t,
@@ -364,22 +372,21 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                     else f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}",
                 ))
 
-            if sup_d2 < tol and (kappa >= 0.0 or float(np.abs(u).max()) < tol):
+            if sup_d2 < tol and (kappa == 0.0 or float(np.abs(u).max()) < tol):
                 if sym_sup_norm(ops.jets(coeffs, 1), dim, 1) < tol:
                     return finish("converged")
 
             if t + 0.5 * dt >= cfg.t_max:
                 return finish("timed_out")
 
+            # free it before the stage temporaries, as a guard-only temporary would
+            # be: kept across the step, it let 2-D 128^2 jobs fault in about 4x
+            # the pages on some heap layouts
+            del d2u_sq
             u = _rk4_update(u, hess, dt, kappa, ops, dim, buffers)
-            u.flags.writeable = False  # so the record state wraps it without a copy
+            u.flags.writeable = False  # so the result state wraps it without a copy
             t += dt
             step += 1
-            coeffs = ops.forward(u)
-            hess = ops.jets(coeffs, 2)
-
-            if record_every and (first_step + step) % record_every == 0:
-                emit(make_state())
 
 
 # ---------------------------------------------------------------------------

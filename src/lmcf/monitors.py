@@ -5,9 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dc_fields
 
 
-MONITOR_HEADER = "t,max_u,max_du,max_d2u,max_d3u,psi_max,theta_min,theta_max,volume,dt"
-
-
 @dataclass(frozen=True)
 class MonitorRecord:
     """Tracked scalars at one flow time: sup norms, psi, angle range, volume."""
@@ -24,15 +21,18 @@ class MonitorRecord:
     dt: float
 
     def csv_row(self):
-        return ",".join(f"{getattr(self, f.name):.17g}" for f in dc_fields(self))
+        return ",".join([f"{getattr(self, name):.17g}" for name in _FIELD_NAMES])
 
     @classmethod
     def from_csv_row(cls, row):
         parts = row.strip().split(",")
-        names = [f.name for f in dc_fields(cls)]
-        if len(parts) != len(names):
-            raise ValueError(f"monitor row has {len(parts)} columns, expected {len(names)}")
-        return cls(**{n: float(p) for n, p in zip(names, parts)})
+        if len(parts) != len(_FIELD_NAMES):
+            raise ValueError(f"monitor row has {len(parts)} columns, expected {len(_FIELD_NAMES)}")
+        return cls(**{n: float(p) for n, p in zip(_FIELD_NAMES, parts)})
+
+
+_FIELD_NAMES = tuple(f.name for f in dc_fields(MonitorRecord))
+MONITOR_HEADER = ",".join(_FIELD_NAMES)
 
 
 def write_monitor_csv(records, path):

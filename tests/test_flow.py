@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ import lmcf.flow
 from lmcf.fields import (
     GridSpec,
     PeriodicScalarField,
+    _Central4JetOps,
     _DftMatrixJetOps,
+    _FftJetOps,
     jet_ops,
     sup_norm,
     sym_norm_sq,
@@ -238,16 +241,25 @@ class TestIntegrate:
         assert res.blowup.reason == "non-finite field"
         assert res.steps == 1
 
-    @pytest.mark.parametrize("sizes,steps", [((32, 32), 6), ((16, 16, 16), 3)])
-    def test_records_match_step_rk4_chain(self, sizes, steps, monkeypatch):
-        # integrate reuses its stage buffers and hands each state's forward
-        # transform to its record; a step_rk4 chain allocates afresh every step
+    @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", [
+        pytest.param((32, 32), 6, "spectral", -0.5, _FftJetOps, id="sizes0-6"),
+        pytest.param((16, 16, 16), 3, "spectral", -0.5, _FftJetOps, id="sizes1-3"),
+        pytest.param((64,), 8, "spectral", -1.0, _DftMatrixJetOps, id="dft_1d_64"),
+        pytest.param((256,), 8, "spectral", 0.0, _FftJetOps, id="fft_1d_256"),
+        pytest.param((32, 32), 6, "central4", 0.0, _Central4JetOps, id="central4_2d"),
+    ])
+    def test_records_match_step_rk4_chain(self, sizes, steps, scheme, kappa, route,
+                                          monkeypatch):
+        # integrate builds its records from the loop's own arrays and reuses its
+        # stage buffers; a step_rk4 chain allocates afresh and records through
+        # a FlowState every step
         spec = GridSpec(len(sizes), sizes)
-        base = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0)
+        base = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, scheme=scheme)
         cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
                                   checkpoint_every=1)
         u0 = random_bandlimited_potential(spec, 0.05, 2, seed=6)
-        ops = jet_ops(spec, "spectral")
+        ops = jet_ops(spec, scheme)
+        assert type(ops) is route
         forward = ops.forward
         calls = []
         monkeypatch.setattr(ops, "forward", lambda v: calls.append(v) or forward(v))
@@ -306,6 +318,21 @@ class TestIntegrate:
             grid=spec, kappa=0.0, t_max=1.0).dt)
         with pytest.warns(UserWarning, match="experimental"):
             integrate(PeriodicScalarField.constant(spec, 1e-6), cfg)
+
+    def test_kappa_positive_constant_grows_and_leaves_region(self):
+        # for kappa != 0 only u = 0 is stationary: a small constant is not converged
+        spec = GridSpec(1, (16,))
+        cfg = FlowConfig(grid=spec, kappa=0.5, t_max=0.6, cfl=0.5, checkpoint_every=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = integrate(PeriodicScalarField.constant(spec, 0.009), cfg)
+        assert res.outcome == "timed_out"
+        for rec in res.records:
+            assert abs(rec.max_u - 0.009 * math.exp(0.5 * rec.t)) <= 1e-10
+        eps1_sq = cfg.eps1 * cfg.eps1
+        assert res.records[0].psi_max < eps1_sq <= res.records[-1].psi_max
+        region = [w for w in caught if "certified region" in str(w.message)]
+        assert len(region) == 1
 
     def test_region_warning(self):
         spec = GridSpec(1, (32,))
