@@ -118,6 +118,15 @@ class FlowState:
     def spec(self):
         return self.u.spec
 
+    @property
+    def values(self):
+        return self.u.values
+
+    @property
+    def hessian(self):
+        """Raw Hessian stack, the components of ``d2u``."""
+        return self._jet(2).components
+
     def _jet(self, rank):
         """Packed rank-``rank`` derivative field of u, computed once per state."""
         field = self._jets.get(rank)
@@ -243,32 +252,51 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
     return FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
 
 
-def _record(t, u, coeffs, hess, d2u_sq, ops, cfg) -> MonitorRecord:
-    """The one definition of a record, on raw arrays: u, its forward
-    coefficients under ``ops``, its Hessian stack and pointwise |D^2 u|^2."""
-    dim = ops.spec.dim
-    du_sq = sym_norm_sq(ops.jets(coeffs, 1), dim, 1)
-    psi = psi_values(u, du_sq, d2u_sq, cfg.C0, cfg.C1)
-    theta = _angle_values(hess, dim)
+class _LoopState:
+    """One of ``integrate``'s states as ``monitor_record`` reads it, made from
+    the loop's raw arrays with no field wrapper or ``jet_ops`` lookup."""
+
+    __slots__ = ("t", "values", "hessian", "spec", "_coeffs", "_ops", "_norms_sq")
+
+    def __init__(self, t, values, coeffs, hessian, d2u_sq, ops):
+        self.t, self.values, self.hessian, self.spec = t, values, hessian, ops.spec
+        self._coeffs, self._ops = coeffs, ops
+        self._norms_sq = [None, None, d2u_sq, None]
+
+    def norm_sq(self, rank):
+        out = self._norms_sq[rank]
+        if out is None:
+            out = self._norms_sq[rank] = sym_norm_sq(
+                self._ops.jets(self._coeffs, rank), self.spec.dim, rank)
+        return out
+
+    def psi(self, C0, C1):
+        return psi_values(self.values, self.norm_sq(1), self.norm_sq(2), C0, C1)
+
+
+def monitor_record(state, cfg: FlowConfig) -> MonitorRecord:
+    """All tracked scalars of one state (sup norms, psi, angle range, volume).
+
+    ``state`` is a ``FlowState`` (whose caches then serve later readers too)
+    or ``integrate``'s ``_LoopState``."""
+    u = state.values
+    hess = state.hessian
+    du_sq = state.norm_sq(1)
+    d2u_sq = state.norm_sq(2)
+    psi = state.psi(cfg.C0, cfg.C1)
+    theta = _angle_values(hess, state.spec.dim)
     return MonitorRecord(
-        t=t,
+        t=state.t,
         max_u=float(np.abs(u).max()),
         max_du=float(np.sqrt(du_sq.max())),
         max_d2u=float(np.sqrt(d2u_sq.max())),
-        max_d3u=float(np.sqrt(sym_norm_sq(ops.jets(coeffs, 3), dim, 3).max())),
+        max_d3u=float(np.sqrt(state.norm_sq(3).max())),
         psi_max=float(psi.max()),
         theta_min=float(theta.min()),
         theta_max=float(theta.max()),
-        volume=hessian_volume(hess, ops.spec),
+        volume=hessian_volume(hess, state.spec),
         dt=cfg.dt,
     )
-
-
-def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
-    """All tracked scalars of one state (sup norms, psi, angle range, volume)."""
-    hess = state.d2u.components  # makes the state's forward transform
-    return _record(state.t, state.u.values, state._coeffs, hess, state.norm_sq(2),
-                   jet_ops(state.spec, state.scheme), cfg)
 
 
 def _check_u0(u0: PeriodicScalarField, cfg: FlowConfig):
@@ -300,9 +328,10 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 
     Each state costs one forward transform: its Hessian, the convergence
     gradient and the jets of its record all come from the same coefficients.
-    Records are built from the loop's own arrays, with no ``FlowState`` per
-    record (only the result's state is one), and the blowup guard and the
-    record read the same pointwise |D^2 u|^2.
+    Each record is ``monitor_record`` (looked up by module name) of a
+    ``_LoopState`` over the loop's own arrays, with no ``FlowState`` or field
+    wrapper per record (only the result's state is one); the blowup guard
+    and the record read the same pointwise |D^2 u|^2.
     """
     _check_u0(u0, cfg)
     if cfg.kappa > 0.0:
@@ -331,7 +360,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 
     def emit():
         nonlocal last_emitted, warned_region
-        rec = _record(t, u, coeffs, hess, d2u_sq, ops, cfg)
+        rec = monitor_record(_LoopState(t, u, coeffs, hess, d2u_sq, ops), cfg)
         records.append(rec)
         if sink is not None:
             with np.errstate(**caller_errstate):

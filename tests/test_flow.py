@@ -284,6 +284,29 @@ class TestIntegrate:
         res = integrate(u0, cfg, sink=seen.append)
         assert tuple(seen) == res.records
 
+    def test_records_go_through_monitor_record(self, monkeypatch):
+        # integrate looks monitor_record up by module name for every record, so
+        # wrapping lmcf.flow.monitor_record sees (and can alter) each of them
+        import lmcf.flow
+
+        spec = GridSpec(1, (32,))
+        cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=0.02, conv_tol=1e-13,
+                         checkpoint_every=10)
+        u0 = random_bandlimited_potential(spec, 0.05, 2, seed=8)
+        plain = integrate(u0, cfg)
+        record = lmcf.flow.monitor_record
+        seen_t = []
+
+        def shifted(state, cfg):
+            seen_t.append(state.t)
+            return dataclasses.replace(record(state, cfg), psi_max=-1.0)
+
+        monkeypatch.setattr(lmcf.flow, "monitor_record", shifted)
+        res = integrate(u0, cfg)
+        assert seen_t == [rec.t for rec in plain.records]
+        assert res.records == tuple(dataclasses.replace(rec, psi_max=-1.0)
+                                    for rec in plain.records)
+
     def test_bitwise_determinism(self):
         spec = GridSpec(1, (32,))
         cfg = FlowConfig(grid=spec, kappa=-0.2, t_max=0.05, conv_tol=1e-12,
