@@ -5,8 +5,9 @@ Runs ``lmcf run`` and then ``lmcf resume`` from its checkpoint on the
 certified presets and on configs that cover every jet route (1-D DFT matrix
 pair and FFT, 2-D and 3-D FFT, 2-D central4), then ``lmcf verify all``.
 Prints one sha256 per run pair, one over all of them (exit codes,
-monitors.csv, summary.txt, final.lmcf) and one over the files of
-``lmcf verify all``.  A resumed summary echoes its checkpoint path, so run
+monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf verify all``
+and one over all of those files, so two checkouts' outputs can be compared
+report by report.  A resumed summary echoes its checkpoint path, so run
 it from the root of each checkout with the same relative output directory:
 
     PYTHONPATH=src python scripts/output_digest.py [out_dir]
@@ -77,6 +78,8 @@ def digest(out_dir):
     verify = hashlib.sha256(f"{code},{len(names)}".encode())
     _digest_files(verify, verify_dir, names)
     print(f"{'runs':20s} {runs.hexdigest()}")
+    for name in names:
+        print(f"  {name:40s} {hashlib.sha256((verify_dir / name).read_bytes()).hexdigest()}")
     print(f"{'verify_all':20s} {verify.hexdigest()}  ({len(names)} files, exit {code})")
 
 

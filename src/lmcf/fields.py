@@ -39,7 +39,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class GridSpec:
     def npoints(self):
         return int(np.prod(self.sizes))
 
-    @property
+    @cached_property
     def cell_volume(self):
         return float(np.prod(self.spacings))
 
@@ -174,13 +174,6 @@ def sym_multiplicities(dim, rank):
 
 
 @lru_cache(maxsize=None)
-def _multiplicity_weights(dim, rank):
-    weights = np.array(sym_multiplicities(dim, rank), dtype=np.float64)
-    weights.flags.writeable = False
-    return weights
-
-
-@lru_cache(maxsize=None)
 def sym_positions(dim, rank):
     """Packed position of every (unsorted) multi-index of a symmetric tensor."""
     return {
@@ -191,11 +184,19 @@ def sym_positions(dim, rank):
 
 
 def sym_norm_sq(comps, dim, rank):
-    """Pointwise squared Frobenius norm of a packed stack of shape (ncomp, ...)."""
-    sq = comps * comps
-    if len(sq) == 1:  # a lone component has multiplicity 1
-        return sq[0]
-    return np.einsum("c...,c->...", sq, _multiplicity_weights(dim, rank))
+    """Pointwise squared Frobenius norm of a packed stack of shape (ncomp, ...).
+
+    Sums w_c * (c_c * c_c) over the components in packed order, one component
+    at a time into one output, with no (ncomp, ...) temporary.
+    """
+    out = comps[0] * comps[0]  # the first component, (0, ..., 0), has multiplicity 1
+    term = None
+    for comp, weight in zip(comps[1:], sym_multiplicities(dim, rank)[1:]):
+        term = np.multiply(comp, comp, out=term)
+        if weight != 1:
+            term *= weight
+        out += term
+    return out
 
 
 def sym_sup_norm(comps, dim, rank):
@@ -499,10 +500,11 @@ class _DftMatrixJetOps(_JetOps):
         return inv
 
     def forward(self, values):
-        return self._forward_matrix @ (values - values[0])
+        return np.dot(self._forward_matrix, values - values[0])
 
     def _write(self, coeffs, rank, out, work):
-        np.matmul(self._inverse_matrix(rank), coeffs, out=out[0])
+        # np.dot runs the same gemv as np.matmul with less per-call dispatch
+        np.dot(self._inverse_matrix(rank), coeffs, out=out[0])
 
 
 class _Central4JetOps(_JetOps):
@@ -574,21 +576,22 @@ def sup_norm(field):
 def tree_sum(a):
     """Deterministic fixed-order pairwise summation of a float array.
 
-    Folds the flattened (row-major) array in half repeatedly; the reduction
-    order never depends on thread count or chunking, so results are
-    bit-identical across runs.
+    Folds the flattened (row-major) array in half repeatedly, adding element
+    half + i onto element i and carrying an odd last element along; the
+    reduction order never depends on thread count or chunking, so results
+    are bit-identical across runs.  The folds run in place on one copy.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64).reshape(-1)
+    a = np.array(a, dtype=np.float64, order="C").ravel()
     n = a.size
     if n == 0:
         return 0.0
     while n > 1:
         half = n // 2
-        s = a[:half] + a[half : 2 * half]
+        head = a[:half]  # += on a name, not a[:half], skips a copy back by setitem
+        head += a[half : 2 * half]
         if n % 2:
-            s = np.concatenate([s, a[2 * half :]])
-        a = s
-        n = a.size
+            a[half] = a[2 * half]
+        n -= half
     return float(a[0])
 
 

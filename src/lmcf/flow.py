@@ -33,7 +33,7 @@ from .fields import (
     sym_norm_sq,
     sym_sup_norm,
 )
-from .geometry import _angle_values, hessian_volume
+from .geometry import _angle_and_density, _angle_values, _sqrt_det_volume
 from .monitors import MonitorRecord
 
 CHECKPOINT_MAGIC = b"LMCF"
@@ -284,7 +284,7 @@ def monitor_record(state, cfg: FlowConfig) -> MonitorRecord:
     du_sq = state.norm_sq(1)
     d2u_sq = state.norm_sq(2)
     psi = state.psi(cfg.C0, cfg.C1)
-    theta = _angle_values(hess, state.spec.dim)
+    theta, sqrt_det = _angle_and_density(hess, state.spec.dim)
     return MonitorRecord(
         t=state.t,
         max_u=float(np.abs(u).max()),
@@ -294,7 +294,7 @@ def monitor_record(state, cfg: FlowConfig) -> MonitorRecord:
         psi_max=float(psi.max()),
         theta_min=float(theta.min()),
         theta_max=float(theta.max()),
-        volume=hessian_volume(hess, state.spec),
+        volume=_sqrt_det_volume(sqrt_det, state.spec),
         dt=cfg.dt,
     )
 

@@ -6,10 +6,14 @@ theta = sum_i arctan(lambda_i(Q)), and the mean curvature 1-form is
 -d(theta + kappa*u).  Everything here is a pure function of pointwise
 matrix data plus flat partial derivatives.
 
-The angle is the closed form arg det(I + iQ) = atan2(s1 - s3, 1 - s2) of
-Harvey and Lawson (s_k the elementary symmetric functions of the eigenvalues
-of Q), lifted by 2*pi off the principal branch; the eigenvalue route is kept
-as the reference ``lmcf.verification.eigen_angle_values``.
+By Harvey and Lawson, the holomorphic volume form restricts to the graph as
+det(I + iQ) dx = e^{i theta} dvol, so the angle and the volume density
+sqrt(det mu) are the argument and the modulus of one complex number,
+(1 - s2) + i(s1 - s3) with s_k the elementary symmetric functions of the
+eigenvalues of Q.  Both come from the same pointwise pass: theta is its
+atan2, lifted by 2*pi off the principal branch, and sqrt(det mu) its hypot.
+The eigenvalue route is kept as the reference
+``lmcf.verification.eigen_angle_values``.
 """
 
 from __future__ import annotations
@@ -65,54 +69,42 @@ def _square_components(q, dim):
     )
 
 
-def _metric_det(qcomps, dim):
-    """(mu comps, det mu, first-row cofactors of mu in 3-D) for mu = I + Q^2."""
+def _metric_arrays(qcomps, dim):
+    """(mu comps, mu_inv comps) for mu = I + Q^2, mu_inv by cofactors over det mu."""
     sq = _square_components(qcomps, dim)
     if dim == 1:
         m00 = 1.0 + sq[0]
-        return (m00,), m00, ()
+        return (m00,), (1.0 / m00,)
     if dim == 2:
         m00, m01, m11 = 1.0 + sq[0], sq[1], 1.0 + sq[2]
-        return (m00, m01, m11), m00 * m11 - m01 * m01, ()
+        det = m00 * m11 - m01 * m01
+        return (m00, m01, m11), (m11 / det, -m01 / det, m00 / det)
     m00, m01, m02 = 1.0 + sq[0], sq[1], sq[2]
     m11, m12, m22 = 1.0 + sq[3], sq[4], 1.0 + sq[5]
     c00 = m11 * m22 - m12 * m12
     c01 = m02 * m12 - m01 * m22
     c02 = m01 * m12 - m02 * m11
     det = m00 * c00 + m01 * c01 + m02 * c02
-    return (m00, m01, m02, m11, m12, m22), det, (c00, c01, c02)
-
-
-def _metric_arrays(qcomps, dim):
-    """(mu comps, mu_inv comps, sqrt_det) for mu = I + Q^2."""
-    mu, det, cof = _metric_det(qcomps, dim)
-    if dim == 1:
-        inv = (1.0 / mu[0],)
-    elif dim == 2:
-        m00, m01, m11 = mu
-        inv = (m11 / det, -m01 / det, m00 / det)
-    else:
-        m00, m01, m02, m11, m12, m22 = mu
-        inv = (
-            cof[0] / det,
-            cof[1] / det,
-            cof[2] / det,
-            (m00 * m22 - m02 * m02) / det,
-            (m01 * m02 - m00 * m12) / det,
-            (m00 * m11 - m01 * m01) / det,
-        )
-    return mu, inv, np.sqrt(det)
+    inv = (
+        c00 / det,
+        c01 / det,
+        c02 / det,
+        (m00 * m22 - m02 * m02) / det,
+        (m01 * m02 - m00 * m12) / det,
+        (m00 * m11 - m01 * m01) / det,
+    )
+    return (m00, m01, m02, m11, m12, m22), inv
 
 
 def induced_metric(Q: SymMatrixField) -> InducedMetricField:
     """First fundamental form mu = I + Q^2 of the graph, with inverse and sqrt(det)."""
     if not np.isfinite(Q.components).all():
         raise NonFiniteError("induced_metric of a non-finite Hessian field")
-    mu_c, inv_c, sqrt_det = _metric_arrays(Q.components, Q.spec.dim)
+    mu_c, inv_c = _metric_arrays(Q.components, Q.spec.dim)
     return InducedMetricField(
         mu=SymMatrixField(Q.spec, np.stack(mu_c)),
         mu_inv=SymMatrixField(Q.spec, np.stack(inv_c)),
-        sqrt_det=PeriodicScalarField(Q.spec, sqrt_det),
+        sqrt_det=PeriodicScalarField(Q.spec, _volume_density(Q.components, Q.spec.dim)),
     )
 
 
@@ -147,25 +139,59 @@ def jacobi_eigenvalues_sym3(dense):
     return np.sort(eig, axis=-1)
 
 
-def _angle_values(qcomps, dim):
-    """theta = sum_i arctan(lambda_i(Q)) = arg det(I + iQ) from the component stack of Q."""
-    if dim == 1:
-        return np.arctan(qcomps[0])
+def _det_i_plus_iq(qcomps, dim):
+    """(Re, Im) of det(I + iQ) for n = 2, 3 from the component stack of Q, and
+    in 3-D the leading minors (q00, m01, s3) that the branch lift reads."""
     if dim == 2:
         q00, q01, q11 = qcomps
-        return np.arctan2(q00 + q11, 1.0 - (q00 * q11 - q01 * q01))
+        return 1.0 - (q00 * q11 - q01 * q01), q00 + q11, None
     q00, q01, q02, q11, q12, q22 = qcomps
     m01 = q00 * q11 - q01 * q01
     m12 = q11 * q22 - q12 * q12
     s2 = m01 + (q00 * q22 - q02 * q02) + m12
     s3 = q00 * m12 + q01 * (q12 * q02 - q01 * q22) + q02 * (q01 * q12 - q11 * q02)
-    theta = np.arctan2((q00 + q11 + q22) - s3, 1.0 - s2)
+    return 1.0 - s2, (q00 + q11 + q22) - s3, (q00, m01, s3)
+
+
+def _lifted_angle(re, im, minors):
+    """arg det(I + iQ) = atan2(Im, Re) on the continuous branch |theta| < n*pi/2."""
+    theta = np.arctan2(im, re)
+    if minors is None:
+        return theta
     # |theta| > pi forces all three arctans to one sign, so off the principal
-    # branch Q is definite (Sylvester on q00, m01, s3)
-    definite = m01 > 0.0
-    theta[definite & (q00 > 0.0) & (s3 > 0.0) & (theta < -0.5 * np.pi)] += 2.0 * np.pi
-    theta[definite & (q00 < 0.0) & (s3 < 0.0) & (theta > 0.5 * np.pi)] -= 2.0 * np.pi
+    # branch Q is definite (Sylvester on q00, m01, s3).  The masks are built
+    # only when some atan2 is past pi/2; any() is False on NaN, where min()
+    # would return NaN and skip every point.
+    q00, m01, s3 = minors
+    if (theta < -0.5 * np.pi).any():
+        theta[(m01 > 0.0) & (q00 > 0.0) & (s3 > 0.0) & (theta < -0.5 * np.pi)] += 2.0 * np.pi
+    if (theta > 0.5 * np.pi).any():
+        theta[(m01 > 0.0) & (q00 < 0.0) & (s3 < 0.0) & (theta > 0.5 * np.pi)] -= 2.0 * np.pi
     return theta
+
+
+def _angle_values(qcomps, dim):
+    """theta = sum_i arctan(lambda_i(Q)) = arg det(I + iQ) from the component stack of Q."""
+    if dim == 1:
+        return np.arctan(qcomps[0])
+    return _lifted_angle(*_det_i_plus_iq(qcomps, dim))
+
+
+def _volume_density(qcomps, dim):
+    """sqrt(det(I + Q^2)) = |det(I + iQ)| from the component stack of Q."""
+    if dim == 1:
+        return np.hypot(1.0, qcomps[0])
+    re, im, _ = _det_i_plus_iq(qcomps, dim)
+    return np.hypot(re, im)
+
+
+def _angle_and_density(qcomps, dim):
+    """``(_angle_values, _volume_density)`` of one stack from one det(I + iQ)."""
+    if dim == 1:
+        q = qcomps[0]
+        return np.arctan(q), np.hypot(1.0, q)
+    re, im, minors = _det_i_plus_iq(qcomps, dim)
+    return _lifted_angle(re, im, minors), np.hypot(re, im)
 
 
 def lagrangian_angle(Q: SymMatrixField) -> PeriodicScalarField:
@@ -273,7 +299,7 @@ def volume(M: InducedMetricField) -> float:
 
 def hessian_volume(hess, spec) -> float:
     """Graph volume from the raw packed Hessian stack of the potential."""
-    return _sqrt_det_volume(np.sqrt(_metric_det(hess, spec.dim)[1]), spec)
+    return _sqrt_det_volume(_volume_density(hess, spec.dim), spec)
 
 
 def metric_from_potential(u: PeriodicScalarField, scheme: str = "spectral") -> InducedMetricField:

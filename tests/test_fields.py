@@ -22,6 +22,7 @@ from lmcf.fields import (
     sup_norm,
     sym_indices,
     sym_multiplicities,
+    sym_norm_sq,
     tree_sum,
 )
 from lmcf.initial_data import random_bandlimited_potential
@@ -350,6 +351,32 @@ class TestNormsAndPairings:
         a = np.arange(1, 101, dtype=float)
         assert tree_sum(a) == 5050.0
 
+    @staticmethod
+    def reference_fold(a):
+        """The pairwise fold on fresh arrays: a[i] + a[half + i], odd tail carried."""
+        a = np.ascontiguousarray(a, dtype=np.float64).reshape(-1)
+        while a.size > 1:
+            half = a.size // 2
+            a = np.concatenate([a[:half] + a[half : 2 * half], a[2 * half :]])
+        return float(a[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 255, 256])
+    def test_tree_sum_is_the_reference_fold(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+        before = a.copy()
+        assert tree_sum(a) == self.reference_fold(a)
+        assert np.array_equal(a, before)  # the fold runs on a copy
+
+    @pytest.mark.parametrize("shape", [(15, 17), (5, 6, 7), (8, 8, 8)])
+    def test_tree_sum_is_the_reference_fold_nd(self, shape):
+        rng = np.random.default_rng(len(shape))
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        assert tree_sum(a) == self.reference_fold(a)
+        view = a[::2, 1:][..., ::-1]  # non-contiguous, summed in row-major order
+        assert not view.flags.c_contiguous
+        assert tree_sum(view) == self.reference_fold(view)
+
     def test_parseval_consistency(self):
         spec = GridSpec(1, (64,))
         f = random_bandlimited_potential(spec, 1.0, 8, seed=17)
@@ -380,6 +407,17 @@ class TestSymmetricLayout:
         comps[1] = 1.0  # off-diagonal entry
         q = SymMatrixField(spec, comps)
         assert np.allclose(q.pointwise_norm_sq().values, 2.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_norm_sq_is_the_einsum_form(self, dim, rank):
+        rng = np.random.default_rng(10 * dim + rank)
+        sizes = {1: (64,), 2: (16, 16), 3: (8, 8, 8)}[dim]
+        shape = (len(sym_indices(dim, rank)),) + sizes
+        comps = rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, size=shape)
+        weights = np.array(sym_multiplicities(dim, rank), dtype=np.float64)
+        assert np.array_equal(sym_norm_sq(comps, dim, rank),
+                              np.einsum("c...,c->...", comps * comps, weights))
 
     def test_fields_are_immutable(self):
         f = PeriodicScalarField.zeros(GridSpec(1, (16,)))

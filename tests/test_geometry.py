@@ -15,11 +15,14 @@ from lmcf.fields import (
     l2_pairing,
     sup_norm,
     sym_from_dense,
+    sym_indices,
 )
 from lmcf.geometry import (
     _angle_values,
+    _det_i_plus_iq,
     angle_gradient,
     graph_volume,
+    hessian_volume,
     induced_metric,
     jacobi_eigenvalues_sym3,
     lagrangian_angle,
@@ -271,6 +274,71 @@ class TestClosedFormAngle3D:
         ref = np.tile(np.arctan(eigs).sum(axis=-1), 2)
         gap = np.abs(self.angles(qs) - ref) / (1.0 + np.linalg.norm(qs, axis=(1, 2)))
         assert np.max(gap) <= 1e-12
+
+    @staticmethod
+    def always_masked(qcomps):
+        """The branch lift with both masks built for every batch."""
+        re, im, (q00, m01, s3) = _det_i_plus_iq(qcomps, 3)
+        theta = np.arctan2(im, re)
+        definite = m01 > 0.0
+        theta[definite & (q00 > 0.0) & (s3 > 0.0) & (theta < -0.5 * np.pi)] += TWO_PI
+        theta[definite & (q00 < 0.0) & (s3 < 0.0) & (theta > 0.5 * np.pi)] -= TWO_PI
+        return theta
+
+    @pytest.mark.parametrize("batch", ["inside", "straddling", "outside", "nan", "nan_first"])
+    def test_lazy_lift_is_the_always_masked_form(self, batch):
+        rng = np.random.default_rng(70)
+        small = rng.normal(size=(300, 3)) * 0.1  # |theta| < pi/2 everywhere
+        definite = rng.uniform(1.0, 50.0, size=(300, 3))
+        eigs = {
+            "inside": small,
+            "straddling": np.concatenate([small, definite, -definite, rng.normal(size=(300, 3)) * 5.0]),
+            "outside": np.concatenate([definite, -definite]),
+        }.get(batch, np.concatenate([small, definite, -definite]))
+        qcomps = sym_from_dense(self.rotated(eigs, rng), 3)
+        if batch == "nan":
+            qcomps[1, ::7] = np.nan
+        elif batch == "nan_first":  # a NaN angle in front: min() would read NaN
+            qcomps[:, 0] = np.nan
+        expected = self.always_masked(qcomps)
+        theta = _angle_values(qcomps, 3)
+        assert np.array_equal(theta.view(np.uint64), expected.view(np.uint64))
+        assert (np.abs(expected) > np.pi).any() == (batch != "inside")
+
+
+class TestVolumeDensity:
+    """sqrt(det mu) = |det(I + iQ)| against the LU determinant of I + Q^2."""
+
+    @staticmethod
+    def matrices(dim, scale, npoints, rng):
+        """Q = R diag(lam) R^T with |lam| in [scale, 2 scale]: half of random
+        signs, a quarter positive and a quarter negative definite.  I + Q^2 then
+        has condition number at most 4, so its LU determinant is a reference
+        to a few ulps; spread eigenvalues leave that reference, not the hypot,
+        short of 1e-14 (6.7e-12 against 7.1e-15 at |Q| ~ 1e3 in 3-D, both
+        measured against a 40-digit determinant)."""
+        q = npoints // 4
+        signs = np.concatenate([rng.choice([-1.0, 1.0], size=(npoints - 2 * q, dim)),
+                                np.ones((q, dim)), -np.ones((q, dim))])
+        lam = scale * rng.uniform(1.0, 2.0, size=(npoints, dim)) * signs
+        rot, _ = np.linalg.qr(rng.normal(size=(npoints, dim, dim)))
+        return np.einsum("kij,kj,klj->kil", rot, lam, rot)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    @pytest.mark.parametrize("dim,sizes", [(1, (64,)), (2, (16, 16)), (3, (8, 8, 8))])
+    def test_matches_lu_determinant(self, dim, sizes, scale):
+        spec = GridSpec(dim, sizes)
+        rng = np.random.default_rng(dim + int(round(np.log10(scale))) + 80)
+        dense = self.matrices(dim, scale, spec.npoints, rng)
+        ref = np.sqrt(np.linalg.det(np.eye(dim) + dense @ dense))
+        comps = np.stack([dense[:, i, j].reshape(sizes) for i, j in sym_indices(dim, 2)])
+        sqrt_det = induced_metric(SymMatrixField(spec, comps)).sqrt_det.values.reshape(-1)
+        assert np.max(np.abs(sqrt_det / ref - 1.0)) <= 1e-14
+        vol = hessian_volume(comps, spec)
+        assert abs(vol / (np.sum(ref) * spec.cell_volume) - 1.0) <= 1e-14
+        if dim == 3 and scale >= 10.0:  # definite Q with theta beyond +-pi
+            theta = _angle_values(comps, 3).reshape(-1)
+            assert (theta > np.pi).any() and (theta < -np.pi).any()
 
 
 class TestMeanCurvatureForm:
