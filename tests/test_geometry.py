@@ -15,7 +15,6 @@ from lmcf.fields import (
     l2_pairing,
     sup_norm,
     sym_from_dense,
-    sym_indices,
 )
 from lmcf.geometry import (
     _angle_values,
@@ -331,7 +330,7 @@ class TestVolumeDensity:
         rng = np.random.default_rng(dim + int(round(np.log10(scale))) + 80)
         dense = self.matrices(dim, scale, spec.npoints, rng)
         ref = np.sqrt(np.linalg.det(np.eye(dim) + dense @ dense))
-        comps = np.stack([dense[:, i, j].reshape(sizes) for i, j in sym_indices(dim, 2)])
+        comps = sym_from_dense(dense, dim).reshape((-1,) + sizes)
         sqrt_det = induced_metric(SymMatrixField(spec, comps)).sqrt_det.values.reshape(-1)
         assert np.max(np.abs(sqrt_det / ref - 1.0)) <= 1e-14
         vol = hessian_volume(comps, spec)
