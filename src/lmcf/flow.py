@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (
-    _TENSOR_BY_RANK,
     SCHEMES,
     GridSpec,
     PeriodicScalarField,
@@ -97,68 +96,72 @@ class FlowConfig:
 
 
 class FlowState:
-    """Potential u at one time; its jets under the configured scheme, their
-    pointwise norms and psi are computed once and cached.  All jets come
-    from one forward transform of u, made on the first jet."""
+    """Potential u at one time under one scheme.  Every jet D^k u, its pointwise
+    norm |D^k u|^2 and psi are computed once per state, all jets from one
+    forward transform of u, and cached as raw read-only arrays; the field
+    wrappers ``u``, ``du``, ``d2u`` and ``d3u`` are built only when asked for.
+    ``integrate`` seeds its records and its result from the loop's own arrays,
+    so those states recompute nothing the loop already has."""
+
+    __slots__ = ("t", "spec", "scheme", "_u", "_values", "_ops", "_coeffs",
+                 "_jets", "_norms_sq", "_psi", "__weakref__")
 
     def __init__(self, t, u, scheme="spectral"):
-        self.t = float(t)
-        self.u = u
-        self.scheme = scheme
-        self._coeffs = None
-        self._jets = {}
-        self._norms_sq = {}
-        self._psi = {}
+        self.t, self.spec, self.scheme, self._u = float(t), u.spec, scheme, u
+        self._values, self._ops, self._coeffs = u.values, jet_ops(u.spec, scheme), None
+        self._jets, self._norms_sq, self._psi = {}, {}, {}
 
     @classmethod
     def initial(cls, u0, cfg):
         return cls(0.0, u0, scheme=cfg.scheme)
 
-    @property
-    def spec(self):
-        return self.u.spec
+    @classmethod
+    def _from_loop(cls, t, values, coeffs, hess, d2u_sq, ops, scheme):
+        """State over ``integrate``'s frozen arrays: the values of u, their
+        coefficients under ``ops``, the Hessian stack and |D^2 u|^2."""
+        d2u_sq.setflags(write=False)
+        state = cls.__new__(cls)
+        state.t, state.spec, state.scheme, state._u = t, ops.spec, scheme, None
+        state._values, state._ops, state._coeffs = values, ops, coeffs
+        state._jets, state._norms_sq, state._psi = {2: hess}, {2: d2u_sq}, {}
+        return state
 
     @property
-    def values(self):
-        return self.u.values
-
-    @property
-    def hessian(self):
-        """Raw Hessian stack, the components of ``d2u``."""
-        return self._jet(2).components
+    def u(self) -> PeriodicScalarField:
+        if self._u is None:
+            self._u = PeriodicScalarField(self.spec, self._values)
+        return self._u
 
     def _jet(self, rank):
-        """Packed rank-``rank`` derivative field of u, computed once per state."""
-        field = self._jets.get(rank)
-        if field is None:
-            ops = jet_ops(self.spec, self.scheme)
+        """Read-only packed stack of D^rank u, computed once per state."""
+        comps = self._jets.get(rank)
+        if comps is None:
             if self._coeffs is None:
-                self._coeffs = ops.forward(self.u.values)
-            comps = ops.jets(self._coeffs, rank)
-            field = self._jets[rank] = _TENSOR_BY_RANK[rank](self.spec, comps)
-        return field
+                self._coeffs = self._ops.forward(self._values)
+            comps = self._jets[rank] = self._ops.jets(self._coeffs, rank)
+        return comps
 
     @property
     def du(self) -> VectorField:
-        return self._jet(1)
+        return VectorField(self.spec, self._jet(1))
 
     @property
     def d2u(self) -> SymMatrixField:
-        return self._jet(2)
+        return SymMatrixField(self.spec, self._jet(2))
 
     @property
     def d3u(self) -> SymTensor3Field:
-        return self._jet(3)
+        return SymTensor3Field(self.spec, self._jet(3))
 
     def norm_sq(self, rank):
         """Read-only pointwise |D^rank u|^2 (u^2 for rank 0), computed once per state."""
         out = self._norms_sq.get(rank)
         if out is None:
             if rank == 0:
-                out = self.u.values * self.u.values
+                out = self._values * self._values
             else:
-                out = sym_norm_sq(self._jet(rank).components, self.spec.dim, rank)
-            out.flags.writeable = False
+                out = sym_norm_sq(self._jet(rank), self.spec.dim, rank)
+            out.setflags(write=False)
             self._norms_sq[rank] = out
         return out
 
@@ -167,8 +170,8 @@ class FlowState:
         once per state and (C0, C1)."""
         out = self._psi.get((C0, C1))
         if out is None:
-            out = psi_values(self.u.values, self.norm_sq(1), self.norm_sq(2), C0, C1)
-            out.flags.writeable = False
+            out = psi_values(self._values, self.norm_sq(1), self.norm_sq(2), C0, C1)
+            out.setflags(write=False)
             self._psi[C0, C1] = out
         return out
 
@@ -243,55 +246,26 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
     if dt is None:
         dt = cfg.dt
     ops = jet_ops(state.spec, cfg.scheme)
-    u_new = _rk4_update(state.u.values, state.d2u.components, dt, cfg.kappa, ops,
+    u_new = _rk4_update(state._values, state._jet(2), dt, cfg.kappa, ops,
                         state.spec.dim, ops.hessian_buffers())
-    u_new.flags.writeable = False
+    u_new.setflags(write=False)
     sup_new = float(np.abs(u_new).max())
     if not np.isfinite(sup_new):
-        raise BlowupError(state.t + dt, float(np.abs(state.u.values).max()), "non-finite field")
+        raise BlowupError(state.t + dt, float(np.abs(state._values).max()), "non-finite field")
     return FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
 
 
-class _LoopState:
-    """One of ``integrate``'s states as ``monitor_record`` reads it, made from
-    the loop's raw arrays with no field wrapper or ``jet_ops`` lookup."""
-
-    __slots__ = ("t", "values", "hessian", "spec", "_coeffs", "_ops", "_norms_sq")
-
-    def __init__(self, t, values, coeffs, hessian, d2u_sq, ops):
-        self.t, self.values, self.hessian, self.spec = t, values, hessian, ops.spec
-        self._coeffs, self._ops = coeffs, ops
-        self._norms_sq = [None, None, d2u_sq, None]
-
-    def norm_sq(self, rank):
-        out = self._norms_sq[rank]
-        if out is None:
-            out = self._norms_sq[rank] = sym_norm_sq(
-                self._ops.jets(self._coeffs, rank), self.spec.dim, rank)
-        return out
-
-    def psi(self, C0, C1):
-        return psi_values(self.values, self.norm_sq(1), self.norm_sq(2), C0, C1)
-
-
-def monitor_record(state, cfg: FlowConfig) -> MonitorRecord:
-    """All tracked scalars of one state (sup norms, psi, angle range, volume).
-
-    ``state`` is a ``FlowState`` (whose caches then serve later readers too)
-    or ``integrate``'s ``_LoopState``."""
-    u = state.values
-    hess = state.hessian
-    du_sq = state.norm_sq(1)
-    d2u_sq = state.norm_sq(2)
-    psi = state.psi(cfg.C0, cfg.C1)
-    theta, sqrt_det = _angle_and_density(hess, state.spec.dim)
+def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
+    """All tracked scalars of one state (sup norms, psi, angle range, volume),
+    read through the state's caches, which then serve later readers too."""
+    theta, sqrt_det = _angle_and_density(state._jet(2), state.spec.dim)
     return MonitorRecord(
         t=state.t,
-        max_u=float(np.abs(u).max()),
-        max_du=float(np.sqrt(du_sq.max())),
-        max_d2u=float(np.sqrt(d2u_sq.max())),
-        max_d3u=float(np.sqrt(state.norm_sq(3).max())),
-        psi_max=float(psi.max()),
+        max_u=float(np.abs(state._values).max()),
+        max_du=math.sqrt(state.norm_sq(1).max()),
+        max_d2u=math.sqrt(state.norm_sq(2).max()),
+        max_d3u=math.sqrt(state.norm_sq(3).max()),
+        psi_max=float(state.psi(cfg.C0, cfg.C1).max()),
         theta_min=float(theta.min()),
         theta_max=float(theta.max()),
         volume=_sqrt_det_volume(sqrt_det, state.spec),
@@ -329,9 +303,9 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     Each state costs one forward transform: its Hessian, the convergence
     gradient and the jets of its record all come from the same coefficients.
     Each record is ``monitor_record`` (looked up by module name) of a
-    ``_LoopState`` over the loop's own arrays, with no ``FlowState`` or field
-    wrapper per record (only the result's state is one); the blowup guard
-    and the record read the same pointwise |D^2 u|^2.
+    ``FlowState`` seeded with the loop's own arrays, with no field wrapper;
+    the result's state is built the same way.  The blowup guard and the
+    record read the same pointwise |D^2 u|^2.
     """
     _check_u0(u0, cfg)
     if cfg.kappa > 0.0:
@@ -358,9 +332,12 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     warned_region = False
     caller_errstate = np.geterr()
 
-    def emit():
+    def state_now():
+        return FlowState._from_loop(t, u, coeffs, hess, d2u_sq, ops, cfg.scheme)
+
+    def emit(state):
         nonlocal last_emitted, warned_region
-        rec = monitor_record(_LoopState(t, u, coeffs, hess, d2u_sq, ops), cfg)
+        rec = monitor_record(state, cfg)
         records.append(rec)
         if sink is not None:
             with np.errstate(**caller_errstate):
@@ -375,11 +352,9 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             )
 
     def finish(outcome, blowup=None):
+        state = state_now()
         if last_emitted != step:
-            emit()
-        state = FlowState(t, PeriodicScalarField(cfg.grid, u), scheme=cfg.scheme)
-        state._coeffs = coeffs
-        state._jets[2] = SymMatrixField(cfg.grid, hess)
+            emit(state)
         return FlowResult(outcome, state, tuple(records), step, blowup=blowup)
 
     with np.errstate(invalid="ignore"):
@@ -388,7 +363,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             hess = ops.jets(coeffs, 2)
             d2u_sq = sym_norm_sq(hess, dim, 2)
             if step == 0 or (record_every and (first_step + step) % record_every == 0):
-                emit()
+                emit(state_now())
 
             # a non-finite u yields a non-finite Hessian, so this guard catches both
             sup_d2 = float(np.sqrt(d2u_sq.max()))
@@ -413,7 +388,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             # the pages on some heap layouts
             del d2u_sq
             u = _rk4_update(u, hess, dt, kappa, ops, dim, buffers)
-            u.flags.writeable = False  # so the result state wraps it without a copy
+            u.setflags(write=False)  # so the result state wraps it without a copy
             t += dt
             step += 1
 

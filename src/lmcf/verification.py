@@ -20,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    NonFiniteError,
     PeriodicScalarField,
     derivative,
     jet_ops,
     l2_pairing,
     laplacian_flat,
     sup_norm,
-    sym_norm_sq,
     sym_to_dense,
+    sym_trace,
 )
 from .flow import FlowConfig, FlowState, _check_u0, step_rk4
 from .geometry import (
@@ -159,9 +160,18 @@ def two_route_gap(f: PeriodicScalarField, M: InducedMetricField, scheme="spectra
 # ---------------------------------------------------------------------------
 # amplitude-sweep checks
 
+def _finite_state(u, scheme):
+    """State of a sampled potential; one forward transform serves all its jets."""
+    state = FlowState(0.0, u, scheme)
+    if not u.is_finite():
+        raise NonFiniteError("non-finite potential in an amplitude sweep")
+    return state
+
+
 def _normalized_base(u, scheme):
     """Scale the base field so sup|du| <= 1 and sup|D^2 u| <= 1."""
-    m = max(1.0, sup_norm(derivative(u, 1, scheme)), sup_norm(derivative(u, 2, scheme)))
+    state = _finite_state(u, scheme)
+    m = max(1.0, sup_norm(state.du), sup_norm(state.d2u))
     return PeriodicScalarField(u.spec, u.values / m)
 
 
@@ -181,15 +191,13 @@ def check_angle_expansion(samples, amplitudes, scheme="spectral") -> ResidualRep
         res = 0.0
         bound = 0.0
         for base in bases:
-            scaled = PeriodicScalarField(base.spec, eps * base.values)
-            hess = derivative(scaled, 2, scheme)
-            theta = _angle_values(hess.components, base.spec.dim)
-            lap = laplacian_flat(scaled, scheme)
-            res = max(res, float(np.max(np.abs(theta - lap.values))))
-            grad_sq = sym_norm_sq(derivative(scaled, 1, scheme).components, base.spec.dim, 1)
-            hess_sq = sym_norm_sq(hess.components, base.spec.dim, 2)
-            bound = max(bound, float(np.max(grad_sq + hess_sq)))
-            oracle_gap = max(oracle_gap, angle_oracle_gap(hess.components, base.spec.dim))
+            state = _finite_state(PeriodicScalarField(base.spec, eps * base.values), scheme)
+            hess = state.d2u.components
+            dim = base.spec.dim
+            theta = _angle_values(hess, dim)
+            res = max(res, float(np.max(np.abs(theta - sym_trace(hess, dim)))))
+            bound = max(bound, float(np.max(state.norm_sq(1) + state.norm_sq(2))))
+            oracle_gap = max(oracle_gap, angle_oracle_gap(hess, dim))
         rows.append((float(eps), res, bound))
     fitted_c = _fitted_constant(rows)
     order = _loglog_slope([r[0] for r in rows], [r[1] for r in rows])
@@ -211,19 +219,17 @@ def check_laplacian_difference(u, f, amplitudes=(0.5, 0.25, 0.125, 0.0625),
     route_gap_rel = 0.0
     op_scale = 1.0
     for eps in amplitudes:
-        scaled = PeriodicScalarField(base.spec, eps * base.values)
-        M = metric_from_potential(scaled, scheme)
+        state = _finite_state(PeriodicScalarField(base.spec, eps * base.values), scheme)
+        M = induced_metric(state.d2u)
         lb = laplace_beltrami(f, M, "divergence", scheme)
         tr = trace_metric_hessian(f, M, scheme)
         res = float(np.max(np.abs(lb.values - tr.values)))
-        bound = df_sup * (
-            sup_norm(derivative(scaled, 3, scheme))
-            + sup_norm(derivative(scaled, 2, scheme))
-            + sup_norm(derivative(scaled, 1, scheme))
-        )
+        bound = df_sup * (sup_norm(state.d3u) + sup_norm(state.d2u) + sup_norm(state.du))
         # closure is measured spectrally: the 1e-8 two-route statement is a
         # spectral-accuracy property, independent of the report's scheme
-        gap, scale = two_route_gap(f, metric_from_potential(scaled, "spectral"))
+        if scheme != "spectral":
+            M = metric_from_potential(state.u, "spectral")
+        gap, scale = two_route_gap(f, M)
         route_gap_rel = max(route_gap_rel, gap / scale)
         op_scale = max(op_scale, scale)
         rows.append((float(eps), res, bound))

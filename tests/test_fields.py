@@ -360,7 +360,7 @@ class TestNormsAndPairings:
             a = np.concatenate([a[:half] + a[half : 2 * half], a[2 * half :]])
         return float(a[0])
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 255, 256])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 17, 255, 256])
     def test_tree_sum_is_the_reference_fold(self, n):
         rng = np.random.default_rng(n)
         a = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)

@@ -53,6 +53,16 @@ print(repr([dataclasses.astuple(rec) for rec in res.records]))
 """
 
 
+# grids, step counts, schemes and kappas that take integrate through each jet route
+LOOP_ROUTES = [
+    pytest.param((32, 32), 6, "spectral", -0.5, _FftJetOps, id="sizes0-6"),
+    pytest.param((16, 16, 16), 3, "spectral", -0.5, _FftJetOps, id="sizes1-3"),
+    pytest.param((64,), 8, "spectral", -1.0, _DftMatrixJetOps, id="dft_1d_64"),
+    pytest.param((256,), 8, "spectral", 0.0, _FftJetOps, id="fft_1d_256"),
+    pytest.param((32, 32), 6, "central4", 0.0, _Central4JetOps, id="central4_2d"),
+]
+
+
 def rk4_scalar_factor(dt, lam):
     """Amplification factor of one RK4 step for u' = lam * u."""
     z = lam * dt
@@ -241,13 +251,7 @@ class TestIntegrate:
         assert res.blowup.reason == "non-finite field"
         assert res.steps == 1
 
-    @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", [
-        pytest.param((32, 32), 6, "spectral", -0.5, _FftJetOps, id="sizes0-6"),
-        pytest.param((16, 16, 16), 3, "spectral", -0.5, _FftJetOps, id="sizes1-3"),
-        pytest.param((64,), 8, "spectral", -1.0, _DftMatrixJetOps, id="dft_1d_64"),
-        pytest.param((256,), 8, "spectral", 0.0, _FftJetOps, id="fft_1d_256"),
-        pytest.param((32, 32), 6, "central4", 0.0, _Central4JetOps, id="central4_2d"),
-    ])
+    @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
     def test_records_match_step_rk4_chain(self, sizes, steps, scheme, kappa, route,
                                           monkeypatch):
         # integrate builds its records from the loop's own arrays and reuses its
@@ -275,6 +279,37 @@ class TestIntegrate:
         assert res.records == tuple(chain)
         assert np.array_equal(res.state.u.values, state.u.values)
 
+    @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
+    def test_result_state_is_a_fresh_state(self, sizes, steps, scheme, kappa, route,
+                                           monkeypatch):
+        # the result's state is seeded with the loop's arrays: it equals a state
+        # built afresh from its u, hands out read-only arrays and needs no
+        # further forward transform
+        spec = GridSpec(len(sizes), sizes)
+        base = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, scheme=scheme)
+        cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
+                                  checkpoint_every=3)
+        res = integrate(random_bandlimited_potential(spec, 0.05, 2, seed=6), cfg)
+        state = res.state
+        assert res.steps == steps and state.t == res.records[-1].t
+        assert state.scheme == cfg.scheme
+        ops = jet_ops(spec, scheme)
+        assert type(ops) is route
+        forward = ops.forward
+        calls = []
+        monkeypatch.setattr(ops, "forward", lambda v: calls.append(v) or forward(v))
+        got = {"du": state.du.components, "d2u": state.d2u.components,
+               "d3u": state.d3u.components, "psi": state.psi(cfg.C0, cfg.C1)}
+        got.update((f"norm_sq({k})", state.norm_sq(k)) for k in range(4))
+        assert calls == []
+        fresh = FlowState(state.t, PeriodicScalarField(spec, state.u.values.copy()), scheme)
+        want = {"du": fresh.du.components, "d2u": fresh.d2u.components,
+                "d3u": fresh.d3u.components, "psi": fresh.psi(cfg.C0, cfg.C1)}
+        want.update((f"norm_sq({k})", fresh.norm_sq(k)) for k in range(4))
+        for name, arr in got.items():
+            assert np.array_equal(arr, want[name]), name
+            assert not arr.flags.writeable, name
+
     def test_sink_receives_every_record(self):
         spec = GridSpec(1, (32,))
         cfg = FlowConfig(grid=spec, kappa=0.0, t_max=0.02, conv_tol=1e-13,
@@ -298,7 +333,14 @@ class TestIntegrate:
         seen_t = []
 
         def shifted(state, cfg):
+            # the wrapper gets a whole FlowState, the same as a fresh one
             seen_t.append(state.t)
+            fresh = FlowState(state.t, PeriodicScalarField(spec, state.u.values.copy()),
+                              cfg.scheme)
+            assert np.array_equal(state.u.values, fresh.u.values)
+            assert np.array_equal(state.d2u.components, fresh.d2u.components)
+            assert state.scheme == fresh.scheme == cfg.scheme
+            assert np.array_equal(state.norm_sq(0), fresh.norm_sq(0))
             return dataclasses.replace(record(state, cfg), psi_max=-1.0)
 
         monkeypatch.setattr(lmcf.flow, "monitor_record", shifted)
@@ -597,7 +639,8 @@ class TestFlowState:
         calls = []
         monkeypatch.setattr(ops, "forward", lambda v: calls.append(v) or forward(v))
         state = FlowState(0.0, u0, scheme)
-        jets = {rank: state._jet(rank).components for rank in (1, 2, 3, 4)}
+        jets = {rank: state._jet(rank) for rank in (1, 2, 3, 4)}
         assert len(calls) == 1 and calls[0] is u0.values
         for rank, comps in jets.items():
             assert np.array_equal(comps, ops.components(u0.values.copy(), rank))
+            assert not comps.flags.writeable

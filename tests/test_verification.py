@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lmcf.verification
-from lmcf.fields import GridSpec, PeriodicScalarField
+from lmcf.fields import GridSpec, NonFiniteError, PeriodicScalarField
 from lmcf.flow import FlowConfig, FlowState, step_rk4
 from lmcf.initial_data import random_bandlimited_potential, single_mode_potential
 from lmcf.monitors import MonitorRecord
@@ -112,6 +112,19 @@ class TestAngleExpansion:
         with pytest.raises(ValueError):
             check_angle_expansion([PeriodicScalarField.zeros(spec)], (0.1, 0.01))
 
+    @pytest.mark.parametrize("bad", ["sample", "amplitude"])
+    @pytest.mark.parametrize("scheme", ["spectral", "central4"])
+    def test_non_finite_input_raises(self, bad, scheme):
+        spec = GridSpec(1, (32,))
+        values = np.sin(TWO_PI * spec.coordinates()[0])
+        amplitudes = [0.1, 0.01, 0.001]
+        if bad == "sample":
+            values[3] = np.inf
+        else:
+            amplitudes[1] = np.nan
+        with pytest.raises(NonFiniteError):
+            check_angle_expansion([PeriodicScalarField(spec, values)], amplitudes, scheme)
+
     def test_report_lines_format(self, tmp_path):
         spec = GridSpec(1, (64,))
         x = spec.coordinates()[0]
@@ -150,6 +163,21 @@ class TestLaplacianDifference:
         rep = check_laplacian_difference(u, f)
         assert rep.passed
         assert rep.fitted_order >= 0.9
+
+    @pytest.mark.parametrize("bad", ["u", "f", "amplitude"])
+    @pytest.mark.parametrize("scheme", ["spectral", "central4"])
+    def test_non_finite_input_raises(self, bad, scheme):
+        spec = GridSpec(1, (64,))
+        u = single_mode_potential(spec, 1.0, (1,)).values.copy()
+        f = np.cos(TWO_PI * spec.coordinates()[0])
+        amplitudes = [0.5, 0.25, 0.125]
+        if bad == "amplitude":
+            amplitudes[2] = np.nan
+        else:
+            (u if bad == "u" else f)[5] = np.inf
+        with pytest.raises(NonFiniteError):
+            check_laplacian_difference(PeriodicScalarField(spec, u),
+                                       PeriodicScalarField(spec, f), amplitudes, scheme)
 
 
 class TestSampleTrajectory:
