@@ -17,13 +17,18 @@ Two differentiation schemes are provided:
   from modeling error.
 
 Every operator comes in two halves: ``forward`` maps values to coefficients
-(the half-spectrum, or the values themselves for ``central4``) and ``jets``
-synthesizes one rank's components from them, so a caller holding one state's
-coefficients gets every rank for one forward transform.  The operators keep
-no input between calls.  Components are written straight into one packed
-stack.  The stacks ``jets`` returns are read-only; ``hessian_into`` fills
-caller-owned buffers instead, so that a time stepper allocates its stage
-Hessians once.
+(the half-spectrum, or the values themselves for ``central4``) and ``jets``,
+the one synthesis entry point, builds the components of every rank the
+caller asks for from them in one synthesis, so a caller holding one state's
+coefficients gets all its ranks for one forward transform: a flow record
+gets ranks 1-3 from one call.  On 1-D grids that is one multiply against the
+stacked multipliers and one batched ``irfft``, or one product with the
+stacked DFT matrices; each row is bit-identical to a single-rank call.  On
+2-D/3-D grids each component is inverted by the passes ``irfftn`` makes,
+the complex ones in place in one work buffer.  The operators keep no input
+between calls.  Components are written straight into packed stacks.  The
+stacks ``jets`` returns are read-only; given buffers from ``jet_buffers`` it
+fills those instead, so that a time stepper allocates its stage Hessians once.
 
 This module owns the packed symmetric layout: a symmetric tensor stores
 each distinct component once, in sorted multi-index order, and everything
@@ -404,10 +409,11 @@ def _rank_multipliers(spec, rank):
 class _JetOps:
     """Jets of raw value arrays on one grid, written into packed stacks.
 
-    ``jets(forward(values), rank)`` is ``components(values, rank)``; one
-    ``forward`` serves every rank.  ``jets`` returns a fresh read-only stack.
-    ``hessian_into`` writes into buffers from ``hessian_buffers`` and returns
-    their (writable) stack, which the next call overwrites: a stepper
+    ``jets(forward(values), ranks)`` is the tuple of ``components(values, r)``
+    for r in ``ranks``: one ``forward`` and one synthesis serve every rank the
+    caller needs.  ``jets`` returns fresh read-only stacks; with ``buffers``
+    from ``jet_buffers(ranks)`` it writes into them instead and returns their
+    writable stacks, which the next call overwrites, so that a stepper
     allocates its stage buffers once.
     """
 
@@ -416,43 +422,70 @@ class _JetOps:
         self._shapes = {rank: (len(sym_indices(spec.dim, rank)),) + spec.sizes
                         for rank in (1, 2, 3, 4)}
 
-    def _work(self):
-        """Work buffer that ``_write`` needs besides the output stack."""
+    def jet_buffers(self, ranks):
+        """Buffers ``(stacks, flat, work)`` for ``jets(coeffs, ranks, buffers)``.
+
+        On 1-D grids every rank has one component and the stacks are the rows
+        of the one array ``flat``; elsewhere each rank has an array of its
+        own, freed with its stack, and ``flat`` is None.  ``work`` is the
+        scratch the route needs besides them."""
+        nranks = len(ranks)
+        if self.spec.dim > 1:
+            return tuple(np.empty(self._shapes[rank]) for rank in ranks), None, self._work(nranks)
+        n = self.spec.sizes[0]
+        flat = np.empty(nranks * n)
+        # a reshape is cheaper than iterating a one-row array (about 0.2 against 0.6 us)
+        stacks = (flat.reshape(1, n),) if nranks == 1 else tuple(flat.reshape(nranks, 1, n))
+        return stacks, flat, self._work(nranks)
+
+    def _work(self, nranks):
+        """Scratch buffer that ``_write`` needs besides the outputs."""
         return None
 
-    def jets(self, coeffs, rank):
-        out = np.empty(self._shapes[rank])
-        self._write(coeffs, rank, out, self._work())
-        out.setflags(write=False)
-        return out
+    def jets(self, coeffs, ranks, buffers=None):
+        """Packed stacks of D^r u, one per rank r in the tuple ``ranks``."""
+        if buffers is not None:
+            self._write(coeffs, ranks, buffers)
+            return buffers[0]
+        buffers = self.jet_buffers(ranks)
+        self._write(coeffs, ranks, buffers)
+        for stack in buffers[0]:
+            stack.setflags(write=False)
+        return buffers[0]
 
     def components(self, values, rank):
-        return self.jets(self.forward(values), rank)
+        return self.jets(self.forward(values), (rank,))[0]
 
     def hessian(self, values):
         return self.components(values, 2)
 
-    def hessian_buffers(self):
-        return np.empty(self._shapes[2]), self._work()
-
-    def hessian_into(self, values, buffers):
-        out, work = buffers
-        self._write(self.forward(values), 2, out, work)
-        return out
-
 
 class _FftJetOps(_JetOps):
-    """FFT jets: the coefficients are the ``rfftn`` half-spectrum."""
+    """FFT jets: the coefficients are the ``rfftn`` half-spectrum.
+
+    On 1-D grids one multiply against the ranks' stacked multipliers and one
+    batched ``irfft`` write every rank; pocketfft transforms each row as a
+    single call would.  On 2-D/3-D grids each component is one multiply and
+    the passes of ``irfftn`` (complex inverse passes over the leading axes,
+    then the real one over the last), the complex ones in place in the work
+    buffer instead of in fresh temporaries.
+    """
 
     def __init__(self, spec):
         super().__init__(spec)
         self._axes = tuple(range(spec.dim))
         self._mults = {}
 
-    def _multipliers(self, rank):
-        mults = self._mults.get(rank)
+    def _multipliers(self, ranks):
+        """Multipliers of ``ranks``: on 1-D grids one (len(ranks), N//2+1)
+        stack, elsewhere per rank the tuple of its packed components'."""
+        mults = self._mults.get(ranks)
         if mults is None:
-            mults = self._mults[rank] = _rank_multipliers(self.spec, rank)
+            mults = [_rank_multipliers(self.spec, rank) for rank in ranks]
+            if self.spec.dim == 1:
+                mults = np.stack([mult for (mult,) in mults])  # one component per rank
+                mults.flags.writeable = False
+            self._mults[ranks] = mults
         return mults
 
     def forward(self, values):
@@ -460,18 +493,27 @@ class _FftJetOps(_JetOps):
             return np.fft.rfft(values)
         return np.fft.rfftn(values, axes=self._axes)
 
-    def _work(self):
+    def _work(self, nranks):
         sizes = self.spec.sizes
-        return np.empty(sizes[:-1] + (sizes[-1] // 2 + 1,), dtype=np.complex128)
+        half = sizes[:-1] + (sizes[-1] // 2 + 1,)
+        if self.spec.dim == 1:
+            half = (nranks,) + half
+        return np.empty(half, dtype=np.complex128)
 
-    def _write(self, spectrum, rank, out, work):
-        sizes = self.spec.sizes
-        for comp, mult in zip(out, self._multipliers(rank)):
-            np.multiply(spectrum, mult, out=work)
-            if self.spec.dim == 1:
-                np.fft.irfft(work, n=sizes[0], out=comp)
-            else:
-                np.fft.irfftn(work, s=sizes, axes=self._axes, out=comp)
+    def _write(self, spectrum, ranks, buffers):
+        stacks, flat, work = buffers
+        n_last = self.spec.sizes[-1]
+        if self.spec.dim == 1:
+            np.multiply(spectrum, self._multipliers(ranks), out=work)
+            np.fft.irfft(work, n=n_last, out=flat.reshape(len(ranks), n_last))
+            return
+        leading = self._axes[:-1]
+        for stack, mults in zip(stacks, self._multipliers(ranks)):
+            for comp, mult in zip(stack, mults):
+                np.multiply(spectrum, mult, out=work)
+                for axis in leading:
+                    np.fft.ifft(work, axis=axis, out=work)
+                np.fft.irfft(work, n=n_last, out=comp)
 
 
 # Largest 1-D spectral grid on which the DFT matrix pair beats numpy.fft.  One
@@ -491,30 +533,45 @@ class _DftMatrixJetOps(_JetOps):
     so ``D1(D1 u)`` and ``D2 u`` agree as closely as on the FFT route.  The
     shift by ``u[0]`` changes no derivative and makes a constant input map to
     exact zeros.  The coefficients are ``F @ (u - u[0])``.
+
+    Several ranks are one product with their G_r stacked.  OpenBLAS's gemv
+    computes the last (rows mod 4) rows of a matrix with another kernel, so
+    a row of the stack has the bits of its own G_r only when N is a multiple
+    of 4; other grids take one product per rank.
     """
 
     def __init__(self, spec):
         super().__init__(spec)
         fhat = np.fft.rfft(np.eye(spec.sizes[0]), axis=0)
         self._forward_matrix = _frozen_array(np.concatenate([fhat.real, fhat.imag]))
+        self._stackable = spec.sizes[0] % 4 == 0
         self._inverse = {}
 
-    def _inverse_matrix(self, rank):
-        inv = self._inverse.get(rank)
+    def _inverse_matrix(self, ranks):
+        inv = self._inverse.get(ranks)
         if inv is None:
-            n = self.spec.sizes[0]
-            half = np.eye(n // 2 + 1)
-            (mult,) = _rank_multipliers(self.spec, rank)
-            basis = np.concatenate([half, 1j * half]) * mult
-            inv = self._inverse[rank] = _frozen_array(np.fft.irfft(basis, n=n).T)
+            if len(ranks) > 1:
+                inv = np.concatenate([self._inverse_matrix((rank,)) for rank in ranks])
+            else:
+                n = self.spec.sizes[0]
+                half = np.eye(n // 2 + 1)
+                (mult,) = _rank_multipliers(self.spec, ranks[0])
+                basis = np.concatenate([half, 1j * half]) * mult
+                inv = np.fft.irfft(basis, n=n).T
+            inv = self._inverse[ranks] = _frozen_array(inv)
         return inv
 
     def forward(self, values):
         return np.dot(self._forward_matrix, values - values[0])
 
-    def _write(self, coeffs, rank, out, work):
+    def _write(self, coeffs, ranks, buffers):
+        stacks, flat, _ = buffers
         # np.dot runs the same gemv as np.matmul with less per-call dispatch
-        np.dot(self._inverse_matrix(rank), coeffs, out=out[0])
+        if len(ranks) == 1 or self._stackable:
+            np.dot(self._inverse_matrix(ranks), coeffs, out=flat)
+            return
+        for rank, stack in zip(ranks, stacks):
+            np.dot(self._inverse_matrix((rank,)), coeffs, out=stack[0])
 
 
 class _Central4JetOps(_JetOps):
@@ -523,14 +580,15 @@ class _Central4JetOps(_JetOps):
     def forward(self, values):
         return values
 
-    def _write(self, values, rank, out, work):
+    def _write(self, values, ranks, buffers):
         hs = self.spec.spacings
-        for comp, idx in zip(out, sym_indices(self.spec.dim, rank)):
-            deriv = values
-            for axis, m in enumerate(_powers_of(idx, self.spec.dim)):
-                if m:
-                    deriv = _central4_partial(deriv, axis, hs[axis], m)
-            comp[...] = deriv
+        for stack, rank in zip(buffers[0], ranks):
+            for comp, idx in zip(stack, sym_indices(self.spec.dim, rank)):
+                deriv = values
+                for axis, m in enumerate(_powers_of(idx, self.spec.dim)):
+                    if m:
+                        deriv = _central4_partial(deriv, axis, hs[axis], m)
+                comp[...] = deriv
 
 
 @lru_cache(maxsize=32)

@@ -24,6 +24,7 @@ from .fields import (
     SCHEMES,
     GridSpec,
     PeriodicScalarField,
+    SpecMismatchError,
     SymMatrixField,
     SymTensor3Field,
     VectorField,
@@ -101,7 +102,7 @@ class FlowState:
     forward transform of u, and cached as raw read-only arrays; the field
     wrappers ``u``, ``du``, ``d2u`` and ``d3u`` are built only when asked for.
     ``integrate`` seeds its records and its result from the loop's own arrays,
-    so those states recompute nothing the loop already has."""
+    jets included, so those states recompute nothing the loop already has."""
 
     __slots__ = ("t", "spec", "scheme", "_u", "_values", "_ops", "_coeffs",
                  "_jets", "_norms_sq", "_psi", "__weakref__")
@@ -116,14 +117,15 @@ class FlowState:
         return cls(0.0, u0, scheme=cfg.scheme)
 
     @classmethod
-    def _from_loop(cls, t, values, coeffs, hess, d2u_sq, ops, scheme):
+    def _from_loop(cls, t, values, coeffs, jets, d2u_sq, ops, scheme):
         """State over ``integrate``'s frozen arrays: the values of u, their
-        coefficients under ``ops``, the Hessian stack and |D^2 u|^2."""
+        coefficients under ``ops``, the jet stacks by rank (the Hessian at
+        least) and |D^2 u|^2."""
         d2u_sq.setflags(write=False)
         state = cls.__new__(cls)
         state.t, state.spec, state.scheme, state._u = t, ops.spec, scheme, None
         state._values, state._ops, state._coeffs = values, ops, coeffs
-        state._jets, state._norms_sq, state._psi = {2: hess}, {2: d2u_sq}, {}
+        state._jets, state._norms_sq, state._psi = dict(jets), {2: d2u_sq}, {}
         return state
 
     @property
@@ -138,7 +140,8 @@ class FlowState:
         if comps is None:
             if self._coeffs is None:
                 self._coeffs = self._ops.forward(self._values)
-            comps = self._jets[rank] = self._ops.jets(self._coeffs, rank)
+            (comps,) = self._ops.jets(self._coeffs, (rank,))
+            self._jets[rank] = comps
         return comps
 
     @property
@@ -215,7 +218,7 @@ def _rhs_values(u_vals, hess, kappa, dim):
 
 def _rk4_update(u_vals, hess, dt, kappa, ops, dim, buffers):
     """One RK4 step from raw values; ``hess`` is the Hessian stack of u_vals and
-    ``buffers`` come from ``ops.hessian_buffers()``.  Returns a fresh array.
+    ``buffers`` come from ``ops.jet_buffers((2,))``.  Returns a fresh array.
 
     The stage arithmetic runs in place, in the order of
     ``u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with ``y = u + c dt k``, so the
@@ -224,13 +227,13 @@ def _rk4_update(u_vals, hess, dt, kappa, ops, dim, buffers):
     k1 = _rhs_values(u_vals, hess, kappa, dim)
     y = k1 * (0.5 * dt)
     y += u_vals
-    k2 = _rhs_values(y, ops.hessian_into(y, buffers), kappa, dim)
+    k2 = _rhs_values(y, ops.jets(ops.forward(y), (2,), buffers)[0], kappa, dim)
     np.multiply(k2, 0.5 * dt, out=y)
     y += u_vals
-    k3 = _rhs_values(y, ops.hessian_into(y, buffers), kappa, dim)
+    k3 = _rhs_values(y, ops.jets(ops.forward(y), (2,), buffers)[0], kappa, dim)
     np.multiply(k3, dt, out=y)
     y += u_vals
-    k4 = _rhs_values(y, ops.hessian_into(y, buffers), kappa, dim)
+    k4 = _rhs_values(y, ops.jets(ops.forward(y), (2,), buffers)[0], kappa, dim)
     k2 *= 2.0
     k1 += k2
     k3 *= 2.0
@@ -242,12 +245,23 @@ def _rk4_update(u_vals, hess, dt, kappa, ops, dim, buffers):
 
 
 def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
-    """Advance one RK4 step; jets of the returned state are refreshed lazily."""
+    """Advance one RK4 step; jets of the returned state are refreshed lazily.
+
+    Raises SpecMismatchError (a ValueError) when the state's grid is not the
+    config's, and ValueError when its scheme is not: both would step it with
+    the config's dt and operators, which belong to another discretization.
+    """
+    if state.spec is not cfg.grid and state.spec != cfg.grid:
+        raise SpecMismatchError(
+            f"state grid does not match config grid: {state.spec} vs {cfg.grid}")
+    if state.scheme != cfg.scheme:
+        raise ValueError(f"state scheme does not match config scheme: "
+                         f"{state.scheme!r} vs {cfg.scheme!r}")
     if dt is None:
         dt = cfg.dt
     ops = jet_ops(state.spec, cfg.scheme)
     u_new = _rk4_update(state._values, state._jet(2), dt, cfg.kappa, ops,
-                        state.spec.dim, ops.hessian_buffers())
+                        state.spec.dim, ops.jet_buffers((2,)))
     u_new.setflags(write=False)
     sup_new = float(np.abs(u_new).max())
     if not np.isfinite(sup_new):
@@ -274,9 +288,10 @@ def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
 
 
 def _check_u0(u0: PeriodicScalarField, cfg: FlowConfig):
-    """Raise ValueError unless u0 is finite and sampled on the config's grid."""
+    """Raise ValueError unless u0 is finite and sampled on the config's grid
+    (SpecMismatchError, a ValueError, when it is not)."""
     if u0.spec != cfg.grid:
-        raise ValueError("u0 grid does not match config grid")
+        raise SpecMismatchError(f"u0 grid does not match config grid: {u0.spec} vs {cfg.grid}")
     if not u0.is_finite():
         raise ValueError("u0 is not finite")
 
@@ -300,12 +315,16 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     warnings are off inside the loop; ``sink`` runs under the caller's
     floating-point error state.
 
-    Each state costs one forward transform: its Hessian, the convergence
-    gradient and the jets of its record all come from the same coefficients.
-    Each record is ``monitor_record`` (looked up by module name) of a
-    ``FlowState`` seeded with the loop's own arrays, with no field wrapper;
-    the result's state is built the same way.  The blowup guard and the
-    record read the same pointwise |D^2 u|^2.
+    Each state costs one forward transform and one synthesis from its
+    coefficients: D^2 u alone, or D u, D^2 u and D^3 u together at a state
+    that will be recorded (on the cadence, or the last one before t_max).
+    The synthesized ranks are bit-identical to one synthesis per rank.  A
+    gradient for the convergence test at any other state comes from the same
+    coefficients.  Each record is ``monitor_record`` (looked up by module
+    name) of a ``FlowState`` seeded with the loop's own arrays, jets
+    included, with no field wrapper; the result's state is built the same
+    way, over the Hessian alone when its record was taken on the cadence.
+    The blowup guard and the record read the same pointwise |D^2 u|^2.
     """
     _check_u0(u0, cfg)
     if cfg.kappa > 0.0:
@@ -315,7 +334,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
         )
 
     ops = jet_ops(cfg.grid, cfg.scheme)
-    buffers = ops.hessian_buffers()
+    buffers = ops.jet_buffers((2,))
     dim = cfg.grid.dim
     dt = cfg.dt
     tol = cfg.conv_tol
@@ -333,7 +352,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     caller_errstate = np.geterr()
 
     def state_now():
-        return FlowState._from_loop(t, u, coeffs, hess, d2u_sq, ops, cfg.scheme)
+        return FlowState._from_loop(t, u, coeffs, jets, d2u_sq, ops, cfg.scheme)
 
     def emit(state):
         nonlocal last_emitted, warned_region
@@ -360,10 +379,19 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     with np.errstate(invalid="ignore"):
         while True:
             coeffs = ops.forward(u)
-            hess = ops.jets(coeffs, 2)
+            on_cadence = step == 0 or (record_every and (first_step + step) % record_every == 0)
+            last = t + 0.5 * dt >= cfg.t_max  # this state ends the run; finish records it
+            if on_cadence or last:  # the ranks monitor_record reads, from one synthesis
+                jets = dict(zip((1, 2, 3), ops.jets(coeffs, (1, 2, 3))))
+            else:
+                jets = {2: ops.jets(coeffs, (2,))[0]}
+            hess = jets[2]
             d2u_sq = sym_norm_sq(hess, dim, 2)
-            if step == 0 or (record_every and (first_step + step) % record_every == 0):
+            if on_cadence:
                 emit(state_now())
+                # the record's other ranks leave with it; kept, they would ride
+                # in the result's state, which a caller holds on to
+                jets = {2: hess}
 
             # a non-finite u yields a non-finite Hessian, so this guard catches both
             sup_d2 = float(np.sqrt(d2u_sq.max()))
@@ -377,16 +405,18 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                 ))
 
             if sup_d2 < tol and (kappa == 0.0 or float(np.abs(u).max()) < tol):
-                if sym_sup_norm(ops.jets(coeffs, 1), dim, 1) < tol:
+                if 1 not in jets:
+                    (jets[1],) = ops.jets(coeffs, (1,))
+                if sym_sup_norm(jets[1], dim, 1) < tol:
                     return finish("converged")
 
-            if t + 0.5 * dt >= cfg.t_max:
+            if last:
                 return finish("timed_out")
 
-            # free it before the stage temporaries, as a guard-only temporary would
-            # be: kept across the step, it let 2-D 128^2 jobs fault in about 4x
-            # the pages on some heap layouts
-            del d2u_sq
+            # free them before the stage temporaries, as guard-only temporaries
+            # would be: |D^2 u|^2 kept across the step let 2-D 128^2 jobs fault
+            # in about 4x the pages on some heap layouts
+            del d2u_sq, jets
             u = _rk4_update(u, hess, dt, kappa, ops, dim, buffers)
             u.setflags(write=False)  # so the result state wraps it without a copy
             t += dt

@@ -72,9 +72,9 @@ def random_bandlimited_potential(
             phase += k * x / p
         values += a * np.cos(2.0 * np.pi * phase) + b * np.sin(2.0 * np.pi * phase)
     ops = jet_ops(spec, scheme)
-    coeffs = ops.forward(values)
-    du_sq = sym_norm_sq(ops.jets(coeffs, 1), spec.dim, 1)
-    d2_sq = sym_norm_sq(ops.jets(coeffs, 2), spec.dim, 2)
+    du, d2u = ops.jets(ops.forward(values), (1, 2))
+    du_sq = sym_norm_sq(du, spec.dim, 1)
+    d2_sq = sym_norm_sq(d2u, spec.dim, 2)
     psi_max = float(np.max(psi_values(values, du_sq, d2_sq, C0, C1)))
     if psi_max <= 0.0:
         raise ValueError("degenerate random draw")

@@ -12,8 +12,10 @@ from lmcf.fields import (
     SpecMismatchError,
     SymMatrixField,
     UnsupportedOrderError,
+    _Central4JetOps,
     _DftMatrixJetOps,
     _FftJetOps,
+    _rank_multipliers,
     derivative,
     jet_ops,
     l2_pairing,
@@ -220,7 +222,8 @@ class TestOnePassPerState:
         monkeypatch.setattr(ops, "forward", lambda v: calls.append(v) or forward(v))
         spectrum = ops.forward(u)
         for rank in (1, 2, 3, 4):
-            assert np.array_equal(ops.jets(spectrum, rank), ops.components(u.copy(), rank))
+            assert np.array_equal(ops.jets(spectrum, (rank,))[0],
+                                  ops.components(u.copy(), rank))
         assert sum(v is u for v in calls) == 1
         assert len(calls) == 5
         # the ops object keeps nothing: every call on the same input transforms it
@@ -240,11 +243,47 @@ class TestOnePassPerState:
             stack = ops.components(u, rank)
             assert stack.shape == (len(sym_indices(spec.dim, rank)),) + sizes
             assert not stack.flags.writeable
-        buffers = ops.hessian_buffers()
+        buffers = ops.jet_buffers((2,))
+        (first,) = ops.jets(ops.forward(u), (2,), buffers)
         for v in (u, 2.0 * u):
-            out = ops.hessian_into(v, buffers)
-            assert out is buffers[0]
+            (out,) = ops.jets(ops.forward(v), (2,), buffers)
+            assert out is first and out.flags.writeable
             assert np.array_equal(out, ops.hessian(v))
+
+    @pytest.mark.parametrize("scheme,sizes,route", [
+        ("spectral", (64,), _DftMatrixJetOps), ("spectral", (96,), _DftMatrixJetOps),
+        ("spectral", (128,), _DftMatrixJetOps), ("spectral", (10,), _DftMatrixJetOps),
+        ("spectral", (30,), _DftMatrixJetOps), ("spectral", (126,), _DftMatrixJetOps),
+        ("spectral", (130,), _FftJetOps), ("spectral", (256,), _FftJetOps),
+        ("spectral", (32, 24), _FftJetOps), ("spectral", (16, 12, 8), _FftJetOps),
+        ("central4", (64,), _Central4JetOps), ("central4", (16, 16), _Central4JetOps),
+    ])
+    def test_multi_rank_synthesis_matches_per_rank(self, scheme, sizes, route):
+        # a batched irfft or a stacked-G gemv must give each rank the bits of
+        # its own synthesis; N = 10, 30, 126 are grids where a stacked gemv
+        # would not (OpenBLAS computes the trailing N mod 4 rows apart)
+        spec = GridSpec(len(sizes), sizes)
+        ops = jet_ops(spec, scheme)
+        assert type(ops) is route
+        coeffs = ops.forward(random_bandlimited_potential(spec, 0.3, 3, seed=12).values)
+        for ranks in ((1, 2, 3), (1, 2), (4, 1, 3, 2)):
+            stacks = ops.jets(coeffs, ranks)
+            assert len(stacks) == len(ranks)
+            for rank, stack in zip(ranks, stacks):
+                assert stack.shape == (len(sym_indices(spec.dim, rank)),) + sizes
+                assert not stack.flags.writeable
+                assert np.array_equal(stack, ops.jets(coeffs, (rank,))[0])
+
+    @pytest.mark.parametrize("sizes", [(32, 24), (128, 128), (16, 12, 8), (32, 32, 32)])
+    def test_inverse_passes_match_irfftn(self, sizes):
+        # 2-D/3-D jets run irfftn's own passes, the complex ones in place
+        spec = GridSpec(len(sizes), sizes)
+        ops = _FftJetOps(spec)
+        spectrum = ops.forward(random_bandlimited_potential(spec, 0.3, 3, seed=4).values)
+        axes = tuple(range(spec.dim))
+        for rank, stack in zip((1, 2, 3, 4), ops.jets(spectrum, (1, 2, 3, 4))):
+            for comp, mult in zip(stack, _rank_multipliers(spec, rank)):
+                assert np.array_equal(comp, np.fft.irfftn(spectrum * mult, s=sizes, axes=axes))
 
     def test_wrapping_a_stack_makes_no_copy(self):
         spec = GridSpec(2, (16, 16))

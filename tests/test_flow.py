@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import lmcf.flow
 from lmcf.fields import (
     GridSpec,
     PeriodicScalarField,
+    SpecMismatchError,
     _Central4JetOps,
     _DftMatrixJetOps,
     _FftJetOps,
@@ -42,11 +44,11 @@ from lmcf.initial_data import random_bandlimited_potential, single_mode_potentia
 TWO_PI = 2.0 * np.pi
 
 BLAS_THREADS_RUN = """
-import dataclasses
+import dataclasses, sys
 from lmcf.fields import GridSpec
 from lmcf.flow import FlowConfig, integrate
 from lmcf.initial_data import random_bandlimited_potential
-spec = GridSpec(1, (64,))
+spec = GridSpec(1, (int(sys.argv[1]),))
 cfg = FlowConfig(grid=spec, kappa=-0.2, t_max=0.02, conv_tol=1e-13, checkpoint_every=10)
 res = integrate(random_bandlimited_potential(spec, 0.05, 3, seed=11), cfg)
 print(repr([dataclasses.astuple(rec) for rec in res.records]))
@@ -58,6 +60,7 @@ LOOP_ROUTES = [
     pytest.param((32, 32), 6, "spectral", -0.5, _FftJetOps, id="sizes0-6"),
     pytest.param((16, 16, 16), 3, "spectral", -0.5, _FftJetOps, id="sizes1-3"),
     pytest.param((64,), 8, "spectral", -1.0, _DftMatrixJetOps, id="dft_1d_64"),
+    pytest.param((128,), 8, "spectral", -0.5, _DftMatrixJetOps, id="dft_1d_128"),
     pytest.param((256,), 8, "spectral", 0.0, _FftJetOps, id="fft_1d_256"),
     pytest.param((32, 32), 6, "central4", 0.0, _Central4JetOps, id="central4_2d"),
 ]
@@ -108,6 +111,24 @@ class TestStepRk4:
         for k in range(1, 200):
             state = step_rk4(state, cfg)
             assert np.max(np.abs(state.u.values - c * rho ** k)) <= 1e-15
+
+    def test_rejects_state_on_another_grid(self):
+        # the 32-point config's dt is 4x the CFL step of a 64-point state
+        fine, coarse = GridSpec(1, (64,)), GridSpec(1, (32,))
+        cfg = FlowConfig(grid=coarse, kappa=0.0, t_max=1.0)
+        state = FlowState(0.0, PeriodicScalarField.zeros(fine))
+        with pytest.raises(SpecMismatchError, match=re.escape(
+                f"state grid does not match config grid: {fine} vs {coarse}")):
+            step_rk4(state, cfg)
+
+    def test_rejects_state_under_another_scheme(self):
+        # a spectral state under a central4 config would mix the schemes' stages
+        spec = GridSpec(1, (32,))
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0, scheme="central4")
+        state = FlowState(0.0, PeriodicScalarField.zeros(spec), "spectral")
+        with pytest.raises(ValueError, match="state scheme does not match config scheme: "
+                                             "'spectral' vs 'central4'"):
+            step_rk4(state, cfg)
 
     def test_zero_field_stays_zero(self):
         spec = GridSpec(1, (16,))
@@ -280,6 +301,35 @@ class TestIntegrate:
         assert np.array_equal(res.state.u.values, state.u.values)
 
     @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
+    def test_one_synthesis_per_state_and_stage(self, sizes, steps, scheme, kappa, route,
+                                               monkeypatch):
+        # a record state gets D u, D^2 u and D^3 u from one jets call, every other
+        # state and each RK4 stage one rank-2 call; the last state before t_max
+        # is a record state off the cadence
+        spec = GridSpec(len(sizes), sizes)
+        base = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, scheme=scheme)
+        cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
+                                  checkpoint_every=3)
+        u0 = random_bandlimited_potential(spec, 0.05, 2, seed=6)
+        ops = jet_ops(spec, scheme)
+        assert type(ops) is route
+        forward, jets = ops.forward, ops.jets
+        forwards, ranks = [], []
+        monkeypatch.setattr(ops, "forward", lambda v: forwards.append(v) or forward(v))
+        monkeypatch.setattr(ops, "jets", lambda c, r, buffers=None:
+                            ranks.append(r) or jets(c, r, buffers))
+        res = integrate(u0, cfg)
+        assert res.steps == steps
+        assert len(forwards) == 1 + 4 * steps
+        want = []
+        for step in range(steps + 1):
+            want.append((1, 2, 3) if step % 3 == 0 or step == steps else (2,))
+            if step < steps:
+                want += [(2,)] * 3
+        assert ranks == want
+        assert len(res.records) == want.count((1, 2, 3))
+
+    @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
     def test_result_state_is_a_fresh_state(self, sizes, steps, scheme, kappa, route,
                                            monkeypatch):
         # the result's state is seeded with the loop's arrays: it equals a state
@@ -363,19 +413,22 @@ class TestIntegrate:
 
     def test_records_identical_across_blas_threads(self):
         # small 1-D spectral jets are BLAS matvecs; thread settings must not
-        # change a bit of the result
-        outs = []
-        for threads in ("1", None):
-            env = dict(os.environ)
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-                env.pop(var, None)
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], env=env,
-                                  capture_output=True, text=True, timeout=60, check=True)
-            outs.append(ast.literal_eval(proc.stdout))
-        assert len(outs[0]) > 2
-        assert outs[0] == outs[1]
+        # change a bit of the result.  N = 128 is the largest DFT grid: a record
+        # state's stacked G is 384 x 130, large enough that OpenBLAS may split
+        # the product across threads when the thread count is unset
+        for n in ("64", "128"):
+            outs = []
+            for threads in ("1", None):
+                env = dict(os.environ)
+                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+                    env.pop(var, None)
+                if threads is not None:
+                    env["OPENBLAS_NUM_THREADS"] = threads
+                proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN, n], env=env,
+                                      capture_output=True, text=True, timeout=60, check=True)
+                outs.append(ast.literal_eval(proc.stdout))
+            assert len(outs[0]) > 2
+            assert outs[0] == outs[1], n
 
     def test_kappa_positive_warns(self):
         spec = GridSpec(1, (16,))
