@@ -21,14 +21,15 @@ Every operator comes in two halves: ``forward`` maps values to coefficients
 the one synthesis entry point, builds the components of every rank the
 caller asks for from them in one synthesis, so a caller holding one state's
 coefficients gets all its ranks for one forward transform: a flow record
-gets ranks 1-3 from one call.  On 1-D grids that is one multiply against the
-stacked multipliers and one batched ``irfft``, or one product with the
-stacked DFT matrices; each row is bit-identical to a single-rank call.  On
-2-D/3-D grids each component is inverted by the passes ``irfftn`` makes,
-the complex ones in place in one work buffer.  The operators keep no input
-between calls.  Components are written straight into packed stacks.  The
-stacks ``jets`` returns are read-only; given buffers from ``jet_buffers`` it
-fills those instead, so that a time stepper allocates its stage Hessians once.
+gets ranks 1-3 from one call.  On 1-D FFT grids that is one multiply
+against the stacked multipliers and one batched ``irfft``, whose rows are
+bit-identical to single-rank calls; the DFT matrix route makes one product
+per rank.  On 2-D/3-D grids each component is inverted by the passes
+``irfftn`` makes, the complex ones in place in one work buffer.  The
+operators keep no input between calls.  Components are written straight
+into packed stacks.  The stacks ``jets`` returns are read-only; given
+buffers from ``jet_buffers`` it fills those instead, so that a time stepper
+allocates its stage Hessians once.
 
 This module owns the packed symmetric layout: a symmetric tensor stores
 each distinct component once, in sorted multi-index order, and everything
@@ -409,10 +410,10 @@ def _rank_multipliers(spec, rank):
 class _JetOps:
     """Jets of raw value arrays on one grid, written into packed stacks.
 
-    ``jets(forward(values), ranks)`` is the tuple of ``components(values, r)``
-    for r in ``ranks``: one ``forward`` and one synthesis serve every rank the
-    caller needs.  ``jets`` returns fresh read-only stacks; with ``buffers``
-    from ``jet_buffers(ranks)`` it writes into them instead and returns their
+    ``jets(forward(values), ranks)[i]`` is ``components(values, ranks[i])``:
+    one ``forward`` and one synthesis serve every rank the caller needs.
+    ``jets`` returns fresh read-only stacks; with ``buffers`` from
+    ``jet_buffers(ranks)`` it writes into them instead and returns their
     writable stacks, which the next call overwrites, so that a stepper
     allocates its stage buffers once.
     """
@@ -423,20 +424,17 @@ class _JetOps:
                         for rank in (1, 2, 3, 4)}
 
     def jet_buffers(self, ranks):
-        """Buffers ``(stacks, flat, work)`` for ``jets(coeffs, ranks, buffers)``.
+        """Buffers ``(stacks, work)`` for ``jets(coeffs, ranks, buffers)``.
 
-        On 1-D grids every rank has one component and the stacks are the rows
-        of the one array ``flat``; elsewhere each rank has an array of its
-        own, freed with its stack, and ``flat`` is None.  ``work`` is the
+        On 1-D grids every rank has one component and ``stacks`` is one
+        (len(ranks), 1, N) array, indexed by rank position; elsewhere it is a
+        tuple with an array per rank, freed with its stack.  ``work`` is the
         scratch the route needs besides them."""
-        nranks = len(ranks)
-        if self.spec.dim > 1:
-            return tuple(np.empty(self._shapes[rank]) for rank in ranks), None, self._work(nranks)
-        n = self.spec.sizes[0]
-        flat = np.empty(nranks * n)
-        # a reshape is cheaper than iterating a one-row array (about 0.2 against 0.6 us)
-        stacks = (flat.reshape(1, n),) if nranks == 1 else tuple(flat.reshape(nranks, 1, n))
-        return stacks, flat, self._work(nranks)
+        if self.spec.dim == 1:
+            stacks = np.empty((len(ranks), 1) + self.spec.sizes)
+        else:
+            stacks = tuple(np.empty(self._shapes[rank]) for rank in ranks)
+        return stacks, self._work(len(ranks))
 
     def _work(self, nranks):
         """Scratch buffer that ``_write`` needs besides the outputs."""
@@ -445,13 +443,16 @@ class _JetOps:
     def jets(self, coeffs, ranks, buffers=None):
         """Packed stacks of D^r u, one per rank r in the tuple ``ranks``."""
         if buffers is not None:
-            self._write(coeffs, ranks, buffers)
+            self._write(coeffs, ranks, *buffers)
             return buffers[0]
-        buffers = self.jet_buffers(ranks)
-        self._write(coeffs, ranks, buffers)
-        for stack in buffers[0]:
-            stack.setflags(write=False)
-        return buffers[0]
+        stacks, work = self.jet_buffers(ranks)
+        self._write(coeffs, ranks, stacks, work)
+        if self.spec.dim == 1:
+            stacks.setflags(write=False)  # its rows are read-only views
+        else:
+            for stack in stacks:
+                stack.setflags(write=False)
+        return stacks
 
     def components(self, values, rank):
         return self.jets(self.forward(values), (rank,))[0]
@@ -477,13 +478,13 @@ class _FftJetOps(_JetOps):
         self._mults = {}
 
     def _multipliers(self, ranks):
-        """Multipliers of ``ranks``: on 1-D grids one (len(ranks), N//2+1)
-        stack, elsewhere per rank the tuple of its packed components'."""
+        """Multipliers of ``ranks``: on 1-D grids one (len(ranks), 1, N//2+1)
+        array, elsewhere per rank the tuple of its packed components'."""
         mults = self._mults.get(ranks)
         if mults is None:
             mults = [_rank_multipliers(self.spec, rank) for rank in ranks]
             if self.spec.dim == 1:
-                mults = np.stack([mult for (mult,) in mults])  # one component per rank
+                mults = np.array(mults)  # (len(ranks), 1, N//2+1): one component per rank
                 mults.flags.writeable = False
             self._mults[ranks] = mults
         return mults
@@ -497,15 +498,14 @@ class _FftJetOps(_JetOps):
         sizes = self.spec.sizes
         half = sizes[:-1] + (sizes[-1] // 2 + 1,)
         if self.spec.dim == 1:
-            half = (nranks,) + half
+            half = (nranks, 1) + half
         return np.empty(half, dtype=np.complex128)
 
-    def _write(self, spectrum, ranks, buffers):
-        stacks, flat, work = buffers
+    def _write(self, spectrum, ranks, stacks, work):
         n_last = self.spec.sizes[-1]
         if self.spec.dim == 1:
             np.multiply(spectrum, self._multipliers(ranks), out=work)
-            np.fft.irfft(work, n=n_last, out=flat.reshape(len(ranks), n_last))
+            np.fft.irfft(work, n=n_last, out=stacks)
             return
         leading = self._axes[:-1]
         for stack, mults in zip(stacks, self._multipliers(ranks)):
@@ -532,46 +532,33 @@ class _DftMatrixJetOps(_JetOps):
     the transform and the multiplier apart keeps the FFT's roundoff structure,
     so ``D1(D1 u)`` and ``D2 u`` agree as closely as on the FFT route.  The
     shift by ``u[0]`` changes no derivative and makes a constant input map to
-    exact zeros.  The coefficients are ``F @ (u - u[0])``.
-
-    Several ranks are one product with their G_r stacked.  OpenBLAS's gemv
-    computes the last (rows mod 4) rows of a matrix with another kernel, so
-    a row of the stack has the bits of its own G_r only when N is a multiple
-    of 4; other grids take one product per rank.
+    exact zeros.  The coefficients are ``F @ (u - u[0])``; each rank is one
+    product with its own G_r.
     """
 
     def __init__(self, spec):
         super().__init__(spec)
         fhat = np.fft.rfft(np.eye(spec.sizes[0]), axis=0)
         self._forward_matrix = _frozen_array(np.concatenate([fhat.real, fhat.imag]))
-        self._stackable = spec.sizes[0] % 4 == 0
         self._inverse = {}
 
-    def _inverse_matrix(self, ranks):
-        inv = self._inverse.get(ranks)
+    def _inverse_matrix(self, rank):
+        inv = self._inverse.get(rank)
         if inv is None:
-            if len(ranks) > 1:
-                inv = np.concatenate([self._inverse_matrix((rank,)) for rank in ranks])
-            else:
-                n = self.spec.sizes[0]
-                half = np.eye(n // 2 + 1)
-                (mult,) = _rank_multipliers(self.spec, ranks[0])
-                basis = np.concatenate([half, 1j * half]) * mult
-                inv = np.fft.irfft(basis, n=n).T
-            inv = self._inverse[ranks] = _frozen_array(inv)
+            n = self.spec.sizes[0]
+            half = np.eye(n // 2 + 1)
+            (mult,) = _rank_multipliers(self.spec, rank)
+            basis = np.concatenate([half, 1j * half]) * mult
+            inv = self._inverse[rank] = _frozen_array(np.fft.irfft(basis, n=n).T)
         return inv
 
     def forward(self, values):
         return np.dot(self._forward_matrix, values - values[0])
 
-    def _write(self, coeffs, ranks, buffers):
-        stacks, flat, _ = buffers
+    def _write(self, coeffs, ranks, stacks, work):
         # np.dot runs the same gemv as np.matmul with less per-call dispatch
-        if len(ranks) == 1 or self._stackable:
-            np.dot(self._inverse_matrix(ranks), coeffs, out=flat)
-            return
-        for rank, stack in zip(ranks, stacks):
-            np.dot(self._inverse_matrix((rank,)), coeffs, out=stack[0])
+        for i, rank in enumerate(ranks):
+            np.dot(self._inverse_matrix(rank), coeffs, out=stacks[i, 0])
 
 
 class _Central4JetOps(_JetOps):
@@ -580,9 +567,9 @@ class _Central4JetOps(_JetOps):
     def forward(self, values):
         return values
 
-    def _write(self, values, ranks, buffers):
+    def _write(self, values, ranks, stacks, work):
         hs = self.spec.spacings
-        for stack, rank in zip(buffers[0], ranks):
+        for stack, rank in zip(stacks, ranks):
             for comp, idx in zip(stack, sym_indices(self.spec.dim, rank)):
                 deriv = values
                 for axis, m in enumerate(_powers_of(idx, self.spec.dim)):

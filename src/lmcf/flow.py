@@ -125,7 +125,7 @@ class FlowState:
         state = cls.__new__(cls)
         state.t, state.spec, state.scheme, state._u = t, ops.spec, scheme, None
         state._values, state._ops, state._coeffs = values, ops, coeffs
-        state._jets, state._norms_sq, state._psi = dict(jets), {2: d2u_sq}, {}
+        state._jets, state._norms_sq, state._psi = jets, {2: d2u_sq}, {}
         return state
 
     @property
@@ -140,8 +140,7 @@ class FlowState:
         if comps is None:
             if self._coeffs is None:
                 self._coeffs = self._ops.forward(self._values)
-            (comps,) = self._ops.jets(self._coeffs, (rank,))
-            self._jets[rank] = comps
+            comps = self._jets[rank] = self._ops.jets(self._coeffs, (rank,))[0]
         return comps
 
     @property
@@ -224,16 +223,20 @@ def _rk4_update(u_vals, hess, dt, kappa, ops, dim, buffers):
     ``u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with ``y = u + c dt k``, so the
     result is bit-identical to the expression.
     """
+    stage = buffers[0][0]  # the Hessian stack each stage's jets call overwrites
     k1 = _rhs_values(u_vals, hess, kappa, dim)
     y = k1 * (0.5 * dt)
     y += u_vals
-    k2 = _rhs_values(y, ops.jets(ops.forward(y), (2,), buffers)[0], kappa, dim)
+    ops.jets(ops.forward(y), (2,), buffers)
+    k2 = _rhs_values(y, stage, kappa, dim)
     np.multiply(k2, 0.5 * dt, out=y)
     y += u_vals
-    k3 = _rhs_values(y, ops.jets(ops.forward(y), (2,), buffers)[0], kappa, dim)
+    ops.jets(ops.forward(y), (2,), buffers)
+    k3 = _rhs_values(y, stage, kappa, dim)
     np.multiply(k3, dt, out=y)
     y += u_vals
-    k4 = _rhs_values(y, ops.jets(ops.forward(y), (2,), buffers)[0], kappa, dim)
+    ops.jets(ops.forward(y), (2,), buffers)
+    k4 = _rhs_values(y, stage, kappa, dim)
     k2 *= 2.0
     k1 += k2
     k3 *= 2.0
@@ -316,14 +319,13 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     floating-point error state.
 
     Each state costs one forward transform and one synthesis from its
-    coefficients: D^2 u alone, or D u, D^2 u and D^3 u together at a state
-    that will be recorded (on the cadence, or the last one before t_max).
-    The synthesized ranks are bit-identical to one synthesis per rank.  A
-    gradient for the convergence test at any other state comes from the same
-    coefficients.  Each record is ``monitor_record`` (looked up by module
-    name) of a ``FlowState`` seeded with the loop's own arrays, jets
-    included, with no field wrapper; the result's state is built the same
-    way, over the Hessian alone when its record was taken on the cadence.
+    coefficients: D^2 u alone, or D u, D^2 u and D^3 u together at a state on
+    the record cadence, bit-identical to one synthesis per rank.  The
+    convergence test's gradient comes from the same coefficients.  Each
+    record is ``monitor_record`` (looked up by module name) of a
+    ``FlowState`` seeded with the loop's own arrays, jets included, with no
+    field wrapper; the result's state is built the same way over the Hessian
+    alone, so a final record off the cadence synthesizes D u and D^3 u itself.
     The blowup guard and the record read the same pointwise |D^2 u|^2.
     """
     _check_u0(u0, cfg)
@@ -351,7 +353,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     warned_region = False
     caller_errstate = np.geterr()
 
-    def state_now():
+    def state_now(jets):
         return FlowState._from_loop(t, u, coeffs, jets, d2u_sq, ops, cfg.scheme)
 
     def emit(state):
@@ -371,7 +373,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             )
 
     def finish(outcome, blowup=None):
-        state = state_now()
+        state = state_now({2: hess})
         if last_emitted != step:
             emit(state)
         return FlowResult(outcome, state, tuple(records), step, blowup=blowup)
@@ -379,19 +381,18 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     with np.errstate(invalid="ignore"):
         while True:
             coeffs = ops.forward(u)
-            on_cadence = step == 0 or (record_every and (first_step + step) % record_every == 0)
-            last = t + 0.5 * dt >= cfg.t_max  # this state ends the run; finish records it
-            if on_cadence or last:  # the ranks monitor_record reads, from one synthesis
+            if step == 0 or (record_every and (first_step + step) % record_every == 0):
+                # the ranks monitor_record reads, from one synthesis; they leave
+                # with the record, so the RK4 stages and the result's state do
+                # not hold them
                 jets = dict(zip((1, 2, 3), ops.jets(coeffs, (1, 2, 3))))
+                hess = jets[2]
+                d2u_sq = sym_norm_sq(hess, dim, 2)
+                emit(state_now(jets))
+                del jets
             else:
-                jets = {2: ops.jets(coeffs, (2,))[0]}
-            hess = jets[2]
-            d2u_sq = sym_norm_sq(hess, dim, 2)
-            if on_cadence:
-                emit(state_now())
-                # the record's other ranks leave with it; kept, they would ride
-                # in the result's state, which a caller holds on to
-                jets = {2: hess}
+                hess = ops.jets(coeffs, (2,))[0]
+                d2u_sq = sym_norm_sq(hess, dim, 2)
 
             # a non-finite u yields a non-finite Hessian, so this guard catches both
             sup_d2 = float(np.sqrt(d2u_sq.max()))
@@ -405,18 +406,16 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                 ))
 
             if sup_d2 < tol and (kappa == 0.0 or float(np.abs(u).max()) < tol):
-                if 1 not in jets:
-                    (jets[1],) = ops.jets(coeffs, (1,))
-                if sym_sup_norm(jets[1], dim, 1) < tol:
+                if sym_sup_norm(ops.jets(coeffs, (1,))[0], dim, 1) < tol:
                     return finish("converged")
 
-            if last:
+            if t + 0.5 * dt >= cfg.t_max:
                 return finish("timed_out")
 
-            # free them before the stage temporaries, as guard-only temporaries
-            # would be: |D^2 u|^2 kept across the step let 2-D 128^2 jobs fault
-            # in about 4x the pages on some heap layouts
-            del d2u_sq, jets
+            # free it before the stage temporaries, as a guard-only temporary would
+            # be: kept across the step, it let 2-D 128^2 jobs fault in about 4x
+            # the pages on some heap layouts
+            del d2u_sq
             u = _rk4_update(u, hess, dt, kappa, ops, dim, buffers)
             u.setflags(write=False)  # so the result state wraps it without a copy
             t += dt
