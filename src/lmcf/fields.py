@@ -428,16 +428,16 @@ class _JetOps:
 
         On 1-D grids every rank has one component and ``stacks`` is one
         (len(ranks), 1, N) array, indexed by rank position; elsewhere it is a
-        tuple with an array per rank, freed with its stack.  ``work`` is the
-        scratch the route needs besides them."""
+        tuple with an array per rank, freed with its stack.  ``work`` is what
+        the route's ``_write`` needs besides them."""
         if self.spec.dim == 1:
             stacks = np.empty((len(ranks), 1) + self.spec.sizes)
         else:
             stacks = tuple(np.empty(self._shapes[rank]) for rank in ranks)
-        return stacks, self._work(len(ranks))
+        return stacks, self._work(ranks, stacks)
 
-    def _work(self, nranks):
-        """Scratch buffer that ``_write`` needs besides the outputs."""
+    def _work(self, ranks, stacks):
+        """What ``_write`` needs besides the outputs."""
         return None
 
     def jets(self, coeffs, ranks, buffers=None):
@@ -494,11 +494,11 @@ class _FftJetOps(_JetOps):
             return np.fft.rfft(values)
         return np.fft.rfftn(values, axes=self._axes)
 
-    def _work(self, nranks):
+    def _work(self, ranks, stacks):
         sizes = self.spec.sizes
         half = sizes[:-1] + (sizes[-1] // 2 + 1,)
         if self.spec.dim == 1:
-            half = (nranks, 1) + half
+            half = (len(ranks), 1) + half
         return np.empty(half, dtype=np.complex128)
 
     def _write(self, spectrum, ranks, stacks, work):
@@ -555,10 +555,15 @@ class _DftMatrixJetOps(_JetOps):
     def forward(self, values):
         return np.dot(self._forward_matrix, values - values[0])
 
-    def _write(self, coeffs, ranks, stacks, work):
+    def _work(self, ranks, stacks):
+        """Each rank's product, its G_r and the row it writes, looked up once
+        per set of buffers rather than once per call."""
+        return [(self._inverse_matrix(rank), stacks[i, 0]) for i, rank in enumerate(ranks)]
+
+    def _write(self, coeffs, ranks, stacks, products):
         # np.dot runs the same gemv as np.matmul with less per-call dispatch
-        for i, rank in enumerate(ranks):
-            np.dot(self._inverse_matrix(rank), coeffs, out=stacks[i, 0])
+        for inv, out in products:
+            np.dot(inv, coeffs, out=out)
 
 
 class _Central4JetOps(_JetOps):

@@ -319,8 +319,9 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     floating-point error state.
 
     Each state costs one forward transform and one synthesis from its
-    coefficients: D^2 u alone, or D u, D^2 u and D^3 u together at a state on
-    the record cadence, bit-identical to one synthesis per rank.  The
+    coefficients: D u, D^2 u and D^3 u together at a state on the record
+    cadence, bit-identical to one synthesis per rank, and otherwise D^2 u
+    alone, written into a buffer the loop owns, as the RK4 stages' are.  The
     convergence test's gradient comes from the same coefficients.  Each
     record is ``monitor_record`` (looked up by module name) of a
     ``FlowState`` seeded with the loop's own arrays, jets included, with no
@@ -337,6 +338,8 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 
     ops = jet_ops(cfg.grid, cfg.scheme)
     buffers = ops.jet_buffers((2,))
+    hess_buffers = ops.jet_buffers((2,))  # the Hessian of every state off the cadence
+    loop_hess = hess_buffers[0][0]
     dim = cfg.grid.dim
     dt = cfg.dt
     tol = cfg.conv_tol
@@ -373,6 +376,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             )
 
     def finish(outcome, blowup=None):
+        hess.setflags(write=False)  # the loop writes it no more
         state = state_now({2: hess})
         if last_emitted != step:
             emit(state)
@@ -391,7 +395,8 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                 emit(state_now(jets))
                 del jets
             else:
-                hess = ops.jets(coeffs, (2,))[0]
+                ops.jets(coeffs, (2,), hess_buffers)
+                hess = loop_hess
                 d2u_sq = sym_norm_sq(hess, dim, 2)
 
             # a non-finite u yields a non-finite Hessian, so this guard catches both

@@ -363,6 +363,22 @@ class TestIntegrate:
             assert np.array_equal(arr, want[name]), name
             assert not arr.flags.writeable, name
 
+    @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
+    def test_result_state_off_the_cadence_freezes_the_loop_hessian(self, sizes, steps, scheme,
+                                                                   kappa, route):
+        # off the record cadence each state's Hessian is written into one buffer
+        # the loop owns; the result's state holds it read-only
+        spec = GridSpec(len(sizes), sizes)
+        base = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, scheme=scheme)
+        cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
+                                  checkpoint_every=0)
+        res = integrate(random_bandlimited_potential(spec, 0.05, 2, seed=6), cfg)
+        assert res.steps == steps and len(res.records) == 2
+        hess = res.state._jet(2)
+        assert not hess.flags.writeable
+        fresh = FlowState(res.state.t, PeriodicScalarField(spec, res.state.u.values.copy()), scheme)
+        assert np.array_equal(hess, fresh._jet(2))
+
     def test_sink_receives_every_record(self):
         spec = GridSpec(1, (32,))
         cfg = FlowConfig(grid=spec, kappa=0.0, t_max=0.02, conv_tol=1e-13,
