@@ -1,15 +1,14 @@
 """Flat key = value run configuration files and named presets.
 
 The format is a plain text file, one ``key = value`` pair per line, with
-``#`` comments.  Keys (exactly): dim, sizes, periods, kappa, cfl, scheme,
-t_max, conv_tol, c0, c1, eps1, checkpoint_every, u0_preset, u0_amplitude,
-u0_seed, u0_modes.
+``#`` comments.  ``KEYS`` lists the keys, in the order the echoes print them.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .fields import GridSpec
 from .flow import FlowConfig
@@ -20,21 +19,27 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-_ALL_KEYS = (
-    "dim", "sizes", "periods", "kappa", "cfl", "scheme", "t_max", "conv_tol",
-    "c0", "c1", "eps1", "checkpoint_every",
-    "u0_preset", "u0_amplitude", "u0_seed", "u0_modes",
-)
-_REQUIRED_KEYS = ("dim", "sizes", "kappa", "t_max", "u0_preset", "u0_amplitude")
-# optional file key -> (FlowConfig field, type); absent keys keep FlowConfig's defaults
-_OPTIONAL_FLOW_KEYS = {
-    "cfl": ("cfl", float),
-    "scheme": ("scheme", str),
-    "conv_tol": ("conv_tol", float),
-    "c0": ("C0", float),
-    "c1": ("C1", float),
-    "eps1": ("eps1", float),
-    "checkpoint_every": ("checkpoint_every", int),
+# file key -> (field, type, required), in echo order.  The field is an attribute
+# path from RunSetup: ``cfg.grid.*`` keys build the GridSpec, the other ``cfg.*``
+# keys the FlowConfig and the rest the RunSetup; an absent optional key keeps
+# its class default.  A type in a 1-tuple is a comma-separated list of it.
+KEYS = {
+    "dim": ("cfg.grid.dim", int, True),
+    "sizes": ("cfg.grid.sizes", (int,), True),
+    "periods": ("cfg.grid.periods", (float,), False),
+    "kappa": ("cfg.kappa", float, True),
+    "cfl": ("cfg.cfl", float, False),
+    "scheme": ("cfg.scheme", str, False),
+    "t_max": ("cfg.t_max", float, True),
+    "conv_tol": ("cfg.conv_tol", float, False),
+    "c0": ("cfg.C0", float, False),
+    "c1": ("cfg.C1", float, False),
+    "eps1": ("cfg.eps1", float, False),
+    "checkpoint_every": ("cfg.checkpoint_every", int, False),
+    "u0_preset": ("u0_preset", str, True),
+    "u0_amplitude": ("u0_amplitude", float, True),
+    "u0_seed": ("u0_seed", int, False),
+    "u0_modes": ("u0_modes", (int,), False),
 }
 
 
@@ -45,8 +50,8 @@ class RunSetup:
     cfg: FlowConfig
     u0_preset: str
     u0_amplitude: float
-    u0_seed: int
-    u0_modes: tuple
+    u0_seed: int = 0
+    u0_modes: tuple = (1,)
 
     def build_u0(self):
         return build_initial(
@@ -70,7 +75,7 @@ def _parse_pairs(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -80,75 +85,45 @@ def _parse_pairs(text):
     return pairs
 
 
-def _get(pairs, key, kind, default=None):
-    if key not in pairs:
-        return default
-    raw = pairs[key]
+def _parse_value(key, raw, kind):
+    item = kind[0] if isinstance(kind, tuple) else kind
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        if item is kind:
+            return item(raw)
+        return tuple(item(tok) for tok in raw.split(","))
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind.__name__}") from exc
+        what = item.__name__ if item is kind else f"comma-separated {item.__name__} list"
+        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {what}") from exc
+
+
+def _format_value(value, kind):
+    item = kind[0] if isinstance(kind, tuple) else kind
+    text = "{:.17g}".format if item is float else str
+    return text(value) if item is kind else ",".join(map(text, value))
 
 
 def parse_config_text(text) -> RunSetup:
     pairs = _parse_pairs(text)
-    for key in _REQUIRED_KEYS:
-        if key not in pairs:
+    kwargs = {"cfg.grid": {}, "cfg": {}, "": {}}  # by the path of the class they build
+    for key, (path, kind, required) in KEYS.items():
+        if key in pairs:
+            owner, _, name = path.rpartition(".")
+            kwargs[owner][name] = _parse_value(key, pairs[key], kind)
+        elif required:
             raise ConfigError(f"missing required key {key!r}")
-    dim = _get(pairs, "dim", int)
+    grid = kwargs["cfg.grid"]
+    # one size or period stands for every axis; other dims are left to GridSpec
+    if grid["dim"] in (2, 3):
+        for name in ("sizes", "periods"):
+            if len(grid.get(name, ())) == 1:
+                grid[name] *= grid["dim"]
     try:
-        sizes = tuple(int(tok) for tok in pairs["sizes"].split(","))
-    except ValueError as exc:
-        raise ConfigError(f"sizes: cannot parse {pairs['sizes']!r}") from exc
-    if len(sizes) == 1 and dim > 1:
-        sizes = sizes * dim
-    periods = None
-    if "periods" in pairs:
-        try:
-            periods = tuple(float(tok) for tok in pairs["periods"].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"periods: cannot parse {pairs['periods']!r}") from exc
-        if len(periods) == 1 and dim > 1:
-            periods = periods * dim
-    try:
-        grid = GridSpec(dim, sizes, periods)
+        cfg = FlowConfig(grid=GridSpec(**grid), **kwargs["cfg"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    optional = {
-        field: _get(pairs, key, kind)
-        for key, (field, kind) in _OPTIONAL_FLOW_KEYS.items()
-        if key in pairs
-    }
-    try:
-        cfg = FlowConfig(
-            grid=grid,
-            kappa=_get(pairs, "kappa", float),
-            t_max=_get(pairs, "t_max", float),
-            **optional,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    preset = pairs["u0_preset"]
-    modes_raw = _get(pairs, "u0_modes", str, "1")
-    try:
-        modes = tuple(int(tok) for tok in modes_raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"u0_modes: cannot parse {modes_raw!r}") from exc
-    setup = RunSetup(
-        cfg=cfg,
-        u0_preset=preset,
-        u0_amplitude=_get(pairs, "u0_amplitude", float),
-        u0_seed=_get(pairs, "u0_seed", int, 0),
-        u0_modes=modes,
-    )
-    if preset not in PRESET_NAMES:
-        raise ConfigError(f"unknown u0_preset {preset!r}")
+    setup = RunSetup(cfg=cfg, **kwargs[""])
+    if setup.u0_preset not in PRESET_NAMES:
+        raise ConfigError(f"unknown u0_preset {setup.u0_preset!r}")
     return setup
 
 
@@ -161,34 +136,22 @@ def parse_config_file(path) -> RunSetup:
     return parse_config_text(text)
 
 
+def _echo(obj, prefix):
+    """``key = value`` lines of the keys whose path starts with ``prefix``, read
+    from ``obj`` (what the prefix leads to), each formatted by its type."""
+    return "".join(
+        f"{key} = {_format_value(attrgetter(path[len(prefix):])(obj), kind)}\n"
+        for key, (path, kind, _) in KEYS.items() if path.startswith(prefix))
+
+
 def format_stepper_config(cfg: FlowConfig) -> str:
     """``key = value`` lines of the grid and stepper keys (no initial data)."""
-    lines = [
-        f"dim = {cfg.grid.dim}",
-        "sizes = " + ",".join(str(s) for s in cfg.grid.sizes),
-        "periods = " + ",".join(f"{p:.17g}" for p in cfg.grid.periods),
-        f"kappa = {cfg.kappa:.17g}",
-        f"cfl = {cfg.cfl:.17g}",
-        f"scheme = {cfg.scheme}",
-        f"t_max = {cfg.t_max:.17g}",
-        f"conv_tol = {cfg.conv_tol:.17g}",
-        f"c0 = {cfg.C0:.17g}",
-        f"c1 = {cfg.C1:.17g}",
-        f"eps1 = {cfg.eps1:.17g}",
-        f"checkpoint_every = {cfg.checkpoint_every}",
-    ]
-    return "\n".join(lines) + "\n"
+    return _echo(cfg, "cfg.")
 
 
 def format_config(setup: RunSetup) -> str:
     """Every key of a run configuration, as ``parse_config_text`` reads it."""
-    lines = [
-        f"u0_preset = {setup.u0_preset}",
-        f"u0_amplitude = {setup.u0_amplitude:.17g}",
-        f"u0_seed = {setup.u0_seed}",
-        "u0_modes = " + ",".join(str(m) for m in setup.u0_modes),
-    ]
-    return format_stepper_config(setup.cfg) + "\n".join(lines) + "\n"
+    return _echo(setup, "")
 
 
 PRESETS = {

@@ -102,7 +102,7 @@ class GridSpec:
 
     @property
     def npoints(self):
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     @cached_property
     def cell_volume(self):

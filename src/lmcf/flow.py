@@ -216,8 +216,9 @@ def _rhs_values(u_vals, hess, kappa, dim):
 
 
 def _rk4_update(u_vals, hess, dt, kappa, ops, dim, buffers):
-    """One RK4 step from raw values; ``hess`` is the Hessian stack of u_vals and
-    ``buffers`` come from ``ops.jet_buffers((2,))``.  Returns a fresh array.
+    """One RK4 step from raw values; ``hess`` is the Hessian stack of u_vals,
+    possibly the stage stack of ``buffers`` (from ``ops.jet_buffers((2,))``),
+    which k1 reads before any stage overwrites it.  Returns a fresh array.
 
     The stage arithmetic runs in place, in the order of
     ``u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with ``y = u + c dt k``, so the
@@ -321,8 +322,8 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     Each state costs one forward transform and one synthesis from its
     coefficients: D u, D^2 u and D^3 u together at a state on the record
     cadence, bit-identical to one synthesis per rank, and otherwise D^2 u
-    alone, written into a buffer the loop owns, as the RK4 stages' are.  The
-    convergence test's gradient comes from the same coefficients.  Each
+    alone, written into the RK4 stage buffer, the call's one ``jet_buffers``.
+    The convergence test's gradient comes from the same coefficients.  Each
     record is ``monitor_record`` (looked up by module name) of a
     ``FlowState`` seeded with the loop's own arrays, jets included, with no
     field wrapper; the result's state is built the same way over the Hessian
@@ -338,8 +339,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 
     ops = jet_ops(cfg.grid, cfg.scheme)
     buffers = ops.jet_buffers((2,))
-    hess_buffers = ops.jet_buffers((2,))  # the Hessian of every state off the cadence
-    loop_hess = hess_buffers[0][0]
+    stage_hess = buffers[0][0]
     dim = cfg.grid.dim
     dt = cfg.dt
     tol = cfg.conv_tol
@@ -395,8 +395,8 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                 emit(state_now(jets))
                 del jets
             else:
-                ops.jets(coeffs, (2,), hess_buffers)
-                hess = loop_hess
+                ops.jets(coeffs, (2,), buffers)  # k1 reads it before a stage overwrites it
+                hess = stage_hess
                 d2u_sq = sym_norm_sq(hess, dim, 2)
 
             # a non-finite u yields a non-finite Hessian, so this guard catches both
@@ -505,8 +505,11 @@ def checkpoint_load(path, t_max=None):
             spec = GridSpec(n, sizes, periods)
         except ValueError as exc:
             raise CheckpointError(f"invalid grid in checkpoint: {exc}") from exc
-        npoints = spec.npoints
-        raw = _read_exact(fh, 8 * npoints, "grid values")
+        # the header alone can ask for any size: check it against the file first
+        nbytes = 8 * spec.npoints
+        if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise CheckpointError("truncated checkpoint while reading grid values")
+        raw = _read_exact(fh, nbytes, "grid values")
         if fh.read(1):
             raise CheckpointError("trailing bytes after grid values")
     try:

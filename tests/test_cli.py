@@ -1,14 +1,24 @@
 """Command-line contracts: exit codes, file formats, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lmcf.cli import main
-from lmcf.config_io import ConfigError, PRESETS, load_setup, parse_config_text
+from lmcf.config_io import (
+    KEYS,
+    PRESETS,
+    ConfigError,
+    RunSetup,
+    format_config,
+    format_stepper_config,
+    load_setup,
+    parse_config_text,
+)
 from lmcf.fields import GridSpec
-from lmcf.flow import checkpoint_load
+from lmcf.flow import FlowConfig, checkpoint_load
 from lmcf.monitors import MONITOR_HEADER, read_monitor_csv
 
 QUICK_CONFIG = """
@@ -55,6 +65,9 @@ class TestConfigParsing:
              "conv_tol must be finite"),
             (QUICK_CONFIG + "c0 = inf\n", "C0 must be finite"),
             (QUICK_CONFIG + "c1 = nan\n", "C1 must be finite"),
+            # an out-of-range dim is not broadcast to: GridSpec rejects it
+            (QUICK_CONFIG.replace("dim = 1", "dim = 9223372036854775808"),
+             "dim must be 1, 2 or 3"),
         ],
     )
     def test_malformed(self, text, match):
@@ -62,8 +75,6 @@ class TestConfigParsing:
             parse_config_text(text)
 
     def test_format_parse_roundtrip(self):
-        from lmcf.config_io import format_config
-
         setup = parse_config_text(QUICK_CONFIG)
         again = parse_config_text(format_config(setup))
         assert again.cfg == setup.cfg
@@ -80,6 +91,41 @@ class TestConfigParsing:
         for name in PRESETS:
             setup = load_setup(name)
             assert setup.cfg.t_max > 0
+
+    def test_one_key_per_field(self):
+        # every field of the classes a config builds has exactly one file key
+        paths = sorted(path for path, _, _ in KEYS.values())
+        want = sorted([f"cfg.grid.{f.name}" for f in dataclasses.fields(GridSpec)]
+                      + [f"cfg.{f.name}" for f in dataclasses.fields(FlowConfig)
+                         if f.name != "grid"]
+                      + [f.name for f in dataclasses.fields(RunSetup) if f.name != "cfg"])
+        assert paths == want
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_echo_round_trips(self, name):
+        setup = load_setup(name)
+        echo = format_config(setup)
+        assert list(KEYS) == [line.split(" = ")[0] for line in echo.splitlines()]
+        again = parse_config_text(echo)
+        assert again == setup
+        assert format_config(again) == echo
+
+    def test_programmatic_ints_echo_as_ints(self):
+        cfg = FlowConfig(grid=GridSpec(1, (16,)), kappa=-1, t_max=1, C0=100)
+        echo = format_stepper_config(cfg).splitlines()
+        assert "kappa = -1" in echo and "c0 = 100" in echo and "t_max = 1" in echo
+        assert "cfl = 0.20000000000000001" in echo
+
+    @pytest.mark.parametrize("key", [key for key, (_, kind, _) in KEYS.items() if kind is not str])
+    def test_parse_error_names_key_value_and_type(self, key):
+        kind = KEYS[key][1]
+        what = kind.__name__ if isinstance(kind, type) else f"{kind[0].__name__} list"
+        lines = [line for line in QUICK_CONFIG.splitlines() if not line.startswith(key + " ")]
+        with pytest.raises(ConfigError) as info:
+            parse_config_text("\n".join(lines + [f"{key} = 1,x"]))
+        assert f"{key!r}" in str(info.value)
+        assert "'1,x'" in str(info.value)
+        assert what in str(info.value)
 
     def test_unknown_config_argument(self):
         with pytest.raises(ConfigError, match="neither a config file nor a preset"):

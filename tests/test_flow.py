@@ -333,6 +333,38 @@ class TestIntegrate:
         assert len(res.records) == want.count((1, 2, 3)) + off_cadence
 
     @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
+    def test_one_buffer_set_per_call(self, sizes, steps, scheme, kappa, route, monkeypatch):
+        # the RK4 stages and the Hessian of every state off the record cadence
+        # share one jet_buffers set; the fresh output of a jets call without
+        # buffers is not counted
+        spec = GridSpec(len(sizes), sizes)
+        base = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, scheme=scheme)
+        cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
+                                  checkpoint_every=3)
+        u0 = random_bandlimited_potential(spec, 0.05, 2, seed=6)
+        ops = jet_ops(spec, scheme)
+        assert type(ops) is route
+        jet_buffers, jets = ops.jet_buffers, ops.jets
+        inside, calls = [], []
+
+        def spy_jets(coeffs, ranks, buffers=None):
+            inside.append(ranks)
+            try:
+                return jets(coeffs, ranks, buffers)
+            finally:
+                inside.pop()
+
+        def spy_buffers(ranks):
+            if not inside:
+                calls.append(ranks)
+            return jet_buffers(ranks)
+
+        monkeypatch.setattr(ops, "jets", spy_jets)
+        monkeypatch.setattr(ops, "jet_buffers", spy_buffers)
+        assert integrate(u0, cfg).steps == steps
+        assert calls == [(2,)]
+
+    @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
     def test_result_state_is_a_fresh_state(self, sizes, steps, scheme, kappa, route,
                                            monkeypatch):
         # the result's state is seeded with the loop's arrays: it equals a state
@@ -578,6 +610,18 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(CheckpointError, match="truncated"):
+            checkpoint_load(path)
+
+    def test_header_point_count_does_not_wrap(self, tmp_path):
+        # 2^93 points wrap to 0 in int64; the header is checked against the
+        # bytes the file has before any value is read
+        sizes = (2 ** 31,) * 3
+        assert GridSpec(3, sizes).npoints == 2 ** 93
+        path = tmp_path / "huge.lmcf"
+        path.write_bytes(b"LMCF" + struct.pack("<II3I3d2d5dI", 2, 3, *sizes, 1.0, 1.0, 1.0,
+                                               0.0, 0.0, 0.2, 1e-8, 100.0, 10.0, 0.1, 0)
+                         + np.zeros(2).tobytes())
+        with pytest.raises(CheckpointError, match="truncated checkpoint while reading grid values"):
             checkpoint_load(path)
 
     def test_bad_magic(self, tmp_path):
