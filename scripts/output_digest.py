@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from lmcf.cli import main
+from run_stability_battery import CERTIFIED_PRESETS  # the script's directory is on sys.path
 
-CERTIFIED_PRESETS = ("stability_kappa0", "constant_decay", "psi_random", "psi_random_2d")
 _RANDOM = "u0_preset = random_bandlimited\nu0_seed = 5\n"
 CONFIGS = {
     "dft_1d_64": "dim = 1\nsizes = 64\nkappa = -0.5\nt_max = 0.02\ncheckpoint_every = 1\n"

@@ -22,6 +22,14 @@ def constant_potential(spec: GridSpec, amplitude: float) -> PeriodicScalarField:
     return PeriodicScalarField.constant(spec, amplitude)
 
 
+def _check_resolved(spec: GridSpec, mode):
+    """A mode above an axis' Nyquist mode N_a/2 would run as an aliased lower one."""
+    for axis, (k, n) in enumerate(zip(mode, spec.sizes)):
+        if abs(k) > n // 2:
+            raise ValueError(f"mode {k} on axis {axis} exceeds the Nyquist mode "
+                             f"N_{axis}/2 = {n // 2} of the grid")
+
+
 def single_mode_potential(spec: GridSpec, amplitude: float, mode) -> PeriodicScalarField:
     """amplitude * cos(2 pi k . x / P) for an integer mode vector k."""
     mode = tuple(int(m) for m in mode)
@@ -31,6 +39,7 @@ def single_mode_potential(spec: GridSpec, amplitude: float, mode) -> PeriodicSca
         raise ValueError(f"mode vector {mode} does not match dimension {spec.dim}")
     if all(m == 0 for m in mode):
         raise ValueError("mode vector must be nonzero; use the constant preset instead")
+    _check_resolved(spec, mode)
     coords = spec.coordinates()
     phase = np.zeros(spec.sizes)
     for k, x, p in zip(mode, coords, spec.periods):
@@ -62,6 +71,9 @@ def random_bandlimited_potential(
     """Seeded random mean-zero field, scaled so initial max psi = amplitude^2."""
     if max_mode < 1:
         raise ValueError("max_mode must be >= 1")
+    if seed < 0:
+        raise ValueError(f"random_bandlimited seed must be >= 0, got {seed}")
+    _check_resolved(spec, (max_mode,) * spec.dim)
     rng = np.random.default_rng(seed)
     coords = spec.coordinates()
     values = np.zeros(spec.sizes)

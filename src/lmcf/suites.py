@@ -8,7 +8,6 @@ report in it passes.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -31,8 +30,12 @@ from .geometry import (
 from .initial_data import random_bandlimited_potential, single_mode_potential
 from .verification import (
     EVOLUTION_NAMES,
-    ResidualReport,
-    _fitted_constant,
+    ORACLE_GAP_TOL,
+    ROUTE_GAP_TOL,
+    _agreement_samples,
+    _report,
+    _volume_second_difference,
+    _within_bounds,
     angle_oracle_gap,
     check_angle_expansion,
     check_evolution_inequality,
@@ -48,10 +51,6 @@ from .verification import (
 )
 
 EXPANSION_AMPLITUDES = (1e-1, 1e-2, 1e-3)
-
-
-def _report(name, samples, passed, order=math.nan, note=""):
-    return ResidualReport(name, tuple(samples), _fitted_constant(samples), order, passed, note)
 
 
 def _random_sym_batch(rng, dim, count, fro_max):
@@ -72,9 +71,8 @@ def _angle_oracle_report():
     samples = []
     for dim in (1, 2, 3):
         comps = _random_sym_batch(rng, dim, 1000, 0.5)
-        samples.append((float(dim), angle_oracle_gap(comps, dim), 1e-10))
-    passed = all(res <= bound for _, res, bound in samples)
-    return _report("angle_oracle_equivalence", samples, passed)
+        samples.append((float(dim), angle_oracle_gap(comps, dim), ORACLE_GAP_TOL))
+    return _report("angle_oracle_equivalence", samples, _within_bounds(samples))
 
 
 def _angle_gradient_report():
@@ -120,9 +118,8 @@ def _two_route_report():
         f = random_bandlimited_potential(spec, 0.05, 3, seed=202 + dim)
         M = metric_from_potential(u)
         gap, mag = two_route_gap(f, M)
-        samples.append((float(dim), gap / mag, 1e-8))
-    passed = all(res <= bound for _, res, bound in samples)
-    return _report("laplace_two_route", samples, passed)
+        samples.append((float(dim), gap / mag, ROUTE_GAP_TOL))
+    return _report("laplace_two_route", samples, _within_bounds(samples))
 
 
 def _orthogonal_invariance_report():
@@ -151,8 +148,7 @@ def _metric_bounds_report():
     low = float(np.min(eig))
     high = float(np.max(eig))
     samples = [(0.0, 1.0 - low, 1e-12), (1.0, high - (1.0 + eps0 * eps0), 1e-12)]
-    passed = all(res <= bound for _, res, bound in samples)
-    return _report("metric_eigenvalue_window", samples, passed,
+    return _report("metric_eigenvalue_window", samples, _within_bounds(samples),
                    note="mu lies in [1, 1+eps0^2], inside the admissible [1/2, 2] window")
 
 
@@ -175,10 +171,8 @@ def _scheme_independence_report(expansion_128, lap_u, lap_f, laplacian_128):
         (laplacian_128, check_laplacian_difference(lap_u, lap_f, scheme="central4")),
     ]
     for spectral, central in pairs:
-        stable = constants_stable(spectral, central)
-        ok = ok and stable and spectral.passed and central.passed
-        samples.append((0.0, spectral.fitted_constant, 2.0 * central.fitted_constant + 1e-8))
-        samples.append((1.0, central.fitted_constant, 2.0 * spectral.fitted_constant + 1e-8))
+        ok = ok and constants_stable(spectral, central) and spectral.passed and central.passed
+        samples += _agreement_samples(0.0, spectral, 1.0, central)
     return _report("scheme_independence", samples, ok,
                    note="fitted constants, spectral vs central4 at N=128")
 
@@ -186,10 +180,8 @@ def _scheme_independence_report(expansion_128, lap_u, lap_f, laplacian_128):
 def _grid_convergence_report(rep_128):
     """Residual reports at N and 2N must agree on pass/fail."""
     rep_64 = check_angle_expansion([_sin_base(64)], EXPANSION_AMPLITUDES)
-    agree = rep_64.passed == rep_128.passed
-    samples = [(64.0, rep_64.fitted_constant, 2.0 * rep_128.fitted_constant + 1e-8),
-               (128.0, rep_128.fitted_constant, 2.0 * rep_64.fitted_constant + 1e-8)]
-    return _report("grid_convergence", samples, agree and rep_64.passed,
+    return _report("grid_convergence", _agreement_samples(64.0, rep_64, 128.0, rep_128),
+                   rep_64.passed == rep_128.passed and rep_64.passed,
                    note="angle expansion at N=64 and N=128 agree on pass/fail")
 
 
@@ -231,37 +223,20 @@ def inequalities_suite():
     for seed, kappa in ((11, 0.0), (12, -1.0)):
         tag = f"kappa{kappa:g}_seed{seed}"
         u0, cfg, traj = _trajectory_for(seed, kappa, 64, sample_every=40, n_samples=10)
-        by_name = {}
-        for name in EVOLUTION_NAMES:
-            rep = check_evolution_inequality(name, traj)
-            by_name[name] = rep
-            reports.append(dataclasses.replace(rep, name=f"{rep.name}_{tag}"))
-        reports.append(dataclasses.replace(
-            check_log_jet_monotone(traj, K=10.0),
-            name=f"log_jet_monotone_{tag}",
-        ))
-        reports.append(dataclasses.replace(
-            check_volume_dissipation(traj),
-            name=f"volume_dissipation_{tag}",
-        ))
+        by_name = {name: check_evolution_inequality(name, traj) for name in EVOLUTION_NAMES}
         run_cfg = dataclasses.replace(cfg, checkpoint_every=50, t_max=0.12, conv_tol=1e-12)
-        res = integrate(u0, run_cfg)
-        reports.append(dataclasses.replace(
-            check_psi_monotone(res.records),
-            name=f"psi_monotone_{tag}",
-        ))
+        per_trajectory = [*by_name.values(), check_log_jet_monotone(traj, K=10.0),
+                          check_volume_dissipation(traj),
+                          check_psi_monotone(integrate(u0, run_cfg).records)]
+        reports += [dataclasses.replace(rep, name=f"{rep.name}_{tag}") for rep in per_trajectory]
         # resolution stability of the fitted constants (N = 64 vs 128); psi has none
         _, _, traj_fine = _trajectory_for(seed, kappa, 128, sample_every=160, n_samples=10)
         for name in (name for name in EVOLUTION_NAMES if name != "psi"):
-            fine = check_evolution_inequality(name, traj_fine)
-            coarse = by_name[name]
-            stable = constants_stable(coarse, fine)
-            samples = [(64.0, coarse.fitted_constant, 2.0 * fine.fitted_constant + 1e-8),
-                       (128.0, fine.fitted_constant, 2.0 * coarse.fitted_constant + 1e-8)]
+            coarse, fine = by_name[name], check_evolution_inequality(name, traj_fine)
             reports.append(_report(
-                f"constant_stability_{name}_{tag}", samples, stable,
-                note="fitted c at N=64 and N=128 must agree within 2x",
-            ))
+                f"constant_stability_{name}_{tag}", _agreement_samples(64.0, coarse, 128.0, fine),
+                constants_stable(coarse, fine),
+                note="fitted c at N=64 and N=128 must agree within 2x"))
     return reports
 
 
@@ -305,9 +280,7 @@ def decay_suite():
 
 def variation_suite():
     spec = GridSpec(1, (64,))
-    x = spec.coordinates()[0]
-    h_sin = PeriodicScalarField(spec, np.sin(2.0 * np.pi * x))
-    reports = [check_second_variation(h_sin)]
+    reports = [check_second_variation(_sin_base(64))]
     worst = 0.0
     from .geometry import graph_volume
 
@@ -315,10 +288,7 @@ def variation_suite():
     for seed in range(20):
         h = random_bandlimited_potential(spec, 0.3, 3, seed=1000 + seed)
         for eps in (4e-3, 2e-3):
-            plus = graph_volume(PeriodicScalarField(spec, eps * h.values))
-            minus = graph_volume(PeriodicScalarField(spec, -eps * h.values))
-            second = (plus - 2.0 * v0 + minus) / (eps * eps)
-            worst = min(worst, second)
+            worst = min(worst, _volume_second_difference(h, eps, v0))
     samples = [(0.0, -worst, 1e-12)]
     reports.append(_report("second_variation_nonnegative", samples, -worst <= 1e-12,
                            note="smallest observed second difference"))

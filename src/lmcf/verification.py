@@ -49,6 +49,11 @@ from .monitors import MonitorRecord
 EVOLUTION_NAMES = ("u2", "du2", "d2u2", "d3u2", "psi")
 PSI_SLACK_FACTOR = 1e-6
 MONOTONE_SLACK = 1e-8
+ORACLE_GAP_TOL = 1e-10  # closed-form angle against the eigenvalue reference, absolute
+ROUTE_GAP_TOL = 1e-8  # the two Laplace-Beltrami routes, relative to their size
+# two fitted constants agree when each is <= AGREE_FACTOR * other + AGREE_FLOOR
+AGREE_FACTOR = 2.0
+AGREE_FLOOR = 1e-8
 
 
 class RegionViolationError(ValueError):
@@ -65,8 +70,9 @@ class ResidualReport:
 
     ``samples`` holds (amplitude-or-time, residual, bound) tuples;
     ``fitted_constant`` is the smallest c with residual <= c * bound over
-    all samples; ``fitted_order`` is the log-log slope of residual against
-    amplitude (NaN when not an amplitude sweep or residuals vanish).
+    all samples (0.0 for a sweep of roundoff residuals); ``fitted_order`` is
+    the log-log slope of residual against amplitude (NaN when not a sweep or
+    when its residuals are roundoff).
     """
 
     name: str
@@ -105,9 +111,33 @@ def _fitted_constant(samples):
     return c
 
 
-def _loglog_slope(xs, ys):
-    """Least-squares slope of log(y) against log(x); NaN if degenerate."""
-    pts = [(x, y) for x, y in zip(xs, ys) if x > 0.0 and y > 0.0]
+def _within_bounds(samples):
+    return all(res <= bound for _, res, bound in samples)
+
+
+def _report(name, samples, passed, order=math.nan, note=""):
+    """Report whose fitted constant is the smallest c with res <= c * bound."""
+    samples = tuple(samples)
+    return ResidualReport(name, samples, _fitted_constant(samples), order, passed, note)
+
+
+def _agreement_samples(x_a, rep_a, x_b, rep_b):
+    """Rows stating that the fitted constants of two reports agree: each
+    constant against AGREE_FACTOR times the other plus AGREE_FLOOR."""
+    ca, cb = rep_a.fitted_constant, rep_b.fitted_constant
+    return [(x_a, ca, AGREE_FACTOR * cb + AGREE_FLOOR),
+            (x_b, cb, AGREE_FACTOR * ca + AGREE_FLOOR)]
+
+
+def constants_stable(report_a: ResidualReport, report_b: ResidualReport):
+    """True when both fitted constants are finite and agree (``_agreement_samples``)."""
+    return (math.isfinite(report_a.fitted_constant) and math.isfinite(report_b.fitted_constant)
+            and _within_bounds(_agreement_samples(0.0, report_a, 1.0, report_b)))
+
+
+def _loglog_slope(rows):
+    """Least-squares slope of log(residual) against log(amplitude); NaN if degenerate."""
+    pts = [(x, y) for x, y, _ in rows if x > 0.0 and y > 0.0]
     if len(pts) < 2:
         return math.nan
     lx = np.log([p[0] for p in pts])
@@ -175,6 +205,16 @@ def _normalized_base(u, scheme):
     return PeriodicScalarField(u.spec, u.values / m)
 
 
+def _order_report(name, rows, closure_ok, min_order, trivial, note):
+    """Amplitude-sweep verdict: the closure holds and the residual order is >= min_order;
+    a ``trivial`` sweep (roundoff residuals) passes on its closure, with c 0.0 and order NaN."""
+    if trivial:
+        return ResidualReport(name, tuple(rows), 0.0, math.nan, closure_ok, note)
+    order = _loglog_slope(rows)
+    passed = closure_ok and math.isfinite(order) and order >= min_order
+    return _report(name, rows, passed, order, note)
+
+
 def check_angle_expansion(samples, amplitudes, scheme="spectral") -> ResidualReport:
     """Angle of the graph versus the flat Laplacian of the potential.
 
@@ -184,6 +224,8 @@ def check_angle_expansion(samples, amplitudes, scheme="spectral") -> ResidualRep
     """
     if len(amplitudes) < 3:
         raise ValueError("need at least 3 amplitudes for an order fit")
+    if not samples:
+        raise ValueError("need at least one sample field")
     bases = [_normalized_base(u, scheme) for u in samples]
     rows = []
     oracle_gap = 0.0
@@ -199,15 +241,10 @@ def check_angle_expansion(samples, amplitudes, scheme="spectral") -> ResidualRep
             bound = max(bound, float(np.max(state.norm_sq(1) + state.norm_sq(2))))
             oracle_gap = max(oracle_gap, angle_oracle_gap(hess, dim))
         rows.append((float(eps), res, bound))
-    fitted_c = _fitted_constant(rows)
-    order = _loglog_slope([r[0] for r in rows], [r[1] for r in rows])
-    scale = max((r[2] for r in rows), default=0.0)
-    trivial = all(r[1] <= 1e-13 * (1.0 + scale) for r in rows)
-    oracle_ok = oracle_gap <= 1e-10
-    passed = oracle_ok and (trivial or (math.isfinite(order) and order >= 1.9))
-    note = f"angle-oracle closure gap {oracle_gap:.3g}"
-    return ResidualReport("angle_expansion", tuple(rows), fitted_c,
-                          math.nan if trivial else order, passed, note)
+    scale = max(r[2] for r in rows)
+    return _order_report("angle_expansion", rows, oracle_gap <= ORACLE_GAP_TOL, 1.9,
+                         all(r[1] <= 1e-13 * (1.0 + scale) for r in rows),
+                         f"angle-oracle closure gap {oracle_gap:.3g}")
 
 
 def check_laplacian_difference(u, f, amplitudes=(0.5, 0.25, 0.125, 0.0625),
@@ -225,7 +262,7 @@ def check_laplacian_difference(u, f, amplitudes=(0.5, 0.25, 0.125, 0.0625),
         tr = trace_metric_hessian(f, M, scheme)
         res = float(np.max(np.abs(lb.values - tr.values)))
         bound = df_sup * (sup_norm(state.d3u) + sup_norm(state.d2u) + sup_norm(state.du))
-        # closure is measured spectrally: the 1e-8 two-route statement is a
+        # closure is measured spectrally: the two-route tolerance states a
         # spectral-accuracy property, independent of the report's scheme
         if scheme != "spectral":
             M = metric_from_potential(state.u, "spectral")
@@ -233,16 +270,9 @@ def check_laplacian_difference(u, f, amplitudes=(0.5, 0.25, 0.125, 0.0625),
         route_gap_rel = max(route_gap_rel, gap / scale)
         op_scale = max(op_scale, scale)
         rows.append((float(eps), res, bound))
-    fitted_c = _fitted_constant(rows)
-    order = _loglog_slope([r[0] for r in rows], [r[1] for r in rows])
-    trivial = all(r[1] <= 1e-13 * op_scale for r in rows)
-    routes_ok = route_gap_rel <= 1e-8
-    passed = routes_ok and (trivial or (math.isfinite(order) and order >= 0.9))
-    note = f"two-route closure gap {route_gap_rel:.3g} (relative)"
-    if trivial:
-        fitted_c = 0.0
-    return ResidualReport("laplacian_difference", tuple(rows), fitted_c,
-                          math.nan if trivial else order, passed, note)
+    return _order_report("laplacian_difference", rows, route_gap_rel <= ROUTE_GAP_TOL, 0.9,
+                         all(r[1] <= 1e-13 * op_scale for r in rows),
+                         f"two-route closure gap {route_gap_rel:.3g} (relative)")
 
 
 # ---------------------------------------------------------------------------
@@ -407,51 +437,24 @@ def check_evolution_inequality(name, trajectory: Trajectory) -> ResidualReport:
         residual = float(np.max(lhs - main)) - slack
         rows.append((tr.at.t, residual, bound))
     # oracle closure: the two Laplace-Beltrami routes must agree on this input
-    # (measured spectrally; the 1e-8 statement is a spectral-accuracy property)
+    # (measured spectrally: the tolerance states a spectral-accuracy property)
     gap, scale = two_route_gap(
         PeriodicScalarField(cfg.grid, phi_triples[0][1]), metrics[0], "spectral"
     )
-    routes_ok = gap <= 1e-8 * scale
-    note_closure = f"two-route closure gap {gap / scale:.3g} (relative)"
+    routes_ok = gap <= ROUTE_GAP_TOL * scale
+    note = f"two-route closure gap {gap / scale:.3g} (relative)"
     if name == "psi":
-        passed = routes_ok and all(res <= bound for _, res, bound in rows)
-        fitted_c = max(
-            (max(0.0, res) / bound for _, res, bound in rows if bound > 0.0),
-            default=0.0,
-        )
-        return ResidualReport(
-            "evolution_psi", tuple(rows), fitted_c, math.nan, passed,
-            note="parameter-free: residual must stay below the slack column; "
-            + note_closure,
-        )
-    fitted_c = _fitted_constant(rows)
-    passed = routes_ok and math.isfinite(fitted_c)
-    return ResidualReport(f"evolution_{name}", tuple(rows), fitted_c, math.nan,
-                          passed, note=note_closure)
-
-
-def constants_stable(report_a: ResidualReport, report_b: ResidualReport,
-                     factor=2.0, floor=1e-8):
-    """True when two fitted constants differ by less than ``factor``.
-
-    Constants below ``floor`` count as stable zeros: the estimate held with
-    no constant at all at both resolutions.
-    """
-    ca, cb = report_a.fitted_constant, report_b.fitted_constant
-    if not (math.isfinite(ca) and math.isfinite(cb)):
-        return False
-    hi, lo = max(ca, cb), min(ca, cb)
-    if hi <= floor:
-        return True
-    return hi < factor * lo + floor
+        return _report("evolution_psi", rows, routes_ok and _within_bounds(rows), note=(
+            "parameter-free: residual must stay below the slack column; " + note))
+    passed = routes_ok and math.isfinite(_fitted_constant(rows))
+    return _report(f"evolution_{name}", rows, passed, note=note)
 
 
 def _non_increasing_report(name, series, slack):
     """Each step of a (t, value) series may rise by at most ``slack``."""
     rows = tuple((t, value - prev, slack) for (_, prev), (t, value) in zip(series, series[1:]))
-    passed = all(res <= bound for _, res, bound in rows)
     fitted_c = max((res for _, res, _ in rows), default=0.0)
-    return ResidualReport(name, rows, fitted_c, math.nan, passed)
+    return ResidualReport(name, rows, fitted_c, math.nan, _within_bounds(rows))
 
 
 def check_log_jet_monotone(trajectory: Trajectory, K, slack=MONOTONE_SLACK) -> ResidualReport:
@@ -529,10 +532,9 @@ def check_volume_dissipation(trajectory: Trajectory, form=None) -> ResidualRepor
     # oracle closure: the angle entering the integrand against the eigenvalue route
     first = trajectory.triples[0].at
     oracle_gap = angle_oracle_gap(first.d2u.components, first.spec.dim)
-    passed = oracle_gap <= 1e-10 and all(res <= bound for _, res, bound in rows)
-    fitted_c = _fitted_constant(rows)
-    return ResidualReport(
-        "volume_dissipation", tuple(rows), fitted_c, math.nan, passed,
+    passed = oracle_gap <= ORACLE_GAP_TOL and _within_bounds(rows)
+    return _report(
+        "volume_dissipation", rows, passed,
         note=f"form {form}, centered-difference slack from local decay rates; "
         f"angle-oracle closure gap {oracle_gap:.3g}",
     )
@@ -567,6 +569,13 @@ def second_variation_quadrature(h: PeriodicScalarField, scheme="spectral"):
     return l2_pairing(lap, lap)
 
 
+def _volume_second_difference(h, eps, v0, scheme="spectral"):
+    """(V(eps h) - 2 V(0) + V(-eps h)) / eps^2 of the graph volume V, given v0 = V(0)."""
+    plus = graph_volume(PeriodicScalarField(h.spec, eps * h.values), scheme)
+    minus = graph_volume(PeriodicScalarField(h.spec, -eps * h.values), scheme)
+    return (plus - 2.0 * v0 + minus) / (eps * eps)
+
+
 def check_second_variation(h: PeriodicScalarField, epsilons=(4e-3, 2e-3, 1e-3),
                            scheme="spectral") -> ResidualReport:
     """Second difference of the graph volume along the variation h.
@@ -576,27 +585,24 @@ def check_second_variation(h: PeriodicScalarField, epsilons=(4e-3, 2e-3, 1e-3),
     under these variations.  Richardson extrapolation over the two smallest
     steps removes the quadratic-in-epsilon quadrature bias.
     """
-    if len(epsilons) < 2:
+    eps_sorted = sorted(float(e) for e in epsilons)
+    if len(eps_sorted) < 2:
         raise ValueError("need at least 2 epsilon steps for Richardson extrapolation")
+    if not all(0.0 < e < math.inf for e in eps_sorted) or len(set(eps_sorted)) < len(eps_sorted):
+        raise ValueError(f"epsilon steps must be positive, finite and distinct: {epsilons}")
     if sup_norm(derivative(h, 1, scheme)) <= 1e-14 * (1.0 + sup_norm(h)):
         raise DegenerateDirectionError("h is constant: the variation direction degenerates")
     target = second_variation_quadrature(h, scheme)
-    eps_sorted = sorted(float(e) for e in epsilons)
     v0 = graph_volume(PeriodicScalarField.zeros(h.spec), scheme)
-    second = {}
-    for eps in eps_sorted:
-        plus = graph_volume(PeriodicScalarField(h.spec, eps * h.values), scheme)
-        minus = graph_volume(PeriodicScalarField(h.spec, -eps * h.values), scheme)
-        second[eps] = (plus - 2.0 * v0 + minus) / (eps * eps)
+    second = {eps: _volume_second_difference(h, eps, v0, scheme) for eps in eps_sorted}
     e1, e2 = eps_sorted[0], eps_sorted[1]
     r = e2 / e1
     richardson = (r * r * second[e1] - second[e2]) / (r * r - 1.0)
     rel_err = abs(richardson - target) / abs(target)
-    rows = tuple((eps, abs(second[eps] - target), eps * eps) for eps in eps_sorted)
-    order = _loglog_slope([r_[0] for r_ in rows], [r_[1] for r_ in rows])
+    rows = [(eps, abs(second[eps] - target), eps * eps) for eps in eps_sorted]
     nonneg = all(second[eps] >= -1e-12 * abs(target) for eps in eps_sorted)
     passed = rel_err <= 1e-4 and nonneg
-    return ResidualReport(
-        "second_variation", rows, _fitted_constant(rows), order, passed,
+    return _report(
+        "second_variation", rows, passed, _loglog_slope(rows),
         note=f"richardson {richardson:.12g} vs quadrature {target:.12g} (rel {rel_err:.3g})",
     )

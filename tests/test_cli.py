@@ -172,6 +172,21 @@ class TestRunCommand:
         assert main(["run", str(cfg), "-o", str(tmp_path / "o")]) == 1
         assert "nonzero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,match", [
+        # on 16 points mode 9 samples to the grid values of mode 7
+        (QUICK_CONFIG.replace("u0_modes = 1", "u0_modes = 9"),
+         "mode 9 on axis 0 exceeds the Nyquist mode N_0/2 = 8"),
+        (QUICK_CONFIG.replace("u0_modes = 1", "u0_modes = 9")
+         .replace("single_mode", "random_bandlimited"), "mode 9 on axis 0"),
+        (QUICK_CONFIG.replace("single_mode", "random_bandlimited") + "u0_seed = -1\n",
+         "seed must be >= 0, got -1"),
+    ], ids=["single_mode", "random_bandlimited", "negative_seed"])
+    def test_aliased_or_negative_seed_initial_data_exits_1(self, tmp_path, capsys, text, match):
+        cfg = tmp_path / "bad_u0.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "-o", str(tmp_path / "o")]) == 1
+        assert match in capsys.readouterr().err
+
     def test_rerun_is_bit_identical(self, quick_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["run", quick_config, "-o", str(out1)])
@@ -346,6 +361,17 @@ class TestVerifyCommand:
         summary = (out / "verify_summary.txt").read_text().splitlines()
         assert all(line.endswith(",pass") for line in summary)
         assert (out / "second_variation.report.txt").exists()
+
+    def test_summary_lines_are_report_verdicts(self, tmp_path, capsys):
+        out = tmp_path / "verify"
+        assert main(["verify", "variation", "-o", str(out)]) == 0
+        summary = (out / "verify_summary.txt").read_text().splitlines()
+        assert capsys.readouterr().out.splitlines() == summary
+        assert len(summary) == 2
+        for line in summary:
+            name = line.split(",")[0]
+            report = (out / f"{name}.report.txt").read_text().splitlines()
+            assert [r for r in report if not r.startswith("#")][-1] == line
 
     def test_unknown_suite(self, tmp_path, capsys):
         assert main(["verify", "everything", "-o", str(tmp_path / "o")]) == 1

@@ -697,6 +697,30 @@ class TestInitialData:
         with pytest.raises(ValueError):
             single_mode_potential(spec, 1.0, (0,))
 
+    @pytest.mark.parametrize("sizes,mode,axis", [((16,), (9,), 0), ((16,), (-9,), 0),
+                                                 ((16, 8), (1, 5), 1), ((8, 8, 8), (0, 0, 5), 2)])
+    def test_single_mode_above_nyquist_rejected(self, sizes, mode, axis):
+        # on N points mode k and mode k - N sample to the same grid values
+        spec = GridSpec(len(sizes), sizes)
+        with pytest.raises(ValueError, match=f"axis {axis}.*N_{axis}/2 = {sizes[axis] // 2}"):
+            single_mode_potential(spec, 1e-3, mode)
+
+    def test_nyquist_mode_accepted(self):
+        spec = GridSpec(1, (16,))
+        u = single_mode_potential(spec, 1.0, (8,))
+        assert np.array_equal(u.values, np.cos(np.pi * np.arange(16)))
+        random_bandlimited_potential(GridSpec(2, (8, 8)), 0.05, 4, seed=1)
+
+    @pytest.mark.parametrize("sizes,max_mode,axis", [((16,), 9, 0), ((32, 8), 5, 1)])
+    def test_random_bandlimited_above_nyquist_rejected(self, sizes, max_mode, axis):
+        spec = GridSpec(len(sizes), sizes)
+        with pytest.raises(ValueError, match=f"mode {max_mode} on axis {axis}"):
+            random_bandlimited_potential(spec, 0.05, max_mode, seed=1)
+
+    def test_random_bandlimited_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            random_bandlimited_potential(GridSpec(1, (32,)), 0.05, 3, seed=-3)
+
 
 class TestMonitorRecordContents:
     def test_initial_record_fields(self):

@@ -15,6 +15,7 @@ from lmcf.monitors import MonitorRecord
 from lmcf.verification import (
     DegenerateDirectionError,
     RegionViolationError,
+    ResidualReport,
     Trajectory,
     TrajectoryTriple,
     check_angle_expansion,
@@ -24,6 +25,7 @@ from lmcf.verification import (
     check_psi_monotone,
     check_second_variation,
     check_volume_dissipation,
+    constants_stable,
     fit_decay_rate,
     psi_field,
     sample_trajectory,
@@ -106,6 +108,23 @@ class TestAngleExpansion:
         )
         assert rep.passed
         assert all(res <= 1e-13 for _, res, _ in rep.samples)
+
+    def test_roundoff_sweep_fits_no_constant(self):
+        # at these amplitudes the cubic term is below roundoff: like the
+        # Laplacian difference, the sweep fits constant 0 and no order
+        spec = GridSpec(1, (64,))
+        base = PeriodicScalarField(spec, np.sin(TWO_PI * spec.coordinates()[0]))
+        rep = check_angle_expansion([base], (1e-6, 1e-7, 1e-8))
+        assert rep.passed
+        assert rep.fitted_constant == 0.0
+        assert math.isnan(rep.fitted_order)
+        assert any(res > 0.0 for _, res, _ in rep.samples)
+        lap = check_laplacian_difference(PeriodicScalarField.constant(spec, 1.0), base)
+        assert lap.fitted_constant == 0.0 and math.isnan(lap.fitted_order)
+
+    def test_needs_a_sample_field(self):
+        with pytest.raises(ValueError, match="sample field"):
+            check_angle_expansion([], (0.1, 0.01, 0.001))
 
     def test_needs_three_amplitudes(self):
         spec = GridSpec(1, (32,))
@@ -400,3 +419,34 @@ class TestSecondVariation:
         h = single_mode_potential(spec, 1.0, (1,))
         with pytest.raises(ValueError):
             check_second_variation(h, epsilons=(1e-3,))
+
+    @pytest.mark.parametrize("epsilons", [(1e-3, 1e-3), (0.0, 1e-3), (-1e-3, 1e-3),
+                                          (1e-3, math.nan, 2e-3), (1e-3, math.inf)])
+    def test_steps_positive_finite_distinct(self, epsilons):
+        spec = GridSpec(1, (32,))
+        h = single_mode_potential(spec, 1.0, (1,))
+        with pytest.raises(ValueError, match="positive, finite and distinct"):
+            check_second_variation(h, epsilons=epsilons)
+
+
+def _with_constant(c):
+    return ResidualReport("r", (), c, math.nan, True)
+
+
+_EDGE = 2.0 * 1.0 + 1e-8  # AGREE_FACTOR * 1.0 + AGREE_FLOOR
+
+
+class TestConstantsStable:
+    @pytest.mark.parametrize("ca,cb,stable", [
+        (0.0, 0.0, True), (0.0, 1e-8, True), (0.0, 2e-8, False), (5e-9, 1e-8, True),
+        (3.0, 3.0, True), (1.0, 2.0, True), (1.0, math.nextafter(_EDGE, 0.0), True),
+        (1.0, _EDGE, True), (1.0, math.nextafter(_EDGE, math.inf), False), (1e-9, 1e-7, False),
+        (math.inf, 1.0, False), (math.inf, math.inf, False), (math.nan, 1.0, False),
+        (math.nan, math.nan, False), (0.0, math.nan, False),
+    ])
+    def test_is_the_within_bounds_verdict_of_the_agreement_rows(self, ca, cb, stable):
+        a, b = _with_constant(ca), _with_constant(cb)
+        rows = lmcf.verification._agreement_samples(0.0, a, 1.0, b)
+        finite = math.isfinite(ca) and math.isfinite(cb)
+        assert constants_stable(a, b) == (finite and lmcf.verification._within_bounds(rows))
+        assert constants_stable(a, b) == constants_stable(b, a) == stable
