@@ -3,7 +3,8 @@
 
 Runs ``lmcf run`` and then ``lmcf resume`` from its checkpoint on the
 certified presets and on configs that cover every jet route (1-D DFT matrix
-pair and FFT, 2-D and 3-D FFT, 2-D central4), then ``lmcf verify all``.
+pair and FFT, 2-D and 3-D FFT, 2-D central4) and unequal sizes and periods
+per axis (2-D and 3-D FFT), then ``lmcf verify all``.
 Prints one sha256 per run pair, one over all of them (exit codes,
 monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf verify all``
 and one over all of those files, so two checkouts' outputs can be compared
@@ -34,6 +35,10 @@ CONFIGS = {
                  "u0_amplitude = 0.04\nu0_modes = 2\n" + _RANDOM,
     "central4_2d_32": "dim = 2\nsizes = 32,32\nkappa = -0.5\nscheme = central4\nt_max = 0.1\n"
                       "checkpoint_every = 3\nu0_amplitude = 0.05\nu0_modes = 2\n" + _RANDOM,
+    "fft_2d_48x32": "dim = 2\nsizes = 48,32\nperiods = 1,1.5\nkappa = -0.5\nt_max = 0.005\n"
+                    "checkpoint_every = 2\nu0_amplitude = 0.05\nu0_modes = 3\n" + _RANDOM,
+    "fft_3d_16x12x8": "dim = 3\nsizes = 16,12,8\nperiods = 1,2,0.5\nkappa = 0\nt_max = 0.01\n"
+                      "checkpoint_every = 2\nu0_amplitude = 0.02\nu0_modes = 2\n" + _RANDOM,
 }
 RUN_FILES = ("monitors.csv", "summary.txt", "final.lmcf")
 

@@ -7,11 +7,13 @@ pointwise tensor norms are Euclidean/Frobenius norms of the component arrays.
 Two differentiation schemes are provided:
 
 * ``spectral`` — FFT differentiation, exact for band-limited fields up to
-  roundoff.  Nyquist modes are zeroed for odd derivative orders so that
-  real input always maps to real output.  On 1-D grids of at most
-  ``DFT_MATRIX_MAX_N`` = 128 points the same operator runs as two real
-  matrix-vector products, which skip numpy.fft's fixed per-call cost; the
-  input is shifted by its first value so that a constant maps to exact zeros.
+  roundoff.  One cached function, ``_rank_multipliers``, builds a grid's
+  Fourier multipliers; an odd derivative order zeroes its axis' Nyquist
+  mode, index n//2 on every axis, so that real input maps to real output.
+  On 1-D grids of at most ``DFT_MATRIX_MAX_N`` = 128 points the same
+  operator runs as two real matrix-vector products, which skip numpy.fft's
+  fixed per-call cost; the input is shifted by its first value so that a
+  constant maps to exact zeros.
 * ``central4`` — 4th-order centered finite differences with periodic wrap,
   kept as an independent fallback so discretization error can be separated
   from modeling error.
@@ -305,66 +307,35 @@ _TENSOR_BY_RANK = {1: VectorField, 2: SymMatrixField, 3: SymTensor3Field, 4: Sym
 # ---------------------------------------------------------------------------
 # spectral machinery
 
-@lru_cache(maxsize=32)
-def _wavenumbers(spec):
-    """Per-axis angular wavenumber arrays in rfftn layout, broadcast-shaped."""
-    ks = []
-    for axis in range(spec.dim):
-        n = spec.sizes[axis]
-        d = spec.periods[axis] / n
-        if axis == spec.dim - 1:
-            k = 2.0 * np.pi * np.fft.rfftfreq(n, d=d)
-        else:
-            k = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
-        shape = [1] * spec.dim
-        shape[axis] = k.size
-        ks.append(k.reshape(shape))
-    return tuple(ks)
-
-
-@lru_cache(maxsize=32)
-def _nyquist_masks(spec):
-    """Boolean per-axis masks selecting the Nyquist wavenumber."""
-    masks = []
-    for axis in range(spec.dim):
-        n = spec.sizes[axis]
-        if axis == spec.dim - 1:
-            idx = np.arange(n // 2 + 1)
-        else:
-            idx = np.abs(np.fft.fftfreq(n) * n).astype(int)
-        m = idx == n // 2
-        shape = [1] * spec.dim
-        shape[axis] = m.size
-        masks.append(m.reshape(shape))
-    return tuple(masks)
+def _powers_of(idx, dim):
+    """Per-axis derivative orders of the multi-index ``idx``."""
+    return tuple(idx.count(a) for a in range(dim))
 
 
 @lru_cache(maxsize=128)
-def _spectral_multiplier(spec, powers):
-    """Fourier multiplier of the partial derivative with the given per-axis powers.
-
-    Odd powers zero the Nyquist mode of their axis so real maps to real.
-    """
-    ks = _wavenumbers(spec)
-    nyq = _nyquist_masks(spec)
-    mult = np.ones((1,) * spec.dim, dtype=np.complex128)
-    for axis, m in enumerate(powers):
-        if m == 0:
-            continue
-        k = ks[axis]
-        fac = (-(k * k)) ** (m // 2) if m % 2 == 0 else (1j * k) * (-(k * k)) ** ((m - 1) // 2)
-        if m % 2 == 1:
-            fac = np.where(nyq[axis], 0.0, fac)
-        mult = mult * fac
-    mult.flags.writeable = False
-    return mult
-
-
-def _powers_of(idx, dim):
-    powers = [0] * dim
-    for a in idx:
-        powers[a] += 1
-    return tuple(powers)
+def _rank_multipliers(spec, rank):
+    """Multipliers prod_a (i k_a)^m_a of the packed rank-``rank`` components, in
+    order, in ``rfftn`` layout.  An odd m_a zeroes axis a's Nyquist mode: position
+    n//2 in both the ``fftfreq`` and the ``rfftfreq`` layout."""
+    dim = spec.dim
+    mults = []
+    for idx in sym_indices(dim, rank):
+        mult = np.ones((1,) * dim, dtype=np.complex128)
+        for axis, m in enumerate(_powers_of(idx, dim)):
+            if m == 0:
+                continue
+            n = spec.sizes[axis]
+            freq = np.fft.rfftfreq if axis == dim - 1 else np.fft.fftfreq
+            k = 2.0 * np.pi * freq(n, d=spec.periods[axis] / n)
+            if m % 2 == 0:
+                fac = (-(k * k)) ** (m // 2)
+            else:
+                fac = np.where(np.arange(k.size) == n // 2, 0.0,
+                               (1j * k) * (-(k * k)) ** ((m - 1) // 2))
+            mult = mult * fac.reshape((1,) * axis + (k.size,) + (1,) * (dim - 1 - axis))
+        mult.flags.writeable = False
+        mults.append(mult)
+    return tuple(mults)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +369,6 @@ def _central4_partial(values, axis, h, power):
 
 # ---------------------------------------------------------------------------
 # cached per-grid differentiation operators (hot-loop path)
-
-def _rank_multipliers(spec, rank):
-    """Spectral multipliers of the packed rank-``rank`` components, in order."""
-    return tuple(
-        _spectral_multiplier(spec, _powers_of(idx, spec.dim))
-        for idx in sym_indices(spec.dim, rank)
-    )
-
 
 class _JetOps:
     """Jets of raw value arrays on one grid, written into packed stacks.

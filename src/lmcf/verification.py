@@ -101,6 +101,9 @@ def write_report(report, path):
 
 
 def _fitted_constant(samples):
+    """Smallest c with res <= c * bound on every row; NaN if any residual or bound is NaN."""
+    if any(math.isnan(res) or math.isnan(bound) for _, res, bound in samples):
+        return math.nan
     c = 0.0
     for _, res, bound in samples:
         if res <= 0.0:
@@ -205,6 +208,12 @@ def _normalized_base(u, scheme):
     return PeriodicScalarField(u.spec, u.values / m)
 
 
+def _check_sweep(amplitudes):
+    """An amplitude sweep needs at least 3 amplitudes to fit an order."""
+    if len(amplitudes) < 3:
+        raise ValueError("need at least 3 amplitudes for an order fit")
+
+
 def _order_report(name, rows, closure_ok, min_order, trivial, note):
     """Amplitude-sweep verdict: the closure holds and the residual order is >= min_order;
     a ``trivial`` sweep (roundoff residuals) passes on its closure, with c 0.0 and order NaN."""
@@ -222,8 +231,7 @@ def check_angle_expansion(samples, amplitudes, scheme="spectral") -> ResidualRep
     arctan(Q) expands as tr Q - tr(Q^3)/3 + ...), which is consistent with
     and stronger than the quadratic bound c(|du|^2 + |D^2 u|^2).
     """
-    if len(amplitudes) < 3:
-        raise ValueError("need at least 3 amplitudes for an order fit")
+    _check_sweep(amplitudes)
     if not samples:
         raise ValueError("need at least one sample field")
     bases = [_normalized_base(u, scheme) for u in samples]
@@ -250,6 +258,7 @@ def check_angle_expansion(samples, amplitudes, scheme="spectral") -> ResidualRep
 def check_laplacian_difference(u, f, amplitudes=(0.5, 0.25, 0.125, 0.0625),
                                scheme="spectral") -> ResidualReport:
     """Laplace-Beltrami minus tr_mu(Hess) against c|df|(|D^3u| + |D^2u| + |du|)."""
+    _check_sweep(amplitudes)
     base = _normalized_base(u, scheme)
     df_sup = sup_norm(derivative(f, 1, scheme))
     rows = []

@@ -209,6 +209,33 @@ class TestDftMatrixRoute:
             assert np.array_equal(a, b)
 
 
+class TestNyquistRule:
+    """An odd power of i k_a zeroes axis a's Nyquist mode, index n//2, on every axis."""
+
+    def test_odd_powers_zero_index_n_over_2_on_a_leading_axis(self):
+        for n in range(8, 4097, 2):
+            spec = GridSpec(2, (n, 8))
+            d1 = _rank_multipliers(spec, 1)[0]  # i k_0
+            d3 = _rank_multipliers(spec, 3)[0]  # (i k_0)^3
+            assert d1[n // 2, 0] == 0.0 and d3[n // 2, 0] == 0.0, n
+
+    @pytest.mark.parametrize("sizes, axis, other", [
+        ((98, 16), 0, 1), ((8, 98, 8), 1, 2), ((16, 98), 1, 0),  # the last: a control
+    ])
+    def test_nyquist_mode_derivatives(self, sizes, axis, other):
+        spec = GridSpec(len(sizes), sizes)
+        x = spec.coordinates()
+        k_nyq = np.pi * sizes[axis] / spec.periods[axis]
+        u = PeriodicScalarField(spec, np.cos(k_nyq * x[axis]) * np.cos(TWO_PI * x[other]))
+        for m in (1, 3):
+            d = derivative(u, m).component(*(axis,) * m).values
+            assert np.max(np.abs(d)) <= 1e-12 * k_nyq**m
+        hess = derivative(u, 2)
+        d2 = hess.component(axis, axis).values
+        assert np.max(np.abs(d2 + k_nyq**2 * u.values)) <= 1e-12 * k_nyq**2
+        assert np.max(np.abs(hess.component(axis, other).values)) <= 1e-12 * k_nyq * TWO_PI
+
+
 class TestOnePassPerState:
     """One forward transform serves every rank; jets are written once."""
 

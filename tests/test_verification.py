@@ -198,6 +198,14 @@ class TestLaplacianDifference:
             check_laplacian_difference(PeriodicScalarField(spec, u),
                                        PeriodicScalarField(spec, f), amplitudes, scheme)
 
+    @pytest.mark.parametrize("amplitudes", [(), (0.5, 0.25)])
+    def test_needs_three_amplitudes(self, amplitudes):
+        # an empty sweep has no rows to fail on: it must not pass
+        spec = GridSpec(1, (32,))
+        u = single_mode_potential(spec, 1.0, (1,))
+        with pytest.raises(ValueError, match="at least 3 amplitudes"):
+            check_laplacian_difference(u, u, amplitudes)
+
 
 class TestSampleTrajectory:
     @pytest.mark.parametrize("sample_every", [1, 3])
@@ -293,6 +301,21 @@ class TestEvolutionInequalities:
 
     def test_time_reversal_fails_psi(self, small_trajectory):
         rep = check_evolution_inequality("psi", reversed_trajectory(small_trajectory))
+        assert not rep.passed
+
+    @pytest.mark.parametrize("row", [(0.0, math.nan, 1.0), (0.0, 1.0, math.nan)])
+    def test_nan_row_fits_nan_constant(self, row):
+        assert math.isnan(lmcf.verification._fitted_constant([(0.0, 1.0, 2.0), row]))
+
+    def test_nan_bound_fails_lettered_report(self, small_trajectory, monkeypatch):
+        main_and_bound = lmcf.verification._main_and_bound
+
+        def nan_bound(state, name, cfg):
+            return main_and_bound(state, name, cfg)[0], math.nan
+
+        monkeypatch.setattr(lmcf.verification, "_main_and_bound", nan_bound)
+        rep = check_evolution_inequality("du2", small_trajectory)
+        assert math.isnan(rep.fitted_constant)
         assert not rep.passed
 
 
