@@ -64,12 +64,15 @@ def _write_run_outputs(result, cfg, config_echo, outdir, extra_lines=()):
         fh.write("\n".join(lines) + "\n")
 
 
+def _run_setup(setup: RunSetup, outdir):
+    """Integrate a setup's u0 under its config and write the run outputs."""
+    result = integrate(setup.build_u0(), setup.cfg)
+    _write_run_outputs(result, setup.cfg, format_config(setup), outdir)
+    return result
+
+
 def cmd_run(args):
-    setup = load_setup(args.config)
-    u0 = setup.build_u0()
-    result = integrate(u0, setup.cfg)
-    _write_run_outputs(result, setup.cfg, format_config(setup), args.output)
-    return _OUTCOME_EXIT[result.outcome]
+    return _OUTCOME_EXIT[_run_setup(load_setup(args.config), args.output).outcome]
 
 
 def cmd_verify(args):
@@ -122,20 +125,13 @@ def cmd_sweep(args):
     for value in values:
         subdir = os.path.join(args.output, f"{args.param}_{value}")
         try:
-            sub = _sweep_value_setup(setup, args.param, value)
-            u0 = sub.build_u0()
-            result = integrate(u0, sub.cfg)
-            _write_run_outputs(result, sub.cfg, format_config(sub), subdir)
-            code = _OUTCOME_EXIT[result.outcome]
+            result = _run_setup(_sweep_value_setup(setup, args.param, value), subdir)
+            outcome, code = result.outcome, _OUTCOME_EXIT[result.outcome]
             psi_final = result.records[-1].psi_max
             rate = _fitted_psi_rate(result.records)
         except (ConfigError, ValueError) as exc:
             print(f"sweep value {value}: {exc}", file=sys.stderr)
-            code = EXIT_CONFIG
-            psi_final = math.nan
-            rate = math.nan
-            result = None
-        outcome = result.outcome if result is not None else "error"
+            outcome, code, psi_final, rate = "error", EXIT_CONFIG, math.nan, math.nan
         rows.append(f"{value},{outcome},{psi_final:.9g},{rate:.9g}")
         worst = max(worst, code)
     with open(os.path.join(args.output, "sweep.csv"), "w", encoding="ascii") as fh:

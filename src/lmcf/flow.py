@@ -42,13 +42,13 @@ HESSIAN_BLOWUP_GUARD = 10.0  # far outside the small-data regime; not graph-like
 
 
 class BlowupError(RuntimeError):
-    """A field left the finite / graph-like regime during a step."""
+    """The state at time t failed the blowup guard (``_blowup_guard``):
+    ``step_rk4`` raises it, ``integrate`` returns it as ``FlowResult.blowup``."""
 
-    def __init__(self, t, sup_u, reason):
-        super().__init__(f"blowup at t={t:.6g}: {reason} (sup|u|={sup_u:.6g})")
-        self.t = t
-        self.sup_u = sup_u
-        self.reason = reason
+    def __init__(self, t, sup_u, sup_d2u, reason):
+        super().__init__(f"blowup at t={t:.6g}: {reason} "
+                         f"(sup|u|={sup_u:.6g}, sup|D2u|={sup_d2u:.6g})")
+        self.t, self.sup_u, self.sup_d2u, self.reason = t, sup_u, sup_d2u, reason
 
 
 class CheckpointError(ValueError):
@@ -94,6 +94,14 @@ class FlowConfig:
     def dt(self):
         h_min = min(self.grid.spacings)
         return self.cfl * h_min * h_min / (2.0 * self.grid.dim)
+
+    @cached_property
+    def eps1_sq(self):
+        return self.eps1 * self.eps1
+
+    def leaves_region(self, psi_max):
+        """max psi is outside the certified region psi < eps1^2 (NaN: the blowup guard's)."""
+        return psi_max >= self.eps1_sq
 
 
 class FlowState:
@@ -178,14 +186,6 @@ class FlowState:
         return out
 
 
-@dataclass(frozen=True)
-class BlowupReport:
-    t: float
-    sup_u: float
-    sup_d2u: float
-    reason: str
-
-
 @dataclass(frozen=True, eq=False)
 class FlowResult:
     """Outcome of one integration: converged, timed_out or blowup."""
@@ -194,7 +194,7 @@ class FlowResult:
     state: FlowState
     records: tuple
     steps: int
-    blowup: BlowupReport | None = None
+    blowup: BlowupError | None = None
 
     @property
     def converged(self):
@@ -248,29 +248,34 @@ def _rk4_update(u_vals, hess, dt, kappa, ops, dim, buffers):
     return k1
 
 
-def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
-    """Advance one RK4 step; jets of the returned state are refreshed lazily.
+def _blowup_guard(t, u_vals, d2u_sq):
+    """(sup|D^2 u|, None) of the state at t while sup|D^2 u| <= HESSIAN_BLOWUP_GUARD,
+    else (sup|D^2 u|, its BlowupError); a non-finite u has a non-finite Hessian."""
+    sup_d2 = float(np.sqrt(d2u_sq.max()))
+    if sup_d2 <= HESSIAN_BLOWUP_GUARD:
+        return sup_d2, None
+    reason = ("non-finite field" if not np.isfinite(sup_d2)
+              else f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}")
+    return sup_d2, BlowupError(t, float(np.abs(u_vals).max()), sup_d2, reason)
 
-    Raises SpecMismatchError (a ValueError) when the state's grid is not the
-    config's, and ValueError when its scheme is not: both would step it with
-    the config's dt and operators, which belong to another discretization.
-    """
-    if state.spec is not cfg.grid and state.spec != cfg.grid:
-        raise SpecMismatchError(
-            f"state grid does not match config grid: {state.spec} vs {cfg.grid}")
-    if state.scheme != cfg.scheme:
-        raise ValueError(f"state scheme does not match config scheme: "
-                         f"{state.scheme!r} vs {cfg.scheme!r}")
-    if dt is None:
-        dt = cfg.dt
+
+def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
+    """Advance one RK4 step.  Raises what ``_admit`` raises, and the
+    BlowupError of the state it steps from or returns if either fails the
+    blowup guard, so a chain stops where ``integrate`` reports a blowup."""
+    _admit(state, cfg)
+    dt = cfg.dt if dt is None else dt
     ops = jet_ops(state.spec, cfg.scheme)
-    u_new = _rk4_update(state._values, state._jet(2), dt, cfg.kappa, ops,
-                        state.spec.dim, ops.jet_buffers((2,)))
-    u_new.setflags(write=False)
-    sup_new = float(np.abs(u_new).max())
-    if not np.isfinite(sup_new):
-        raise BlowupError(state.t + dt, float(np.abs(state._values).max()), "non-finite field")
-    return FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
+    with np.errstate(invalid="ignore"):  # as in integrate: a non-finite field is a blowup
+        u_new = _rk4_update(state._values, state._jet(2), dt, cfg.kappa, ops,
+                            state.spec.dim, ops.jet_buffers((2,)))
+        u_new.setflags(write=False)
+        new = FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
+        for guarded in (state, new):
+            blowup = _blowup_guard(guarded.t, guarded._values, guarded.norm_sq(2))[1]
+            if blowup is not None:
+                raise blowup
+    return new
 
 
 def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
@@ -291,13 +296,19 @@ def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
     )
 
 
-def _check_u0(u0: PeriodicScalarField, cfg: FlowConfig):
-    """Raise ValueError unless u0 is finite and sampled on the config's grid
-    (SpecMismatchError, a ValueError, when it is not)."""
-    if u0.spec != cfg.grid:
-        raise SpecMismatchError(f"u0 grid does not match config grid: {u0.spec} vs {cfg.grid}")
-    if not u0.is_finite():
+def _admit(run, cfg: FlowConfig):
+    """Raise ValueError unless ``run`` (u0 or a FlowState) is on the config's
+    grid (SpecMismatchError), a state is under its scheme and a u0 is finite:
+    another grid or scheme would run with another discretization's dt."""
+    what = "state" if isinstance(run, FlowState) else "u0"
+    if run.spec is not cfg.grid and run.spec != cfg.grid:
+        raise SpecMismatchError(
+            f"{what} grid does not match config grid: {run.spec} vs {cfg.grid}")
+    if what == "u0" and not run.is_finite():
         raise ValueError("u0 is not finite")
+    if what == "state" and run.scheme != cfg.scheme:
+        raise ValueError(
+            f"state scheme does not match config scheme: {run.scheme!r} vs {cfg.scheme!r}")
 
 
 def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) -> FlowResult:
@@ -310,7 +321,8 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 
     Emits a MonitorRecord at the start, at every step whose global index
     (counted from t = 0) is a multiple of ``checkpoint_every``, and at
-    termination.  Raises nothing on blowup: the result carries a report.
+    termination.  Raises nothing on blowup: the result carries the blowup
+    guard's BlowupError.
 
     ``t_start`` continues the clock from a checkpoint: the update sequence and
     the record cadence are then bit-identical to the uninterrupted run.
@@ -330,7 +342,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     alone, so a final record off the cadence synthesizes D u and D^3 u itself.
     The blowup guard and the record read the same pointwise |D^2 u|^2.
     """
-    _check_u0(u0, cfg)
+    _admit(u0, cfg)
     if cfg.kappa > 0.0:
         warnings.warn(
             "kappa > 0 is experimental: no convergence guarantee is certified",
@@ -344,7 +356,6 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     dt = cfg.dt
     tol = cfg.conv_tol
     kappa = cfg.kappa
-    eps1_sq = cfg.eps1 * cfg.eps1
     record_every = cfg.checkpoint_every
 
     u = u0.values
@@ -367,13 +378,10 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             with np.errstate(**caller_errstate):
                 sink(rec)
         last_emitted = step
-        if not warned_region and rec.psi_max >= eps1_sq:
+        if not warned_region and cfg.leaves_region(rec.psi_max):
             warned_region = True
-            warnings.warn(
-                f"max psi = {rec.psi_max:.3g} is outside the certified region "
-                f"psi < eps1^2 = {eps1_sq:.3g}",
-                stacklevel=3,
-            )
+            warnings.warn(f"max psi = {rec.psi_max:.3g} is outside the certified region "
+                          f"psi < eps1^2 = {cfg.eps1_sq:.3g}", stacklevel=3)
 
     def finish(outcome, blowup=None):
         hess.setflags(write=False)  # the loop writes it no more
@@ -399,16 +407,9 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                 hess = stage_hess
                 d2u_sq = sym_norm_sq(hess, dim, 2)
 
-            # a non-finite u yields a non-finite Hessian, so this guard catches both
-            sup_d2 = float(np.sqrt(d2u_sq.max()))
-            if not (sup_d2 <= HESSIAN_BLOWUP_GUARD):
-                return finish("blowup", BlowupReport(
-                    t=t,
-                    sup_u=float(np.abs(u).max()),
-                    sup_d2u=sup_d2,
-                    reason="non-finite field" if not np.isfinite(sup_d2)
-                    else f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}",
-                ))
+            sup_d2, blowup = _blowup_guard(t, u, d2u_sq)
+            if blowup is not None:
+                return finish("blowup", blowup)
 
             if sup_d2 < tol and (kappa == 0.0 or float(np.abs(u).max()) < tol):
                 if sym_sup_norm(ops.jets(coeffs, (1,))[0], dim, 1) < tol:
@@ -441,7 +442,9 @@ _STEPPER_FIELDS = ("cfl", "conv_tol", "C0", "C1", "eps1")
 
 def checkpoint_save(state: FlowState, cfg: FlowConfig, path):
     """Write a version-2 checkpoint atomically: an interrupted save leaves any
-    previous file at ``path`` intact."""
+    previous file at ``path`` intact.  Raises what ``_admit`` raises for a
+    state the config does not admit: the file pairs them."""
+    _admit(state, cfg)
     spec = state.spec
     n = spec.dim
     parts = [
@@ -527,6 +530,8 @@ def resume_flow(state: FlowState, cfg: FlowConfig, sink=None) -> FlowResult:
     """Continue integrating a loaded state until cfg.t_max.
 
     The step sequence, and hence every emitted record from the resume point
-    on, is bit-identical to the uninterrupted run.
+    on, is bit-identical to the uninterrupted run.  Raises what ``_admit``
+    raises for a state the config does not admit.
     """
+    _admit(state, cfg)
     return integrate(state.u, cfg, sink=sink, t_start=state.t)

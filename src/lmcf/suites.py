@@ -98,7 +98,7 @@ def _angle_gradient_report():
         target = angle_gradient(q)
         worst = max(worst, np.linalg.norm(fd - target) / np.linalg.norm(target))
     samples = [(0.0, worst, 1e-5)]
-    return _report("angle_gradient_identity", samples, worst <= 1e-5)
+    return _report("angle_gradient_identity", samples, _within_bounds(samples))
 
 
 def _angle_point(q):
@@ -135,7 +135,7 @@ def _orthogonal_invariance_report():
         q_rot = 0.5 * (q_rot + q_rot.T)
         worst = max(worst, abs(_angle_point(q_rot) - _angle_point(q)))
     samples = [(0.0, worst, 1e-12)]
-    return _report("angle_orthogonal_invariance", samples, worst <= 1e-12)
+    return _report("angle_orthogonal_invariance", samples, _within_bounds(samples))
 
 
 def _metric_bounds_report():
@@ -246,7 +246,7 @@ def inequalities_suite():
 def _rate_report(name, records, field, window, target, tol):
     rate = fit_decay_rate(records, field, window)
     samples = [(window[0], abs(rate - target), tol)]
-    return _report(name, samples, abs(rate - target) <= tol,
+    return _report(name, samples, _within_bounds(samples),
                    note=f"fitted rate {rate:.9g}, target {target:.9g}")
 
 
@@ -290,7 +290,7 @@ def variation_suite():
         for eps in (4e-3, 2e-3):
             worst = min(worst, _volume_second_difference(h, eps, v0))
     samples = [(0.0, -worst, 1e-12)]
-    reports.append(_report("second_variation_nonnegative", samples, -worst <= 1e-12,
+    reports.append(_report("second_variation_nonnegative", samples, _within_bounds(samples),
                            note="smallest observed second difference"))
     return reports
 

@@ -30,7 +30,7 @@ from .fields import (
     sym_to_dense,
     sym_trace,
 )
-from .flow import FlowConfig, FlowState, _check_u0, step_rk4
+from .flow import FlowConfig, FlowState, _admit, step_rk4
 from .geometry import (
     InducedMetricField,
     _angle_values,
@@ -312,7 +312,7 @@ def sample_trajectory(u0, cfg, sample_every, n_samples) -> Trajectory:
     """
     if sample_every < 1 or n_samples < 1:
         raise ValueError("sample_every and n_samples must be >= 1")
-    _check_u0(u0, cfg)
+    _admit(u0, cfg)
     centers = [k * sample_every for k in range(1, n_samples + 1)]
     kept = {c + d: None for c in centers for d in (-1, 0, 1)}
     state = FlowState.initial(u0, cfg)
@@ -327,13 +327,11 @@ def sample_trajectory(u0, cfg, sample_every, n_samples) -> Trajectory:
 
 def _check_region(trajectory):
     cfg = trajectory.cfg
-    lim = cfg.eps1 * cfg.eps1
     for tr in trajectory.triples:
         psi_max = float(np.max(tr.at.psi(cfg.C0, cfg.C1)))
-        if psi_max >= lim:
+        if cfg.leaves_region(psi_max):
             raise RegionViolationError(
-                f"max psi = {psi_max:.3g} >= eps1^2 = {lim:.3g} at t = {tr.at.t:.6g}"
-            )
+                f"max psi = {psi_max:.3g} >= eps1^2 = {cfg.eps1_sq:.3g} at t = {tr.at.t:.6g}")
 
 
 def _phi_values(state: FlowState, name, cfg):

@@ -28,6 +28,7 @@ from lmcf.fields import (
     sym_norm_sq,
 )
 from lmcf.flow import (
+    BlowupError,
     CheckpointError,
     FlowConfig,
     FlowState,
@@ -129,6 +130,59 @@ class TestStepRk4:
         with pytest.raises(ValueError, match="state scheme does not match config scheme: "
                                              "'spectral' vs 'central4'"):
             step_rk4(state, cfg)
+
+    @staticmethod
+    def _chain_blowup(u0, cfg):
+        """The BlowupError a step_rk4 chain from u0 raises before cfg.t_max."""
+        state = FlowState.initial(u0, cfg)
+        with pytest.raises(BlowupError) as caught:
+            while state.t < cfg.t_max:
+                state = step_rk4(state, cfg)
+        return caught.value
+
+    @staticmethod
+    def _assert_same_blowup(raised, reported):
+        assert isinstance(reported, BlowupError)
+        assert (raised.t, raised.reason) == (reported.t, reported.reason)
+        assert np.array_equal([raised.sup_u, raised.sup_d2u],
+                              [reported.sup_u, reported.sup_d2u], equal_nan=True)
+
+    @pytest.mark.parametrize("kappa,amplitude,mode,steps", [
+        pytest.param(0.0, 0.05, 4, 0, id="at-t0"),  # sup|D2u| ~ 32 from the start
+        # sup|D2u| 9.5 at first, and kappa u outgrows the bounded angle
+        pytest.param(50.0, 0.24, 1, 12, id="after-12-steps"),
+    ])
+    def test_raises_the_blowup_integrate_reports(self, kappa, amplitude, mode, steps):
+        spec = GridSpec(1, (32,))
+        cfg = FlowConfig(grid=spec, kappa=kappa, t_max=0.05)
+        u0 = single_mode_potential(spec, amplitude, (mode,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # kappa > 0 and the certified region
+            res = integrate(u0, cfg)
+            raised = self._chain_blowup(u0, cfg)
+        assert (res.outcome, res.steps) == ("blowup", steps)
+        assert res.blowup.reason == "sup|D2u| exceeded 10.0" and res.blowup.sup_d2u > 10.0
+        self._assert_same_blowup(raised, res.blowup)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_raises_the_non_finite_blowup_integrate_reports(self, monkeypatch, bad):
+        # the poisoned step of TestIntegrate.test_blowup_guard_non_finite
+        spec = GridSpec(1, (64,))
+        update = lmcf.flow._rk4_update
+
+        def poisoned(*args):
+            out = update(*args)
+            out[5] = bad
+            return out
+
+        monkeypatch.setattr(lmcf.flow, "_rk4_update", poisoned)
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)
+        u0 = random_bandlimited_potential(spec, 0.01, 2, seed=4)
+        res = integrate(u0, cfg)
+        raised = self._chain_blowup(u0, cfg)
+        assert raised.reason == "non-finite field" and raised.t == cfg.dt
+        self._assert_same_blowup(raised, res.blowup)
 
     def test_zero_field_stays_zero(self):
         spec = GridSpec(1, (16,))
@@ -639,6 +693,28 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CheckpointError, match="trailing"):
             checkpoint_load(path)
+
+    @pytest.mark.parametrize("other,message", [
+        pytest.param(dict(scheme="central4"),
+                     "state scheme does not match config scheme: 'central4' vs 'spectral'",
+                     id="scheme"),
+        pytest.param(dict(grid=GridSpec(1, (64,))),
+                     "state grid does not match config grid: GridSpec(dim=1, sizes=(64,)",
+                     id="grid"),
+    ])
+    def test_save_and_resume_reject_a_state_of_another_run(self, tmp_path, other, message):
+        # the state's scheme or grid is not the config's: the file would pair
+        # them, and a resume would step it with another discretization's dt
+        cfg = FlowConfig(grid=GridSpec(1, (32,)), kappa=0.0, t_max=1.0)
+        state_cfg = dataclasses.replace(cfg, **other)
+        state = FlowState.initial(
+            random_bandlimited_potential(state_cfg.grid, 0.05, 2, seed=9), state_cfg)
+        path = tmp_path / "c.lmcf"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            checkpoint_save(state, cfg, path)
+        assert not os.path.exists(path) and not os.path.exists(f"{path}.tmp")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resume_flow(state, cfg)
 
     def test_resume_is_bitwise_identical(self, tmp_path):
         spec = GridSpec(1, (32,))

@@ -13,6 +13,7 @@ from lmcf.flow import FlowConfig, FlowState, step_rk4
 from lmcf.initial_data import random_bandlimited_potential, single_mode_potential
 from lmcf.monitors import MonitorRecord
 from lmcf.verification import (
+    EVOLUTION_NAMES,
     DegenerateDirectionError,
     RegionViolationError,
     ResidualReport,
@@ -378,6 +379,36 @@ class TestVolumeDissipation:
         u0 = random_bandlimited_potential(cfg.grid, 0.05, 2, seed=44)
         traj = sample_trajectory(u0, cfg, sample_every=10, n_samples=4)
         assert check_volume_dissipation(traj).passed
+
+
+# the seven trajectory checks of the inequalities battery, which runs them in
+# 1-D only, where mu is a scalar and the Hessian eigenvalues never interact
+TRAJECTORY_CHECKS = {
+    **{f"evolution_{name}": (lambda traj, name=name: check_evolution_inequality(name, traj))
+       for name in EVOLUTION_NAMES},
+    "log_jet_monotone": lambda traj: check_log_jet_monotone(traj, K=10.0),
+    "volume_dissipation": check_volume_dissipation,
+}
+
+
+@pytest.fixture(scope="module", params=[
+    pytest.param(((32, 32), 10, 4, kappa), id=f"2d-32-kappa{kappa:g}") for kappa in (0.0, -1.0)
+] + [
+    pytest.param(((32, 32, 32), 4, 3, kappa), id=f"3d-32-kappa{kappa:g}") for kappa in (0.0, -1.0)
+])
+def higher_dim_trajectory(request):
+    sizes, sample_every, n_samples, kappa = request.param
+    cfg = make_cfg(sizes=sizes, kappa=kappa)
+    u0 = random_bandlimited_potential(cfg.grid, 0.05, 2, seed=7)
+    return sample_trajectory(u0, cfg, sample_every, n_samples)
+
+
+class TestTrajectoryChecksInHigherDimensions:
+    @pytest.mark.parametrize("check", TRAJECTORY_CHECKS)
+    def test_check_passes(self, higher_dim_trajectory, check):
+        rep = TRAJECTORY_CHECKS[check](higher_dim_trajectory)
+        assert rep.name == check
+        assert rep.passed, rep.lines()
 
 
 class TestDecayFit:
