@@ -7,9 +7,9 @@ pointwise tensor norms are Euclidean/Frobenius norms of the component arrays.
 Two differentiation schemes are provided:
 
 * ``spectral`` — FFT differentiation, exact for band-limited fields up to
-  roundoff.  One cached function, ``_rank_multipliers``, builds a grid's
-  Fourier multipliers; an odd derivative order zeroes its axis' Nyquist
-  mode, index n//2 on every axis, so that real input maps to real output.
+  roundoff.  One cached function, ``_multiplier``, builds a grid's Fourier
+  multipliers from per-axis derivative orders; an odd order zeroes its axis'
+  Nyquist mode, index n//2 on every axis, so real input maps to real output.
   On 1-D grids of at most ``DFT_MATRIX_MAX_N`` = 128 points the same
   operator runs as two real matrix-vector products, which skip numpy.fft's
   fixed per-call cost; the input is shifted by its first value so that a
@@ -26,12 +26,15 @@ coefficients gets all its ranks for one forward transform: a flow record
 gets ranks 1-3 from one call.  On 1-D FFT grids that is one multiply
 against the stacked multipliers and one batched ``irfft``, whose rows are
 bit-identical to single-rank calls; the DFT matrix route makes one product
-per rank.  On 2-D/3-D grids each component is inverted by the passes
-``irfftn`` makes, the complex ones in place in one work buffer.  The
-operators keep no input between calls.  Components are written straight
-into packed stacks.  The stacks ``jets`` returns are read-only; given
-buffers from ``jet_buffers`` it fills those instead, so that a time stepper
-allocates its stage Hessians once.
+per rank.  On 2-D/3-D grids the multipliers are separable: in 3-D the
+components with one order on axis 1 share that axis' pass, then each
+component gets the pass over axis 0 and the real one over the last axis.
+2-D runs ``irfftn``'s passes bit for bit, 3-D differs from them at the ulp
+level, and a component's bits never depend on the ranks a call asks for.
+The operators keep no input between calls.
+Components are written straight into packed stacks.  The stacks ``jets``
+returns are read-only; given buffers from ``jet_buffers`` it fills those
+instead, so that a time stepper allocates its stage Hessians once.
 
 This module owns the packed symmetric layout: a symmetric tensor stores
 each distinct component once, in sorted multi-index order, and everything
@@ -66,6 +69,13 @@ class NonFiniteError(ValueError):
     """Input field contains NaN or Inf."""
 
 
+def _as_int(what, value):
+    """``value`` as an int: numpy integers pass; floats, strings and bools do not."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid: per-axis point counts and periods.
@@ -78,7 +88,8 @@ class GridSpec:
     periods: tuple
 
     def __init__(self, dim, sizes, periods=None):
-        sizes = tuple(int(s) for s in sizes)
+        dim = _as_int("dim", dim)
+        sizes = tuple(_as_int("grid size", s) for s in sizes)
         if dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
         if len(sizes) != dim:
@@ -312,30 +323,34 @@ def _powers_of(idx, dim):
     return tuple(idx.count(a) for a in range(dim))
 
 
-@lru_cache(maxsize=128)
-def _rank_multipliers(spec, rank):
-    """Multipliers prod_a (i k_a)^m_a of the packed rank-``rank`` components, in
-    order, in ``rfftn`` layout.  An odd m_a zeroes axis a's Nyquist mode: position
-    n//2 in both the ``fftfreq`` and the ``rfftfreq`` layout."""
+@lru_cache(maxsize=256)
+def _multiplier(spec, powers):
+    """prod_a (i k_a)^m_a for the per-axis orders m = ``powers``, in ``rfftn``
+    layout; an axis of order 0 contributes no factor.  An odd m_a zeroes axis
+    a's Nyquist mode: position n//2 in both the ``fftfreq`` and the
+    ``rfftfreq`` layout."""
     dim = spec.dim
-    mults = []
-    for idx in sym_indices(dim, rank):
-        mult = np.ones((1,) * dim, dtype=np.complex128)
-        for axis, m in enumerate(_powers_of(idx, dim)):
-            if m == 0:
-                continue
-            n = spec.sizes[axis]
-            freq = np.fft.rfftfreq if axis == dim - 1 else np.fft.fftfreq
-            k = 2.0 * np.pi * freq(n, d=spec.periods[axis] / n)
-            if m % 2 == 0:
-                fac = (-(k * k)) ** (m // 2)
-            else:
-                fac = np.where(np.arange(k.size) == n // 2, 0.0,
-                               (1j * k) * (-(k * k)) ** ((m - 1) // 2))
-            mult = mult * fac.reshape((1,) * axis + (k.size,) + (1,) * (dim - 1 - axis))
-        mult.flags.writeable = False
-        mults.append(mult)
-    return tuple(mults)
+    mult = np.ones((1,) * dim, dtype=np.complex128)
+    for axis, m in enumerate(powers):
+        if m == 0:
+            continue
+        n = spec.sizes[axis]
+        freq = np.fft.rfftfreq if axis == dim - 1 else np.fft.fftfreq
+        k = 2.0 * np.pi * freq(n, d=spec.periods[axis] / n)
+        if m % 2 == 0:
+            fac = (-(k * k)) ** (m // 2)
+        else:
+            fac = np.where(np.arange(k.size) == n // 2, 0.0,
+                           (1j * k) * (-(k * k)) ** ((m - 1) // 2))
+        mult = mult * fac.reshape((1,) * axis + (k.size,) + (1,) * (dim - 1 - axis))
+    mult.flags.writeable = False
+    return mult
+
+
+def _rank_multipliers(spec, rank):
+    """Multipliers of the packed rank-``rank`` components, in order."""
+    dim = spec.dim
+    return tuple(_multiplier(spec, _powers_of(idx, dim)) for idx in sym_indices(dim, rank))
 
 
 # ---------------------------------------------------------------------------
@@ -429,28 +444,41 @@ class _FftJetOps(_JetOps):
 
     On 1-D grids one multiply against the ranks' stacked multipliers and one
     batched ``irfft`` write every rank; pocketfft transforms each row as a
-    single call would.  On 2-D/3-D grids each component is one multiply and
-    the passes of ``irfftn`` (complex inverse passes over the leading axes,
-    then the real one over the last), the complex ones in place in the work
-    buffer instead of in fresh temporaries.
+    single call would.  On 2-D/3-D grids, in 3-D first, once per distinct
+    order on axis 1: multiply by that axis' factor and ``ifft`` over axis 1
+    in place in the middle buffer; then per component: multiply by its axis-0
+    x last-axis factor into the work buffer, ``ifft`` over axis 0 in place,
+    ``irfft`` into the component's row.  2-D runs ``irfftn``'s passes bit for
+    bit, 3-D differs at the ulp level; a component's bits depend on its
+    orders only.
     """
 
     def __init__(self, spec):
         super().__init__(spec)
         self._axes = tuple(range(spec.dim))
-        self._mults = {}
+        self._plans = {}
 
-    def _multipliers(self, ranks):
-        """Multipliers of ``ranks``: on 1-D grids one (len(ranks), 1, N//2+1)
-        array, elsewhere per rank the tuple of its packed components'."""
-        mults = self._mults.get(ranks)
-        if mults is None:
-            mults = [_rank_multipliers(self.spec, rank) for rank in ranks]
-            if self.spec.dim == 1:
-                mults = np.array(mults)  # (len(ranks), 1, N//2+1): one component per rank
-                mults.flags.writeable = False
-            self._mults[ranks] = mults
-        return mults
+    def _plan(self, ranks):
+        """Multipliers of ``ranks``: on 1-D grids one (len(ranks), 1, N//2+1) array;
+        else per axis-1 order its factor and its components' (rank position,
+        component position, axis-0 x last-axis factor)."""
+        plan = self._plans.get(ranks)
+        if plan is None:
+            spec, dim = self.spec, self.spec.dim
+            if dim == 1:
+                plan = np.array([_rank_multipliers(spec, rank) for rank in ranks])
+                plan.flags.writeable = False
+            else:
+                groups = {}  # by m[1:-1]: (m_1,) in 3-D, one group () in 2-D
+                for i, rank in enumerate(ranks):
+                    for c, idx in enumerate(sym_indices(dim, rank)):
+                        m = _powers_of(idx, dim)
+                        outer = _multiplier(spec, m[:1] + (0,) * (dim - 2) + m[-1:])
+                        groups.setdefault(m[1:-1], []).append((i, c, outer))
+                plan = [(_multiplier(spec, (0, *mid, 0)) if mid else None, comps)
+                        for mid, comps in groups.items()]
+            self._plans[ranks] = plan
+        return plan
 
     def forward(self, values):
         if self.spec.dim == 1:
@@ -461,22 +489,27 @@ class _FftJetOps(_JetOps):
         sizes = self.spec.sizes
         half = sizes[:-1] + (sizes[-1] // 2 + 1,)
         if self.spec.dim == 1:
-            half = (len(ranks), 1) + half
-        return np.empty(half, dtype=np.complex128)
+            return np.empty((len(ranks), 1) + half, dtype=np.complex128)
+        middle = np.empty(half, dtype=np.complex128) if self.spec.dim == 3 else None
+        return np.empty(half, dtype=np.complex128), middle  # (work, 3-D middle buffer)
 
     def _write(self, spectrum, ranks, stacks, work):
         n_last = self.spec.sizes[-1]
+        plan = self._plan(ranks)
         if self.spec.dim == 1:
-            np.multiply(spectrum, self._multipliers(ranks), out=work)
+            np.multiply(spectrum, plan, out=work)
             np.fft.irfft(work, n=n_last, out=stacks)
             return
-        leading = self._axes[:-1]
-        for stack, mults in zip(stacks, self._multipliers(ranks)):
-            for comp, mult in zip(stack, mults):
-                np.multiply(spectrum, mult, out=work)
-                for axis in leading:
-                    np.fft.ifft(work, axis=axis, out=work)
-                np.fft.irfft(work, n=n_last, out=comp)
+        work, middle = work
+        for shared, comps in plan:
+            source = spectrum
+            if shared is not None:  # 3-D
+                source = np.multiply(spectrum, shared, out=middle)
+                np.fft.ifft(middle, axis=1, out=middle)
+            for i, c, outer in comps:
+                np.multiply(source, outer, out=work)
+                np.fft.ifft(work, axis=0, out=work)
+                np.fft.irfft(work, n=n_last, out=stacks[i][c])
 
 
 # Largest 1-D spectral grid on which the DFT matrix pair beats numpy.fft.  One

@@ -15,6 +15,8 @@ from lmcf.fields import (
     _Central4JetOps,
     _DftMatrixJetOps,
     _FftJetOps,
+    _multiplier,
+    _powers_of,
     _rank_multipliers,
     derivative,
     jet_ops,
@@ -30,6 +32,7 @@ from lmcf.fields import (
 from lmcf.initial_data import random_bandlimited_potential
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(np.float64).eps
 
 
 def sin_field(spec, k=1, axis=0):
@@ -63,6 +66,19 @@ class TestGridSpec:
     def test_hashable_and_eq(self):
         assert GridSpec(1, (16,)) == GridSpec(1, (16,))
         assert hash(GridSpec(1, (16,))) == hash(GridSpec(1, (16,)))
+
+    @pytest.mark.parametrize("dim, sizes, bad", [
+        (1, (8.5,), "8.5"), (1, ["12"], "'12'"), (True, (8,), "True"), (2.0, (8, 8), "2.0"),
+        (1, (8.0,), "8.0"), (2, (16, np.float64(8.0)), "8.0"), (1, (np.True_,), "True"),
+    ])
+    def test_rejects_non_integer_arguments(self, dim, sizes, bad):
+        with pytest.raises(ValueError, match=f"must be an integer, got .*{bad}"):
+            GridSpec(dim, sizes)
+
+    def test_accepts_numpy_integers(self):
+        spec = GridSpec(np.int64(2), np.array([16, 8]))
+        assert spec == GridSpec(2, (16, 8))
+        assert type(spec.dim) is int and all(type(s) is int for s in spec.sizes)
 
 
 class TestDerivative:
@@ -235,6 +251,23 @@ class TestNyquistRule:
         assert np.max(np.abs(d2 + k_nyq**2 * u.values)) <= 1e-12 * k_nyq**2
         assert np.max(np.abs(hess.component(axis, other).values)) <= 1e-12 * k_nyq * TWO_PI
 
+    @pytest.mark.parametrize("sizes, periods", [((98, 16, 8), None), ((16, 12, 8), (1, 2, 0.5))])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_odd_orders_of_a_nyquist_mode_vanish_in_3d(self, sizes, periods, axis):
+        # the spectrum of a field that is a pure Nyquist mode along ``axis``:
+        # every component of odd order on that axis is exactly 0, whichever
+        # stage of the synthesis applies that axis' factor
+        spec = GridSpec(3, sizes, periods)
+        ops = _FftJetOps(spec)
+        rng = np.random.default_rng(axis)
+        spectrum = np.zeros(sizes[:2] + (sizes[2] // 2 + 1,), dtype=np.complex128)
+        slab = (slice(None),) * axis + (sizes[axis] // 2,)
+        spectrum[slab] = rng.standard_normal(spectrum[slab].shape) + 1j
+        for rank, stack in zip((1, 2, 3, 4), ops.jets(spectrum, (1, 2, 3, 4))):
+            for comp, idx in zip(stack, sym_indices(3, rank)):
+                odd = _powers_of(idx, 3)[axis] % 2 == 1
+                assert (comp == 0.0).all() == odd, (rank, idx)
+
 
 class TestOnePassPerState:
     """One forward transform serves every rank; jets are written once."""
@@ -298,14 +331,41 @@ class TestOnePassPerState:
 
     @pytest.mark.parametrize("sizes", [(32, 24), (128, 128), (16, 12, 8), (32, 32, 32)])
     def test_inverse_passes_match_irfftn(self, sizes):
-        # 2-D/3-D jets run irfftn's own passes, the complex ones in place
+        # 2-D jets run irfftn's own passes, the complex one in place; 3-D jets
+        # run the one-axis calls in their own order (axis 1, axis 0, then the
+        # real pass), which differs from irfftn's by a few ulp
         spec = GridSpec(len(sizes), sizes)
         ops = _FftJetOps(spec)
         spectrum = ops.forward(random_bandlimited_potential(spec, 0.3, 3, seed=4).values)
         axes = tuple(range(spec.dim))
         for rank, stack in zip((1, 2, 3, 4), ops.jets(spectrum, (1, 2, 3, 4))):
-            for comp, mult in zip(stack, _rank_multipliers(spec, rank)):
-                assert np.array_equal(comp, np.fft.irfftn(spectrum * mult, s=sizes, axes=axes))
+            indices = sym_indices(spec.dim, rank)
+            for comp, idx, mult in zip(stack, indices, _rank_multipliers(spec, rank)):
+                full = np.fft.irfftn(spectrum * mult, s=sizes, axes=axes)
+                if spec.dim == 2:
+                    assert np.array_equal(comp, full)
+                    continue
+                m0, m1, m2 = _powers_of(idx, 3)
+                middle = np.fft.ifft(spectrum * _multiplier(spec, (0, m1, 0)), axis=1)
+                outer = np.fft.ifft(middle * _multiplier(spec, (m0, 0, m2)), axis=0)
+                assert np.array_equal(comp, np.fft.irfft(outer, n=sizes[-1], axis=2))
+                assert np.max(np.abs(comp - full)) <= 4 * EPS * np.max(np.abs(comp))
+
+    @pytest.mark.parametrize("sizes, ranks, passes", [
+        ((32, 24), (1, 2, 3), 9), ((32, 24), (2,), 3),
+        ((16, 12, 8), (1, 2, 3), 23), ((16, 12, 8), (2,), 9), ((16, 12, 8), (1, 2, 3, 4), 39),
+    ])
+    def test_components_share_the_axis_1_pass(self, sizes, ranks, passes, monkeypatch):
+        # 3-D: one axis-1 pass per distinct order on axis 1, one axis-0 pass per component
+        spec = GridSpec(len(sizes), sizes)
+        ops = _FftJetOps(spec)
+        spectrum = ops.forward(random_bandlimited_potential(spec, 0.3, 3, seed=4).values)
+        ifft, irfft, calls = np.fft.ifft, np.fft.irfft, []
+        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append("c") or ifft(*a, **k))
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append("r") or irfft(*a, **k))
+        ops.jets(spectrum, ranks)
+        ncomp = sum(len(sym_indices(spec.dim, rank)) for rank in ranks)
+        assert (calls.count("c"), calls.count("r")) == (passes, ncomp)
 
     def test_wrapping_a_stack_makes_no_copy(self):
         spec = GridSpec(2, (16, 16))

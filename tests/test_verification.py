@@ -411,6 +411,25 @@ class TestTrajectoryChecksInHigherDimensions:
         assert rep.passed, rep.lines()
 
 
+@pytest.mark.parametrize("sizes", [(32, 32), (32, 32, 32)], ids=["2d-32", "3d-32"])
+class TestStaticChecksInHigherDimensions:
+    """The geometry suite's two amplitude sweeps, on n = 2, 3 band-limited data."""
+
+    def test_angle_expansion(self, sizes):
+        spec = GridSpec(len(sizes), sizes)
+        base = random_bandlimited_potential(spec, 0.05, 2, seed=7)
+        rep = check_angle_expansion([base], (1e-1, 1e-2, 1e-3))
+        assert rep.passed, rep.lines()
+        assert rep.fitted_order >= 2.9  # the cubic remainder, as the suite requires in 1-D
+
+    def test_laplacian_difference(self, sizes):
+        spec = GridSpec(len(sizes), sizes)
+        u = random_bandlimited_potential(spec, 0.05, 2, seed=7)
+        f = random_bandlimited_potential(spec, 0.05, 2, seed=8)
+        rep = check_laplacian_difference(u, f)
+        assert rep.passed, rep.lines()
+
+
 class TestDecayFit:
     def _records(self, rate, n=20):
         return [
