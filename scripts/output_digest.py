@@ -29,6 +29,9 @@ CONFIGS = {
                  "u0_amplitude = 0.09\nu0_modes = 3\n" + _RANDOM,
     "fft_1d_256": "dim = 1\nsizes = 256\nkappa = 0\nt_max = 0.004\ncheckpoint_every = 1\n"
                   "u0_amplitude = 0.05\nu0_modes = 3\n" + _RANDOM,
+    # the smallest FFT-route size above DFT_MATRIX_MAX_N, and N = 2 mod 4
+    "fft_1d_130": "dim = 1\nsizes = 130\nkappa = -0.5\nt_max = 0.004\ncheckpoint_every = 1\n"
+                  "u0_amplitude = 0.05\nu0_modes = 3\n" + _RANDOM,
     "fft_2d_64": "dim = 2\nsizes = 64,64\nkappa = -1\nt_max = 0.01\ncheckpoint_every = 4\n"
                  "u0_amplitude = 0.05\nu0_modes = 3\n" + _RANDOM,
     "fft_3d_16": "dim = 3\nsizes = 16,16,16\nkappa = 0\nt_max = 0.05\ncheckpoint_every = 2\n"

@@ -10,9 +10,10 @@ Two differentiation schemes are provided:
   roundoff.  One cached function, ``_multiplier``, builds a grid's Fourier
   multipliers from per-axis derivative orders; an odd order zeroes its axis'
   Nyquist mode, index n//2 on every axis, so real input maps to real output.
-  On 1-D grids of at most ``DFT_MATRIX_MAX_N`` = 128 points the same
-  operator runs as two real matrix-vector products, which skip numpy.fft's
-  fixed per-call cost; the input is shifted by its first value so that a
+  The FFTs call ``numpy.fft``'s pocketfft kernels directly: its bits without
+  its Python wrapper's per-call cost.  On 1-D grids of at most
+  ``DFT_MATRIX_MAX_N`` = 128 points the operator runs as two real
+  matrix-vector products, the input shifted by its first value so that a
   constant maps to exact zeros.
 * ``central4`` — 4th-order centered finite differences with periodic wrap,
   kept as an independent fallback so discretization error can be separated
@@ -53,6 +54,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft  # the kernels numpy.fft calls
 
 SCHEMES = ("spectral", "central4")
 
@@ -442,6 +444,10 @@ class _JetOps:
 class _FftJetOps(_JetOps):
     """FFT jets: the coefficients are the ``rfftn`` half-spectrum.
 
+    Each pass calls the pocketfft gufunc that ``numpy.fft`` calls, with its
+    normalization (1 forward, 1/N_a inverse), so it keeps that call's bits.
+    ``forward`` runs ``rfftn``'s passes: the real one over the last axis into
+    a fresh half-spectrum, then the complex ones in place, axes dim-2 ... 0.
     On 1-D grids one multiply against the ranks' stacked multipliers and one
     batched ``irfft`` write every rank; pocketfft transforms each row as a
     single call would.  On 2-D/3-D grids, in 3-D first, once per distinct
@@ -455,7 +461,12 @@ class _FftJetOps(_JetOps):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self._axes = tuple(range(spec.dim))
+        sizes = spec.sizes
+        self._half = sizes[:-1] + (sizes[-1] // 2 + 1,)
+        # per complex axis, in rfftn's order dim-2 ... 0: its gufunc axes and ifft's 1/N_a
+        self._passes = {a: ([(a,), (), (a,)], 1.0 / sizes[a])
+                        for a in reversed(range(spec.dim - 1))}
+        self._inv_n_last = 1.0 / sizes[-1]
         self._plans = {}
 
     def _plan(self, ranks):
@@ -481,41 +492,43 @@ class _FftJetOps(_JetOps):
         return plan
 
     def forward(self, values):
-        if self.spec.dim == 1:
-            return np.fft.rfft(values)
-        return np.fft.rfftn(values, axes=self._axes)
+        spectrum = np.empty(self._half, dtype=np.complex128)
+        _pocketfft.rfft_n_even(values, 1.0, out=spectrum)  # sizes are even
+        for axes, _ in self._passes.values():
+            _pocketfft.fft(spectrum, 1.0, axes=axes, out=spectrum)
+        return spectrum
 
     def _work(self, ranks, stacks):
-        sizes = self.spec.sizes
-        half = sizes[:-1] + (sizes[-1] // 2 + 1,)
         if self.spec.dim == 1:
-            return np.empty((len(ranks), 1) + half, dtype=np.complex128)
-        middle = np.empty(half, dtype=np.complex128) if self.spec.dim == 3 else None
-        return np.empty(half, dtype=np.complex128), middle  # (work, 3-D middle buffer)
+            return np.empty((len(ranks), 1) + self._half, dtype=np.complex128)
+        middle = np.empty(self._half, dtype=np.complex128) if self.spec.dim == 3 else None
+        return np.empty(self._half, dtype=np.complex128), middle  # (work, 3-D middle buffer)
 
     def _write(self, spectrum, ranks, stacks, work):
-        n_last = self.spec.sizes[-1]
         plan = self._plan(ranks)
         if self.spec.dim == 1:
             np.multiply(spectrum, plan, out=work)
-            np.fft.irfft(work, n=n_last, out=stacks)
+            _pocketfft.irfft(work, self._inv_n_last, out=stacks)
             return
         work, middle = work
+        axes_0, inv_n_0 = self._passes[0]
         for shared, comps in plan:
             source = spectrum
             if shared is not None:  # 3-D
                 source = np.multiply(spectrum, shared, out=middle)
-                np.fft.ifft(middle, axis=1, out=middle)
+                axes_1, inv_n_1 = self._passes[1]
+                _pocketfft.ifft(middle, inv_n_1, axes=axes_1, out=middle)
             for i, c, outer in comps:
                 np.multiply(source, outer, out=work)
-                np.fft.ifft(work, axis=0, out=work)
-                np.fft.irfft(work, n=n_last, out=stacks[i][c])
+                _pocketfft.ifft(work, inv_n_0, axes=axes_0, out=work)
+                _pocketfft.irfft(work, self._inv_n_last, out=stacks[i][c])
 
 
-# Largest 1-D spectral grid on which the DFT matrix pair beats numpy.fft.  One
-# Hessian on a 2-vCPU x86 VM, numpy 2.4 with OpenBLAS 0.3.31 and pocketfft:
-# N = 64 4-7 us against 12-20 us, N = 128 9-11 us against 14-22 us, N = 256
-# 29 us against 24-25 us.
+# Largest 1-D spectral grid on the DFT matrix pair.  Forward plus Hessian into
+# buffers, DFT pair vs FFT route, 2-vCPU x86 VM, numpy 2.4, OpenBLAS 0.3.31:
+# N = 16 1.7 vs 3.3 us, 64 2.5 vs 3.6 us, 128 4.9 vs 4.4 us, 256 11.7 vs 5.3 us.
+# The FFT route wins at 128 by ~0.5 us per Hessian; moving the bound would
+# change the bits of every 1-D run at N = 128 and of certification report rows.
 DFT_MATRIX_MAX_N = 128
 
 

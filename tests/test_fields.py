@@ -1,10 +1,13 @@
 """Field calculus on periodic grids: derivatives, norms, pairings."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmcf import fields
 from lmcf.fields import (
     GridSpec,
     NonFiniteError,
@@ -33,6 +36,35 @@ from lmcf.initial_data import random_bandlimited_potential
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(np.float64).eps
+
+# numpy.fft's public call for each pocketfft kernel, given the kernel's input and output
+PUBLIC_FFT = {
+    "rfft_n_even": lambda a, axis, out: np.fft.rfft(a, axis=axis),
+    "fft": lambda a, axis, out: np.fft.fft(a, axis=axis),
+    "ifft": lambda a, axis, out: np.fft.ifft(a, axis=axis),
+    "irfft": lambda a, axis, out: np.fft.irfft(a, n=out.shape[axis], axis=axis),
+}
+
+
+def spy_on_kernels(monkeypatch, check=None):
+    """Replace ``fields``' binding of numpy's pocketfft kernels with wrappers
+    that log each call's kernel name and, given ``check``, pass it
+    (name, a copy of the input, the transformed axis, the output)."""
+    real, calls = fields._pocketfft, []
+
+    def spy(name):
+        def call(a, fct, axes=None, out=None):
+            before = a.copy() if check else None
+            kernel = getattr(real, name)
+            out = kernel(a, fct, out=out) if axes is None else kernel(a, fct, axes=axes, out=out)
+            calls.append(name)
+            if check:
+                check(name, before, -1 if axes is None else axes[0][0], out)
+            return out
+        return call
+
+    monkeypatch.setattr(fields, "_pocketfft", SimpleNamespace(**{n: spy(n) for n in PUBLIC_FFT}))
+    return calls
 
 
 def sin_field(spec, k=1, axis=0):
@@ -360,12 +392,32 @@ class TestOnePassPerState:
         spec = GridSpec(len(sizes), sizes)
         ops = _FftJetOps(spec)
         spectrum = ops.forward(random_bandlimited_potential(spec, 0.3, 3, seed=4).values)
-        ifft, irfft, calls = np.fft.ifft, np.fft.irfft, []
-        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append("c") or ifft(*a, **k))
-        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append("r") or irfft(*a, **k))
+        calls = spy_on_kernels(monkeypatch)
         ops.jets(spectrum, ranks)
         ncomp = sum(len(sym_indices(spec.dim, rank)) for rank in ranks)
-        assert (calls.count("c"), calls.count("r")) == (passes, ncomp)
+        assert (calls.count("ifft"), calls.count("irfft")) == (passes, ncomp)
+        assert len(calls) == passes + ncomp
+
+    @pytest.mark.parametrize("sizes, complex_passes", [
+        ((256,), 0), ((32, 24), 1), ((16, 12, 8), 2),
+    ])
+    def test_forward_runs_one_real_pass_then_one_per_leading_axis(
+            self, sizes, complex_passes, monkeypatch):
+        spec = GridSpec(len(sizes), sizes)
+        ops = _FftJetOps(spec)
+        u = random_bandlimited_potential(spec, 0.3, 3, seed=4).values
+        calls = spy_on_kernels(monkeypatch)
+        ops.forward(u)
+        assert calls == ["rfft_n_even"] + ["fft"] * complex_passes
+
+    @pytest.mark.parametrize("ranks", [(2,), (1, 2, 3), (4, 1, 3, 2)])
+    def test_1d_synthesis_is_one_batched_irfft(self, ranks, monkeypatch):
+        spec = GridSpec(1, (256,))
+        ops = _FftJetOps(spec)
+        spectrum = ops.forward(random_bandlimited_potential(spec, 0.3, 3, seed=4).values)
+        calls = spy_on_kernels(monkeypatch)
+        ops.jets(spectrum, ranks)
+        assert calls == ["irfft"]
 
     def test_wrapping_a_stack_makes_no_copy(self):
         spec = GridSpec(2, (16, 16))
@@ -409,6 +461,40 @@ class TestOnePassPerState:
         second = ops.hessian(view)
         assert not np.array_equal(first, second)
         assert np.array_equal(second, type(ops)(spec).hessian(base.copy()))
+
+
+class TestPocketfftParity:
+    """The FFT route calls numpy's pocketfft kernels itself, with numpy's
+    normalization; each pass must keep the bits of its public ``numpy.fft``
+    call, so a numpy release that changes the private module fails here
+    instead of changing outputs.  Sizes include N = 2 mod 4 and unequal axes."""
+
+    SIZES = [(130,), (258,), (1024,), (14, 22), (98, 16), (128, 128),
+             (8, 14, 10), (16, 12, 8), (32, 32, 32)]
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_forward_is_rfftn(self, sizes):
+        spec = GridSpec(len(sizes), sizes)
+        u = random_bandlimited_potential(spec, 0.3, 3, seed=6).values
+        spectrum = _FftJetOps(spec).forward(u)
+        assert np.array_equal(spectrum, np.fft.rfft(u) if spec.dim == 1 else np.fft.rfftn(u))
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_every_pass_is_its_public_call(self, sizes, monkeypatch):
+        spec = GridSpec(len(sizes), sizes)
+        ops = _FftJetOps(spec)
+        u = random_bandlimited_potential(spec, 0.3, 3, seed=6).values
+        mismatches = []
+
+        def check(name, a, axis, out):
+            if not np.array_equal(out, PUBLIC_FFT[name](a, axis, out)):
+                mismatches.append((name, axis))
+
+        calls = spy_on_kernels(monkeypatch, check)
+        ops.jets(ops.forward(u), (1, 2, 3, 4))
+        expected = {"rfft_n_even", "irfft"} | ({"fft", "ifft"} if spec.dim > 1 else set())
+        assert set(calls) == expected
+        assert mismatches == []
 
 
 class TestLaplacian:
