@@ -3,8 +3,9 @@
 
 Runs ``lmcf run`` and then ``lmcf resume`` from its checkpoint on the
 certified presets and on configs that cover every jet route (1-D DFT matrix
-pair and FFT, 2-D and 3-D FFT, 2-D central4) and unequal sizes and periods
-per axis (2-D and 3-D FFT), then ``lmcf verify all``.
+pair and FFT, 2-D and 3-D FFT, 2-D central4), unequal sizes and periods
+per axis (2-D and 3-D FFT) and a record every step with kappa != 0 (1-D and
+3-D), then ``lmcf verify all``.
 Prints one sha256 per run pair, one over all of them (exit codes,
 monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf verify all``
 and one over all of those files, so two checkouts' outputs can be compared
@@ -42,6 +43,10 @@ CONFIGS = {
                     "checkpoint_every = 2\nu0_amplitude = 0.05\nu0_modes = 3\n" + _RANDOM,
     "fft_3d_16x12x8": "dim = 3\nsizes = 16,12,8\nperiods = 1,2,0.5\nkappa = 0\nt_max = 0.01\n"
                       "checkpoint_every = 2\nu0_amplitude = 0.02\nu0_modes = 2\n" + _RANDOM,
+    # 3-D with the Einstein term and a record every step: each step's k1 is its record's angle
+    "fft_3d_12x16x10": "dim = 3\nsizes = 12,16,10\nperiods = 1,1.5,0.5\nkappa = -0.5\n"
+                       "t_max = 0.0003\ncheckpoint_every = 1\nu0_amplitude = 0.03\nu0_modes = 2\n"
+                       + _RANDOM,
 }
 RUN_FILES = ("monitors.csv", "summary.txt", "final.lmcf")
 

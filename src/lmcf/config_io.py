@@ -12,7 +12,7 @@ from operator import attrgetter
 
 from .fields import GridSpec
 from .flow import FlowConfig
-from .initial_data import PRESET_NAMES, build_initial
+from .initial_data import build_initial, check_recipe
 
 
 class ConfigError(ValueError):
@@ -122,8 +122,10 @@ def parse_config_text(text) -> RunSetup:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     setup = RunSetup(cfg=cfg, **kwargs[""])
-    if setup.u0_preset not in PRESET_NAMES:
-        raise ConfigError(f"unknown u0_preset {setup.u0_preset!r}")
+    try:
+        check_recipe(setup.u0_preset, setup.u0_modes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return setup
 
 

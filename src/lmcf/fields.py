@@ -27,11 +27,12 @@ coefficients gets all its ranks for one forward transform: a flow record
 gets ranks 1-3 from one call.  On 1-D FFT grids that is one multiply
 against the stacked multipliers and one batched ``irfft``, whose rows are
 bit-identical to single-rank calls; the DFT matrix route makes one product
-per rank.  On 2-D/3-D grids the multipliers are separable: in 3-D the
-components with one order on axis 1 share that axis' pass, then each
-component gets the pass over axis 0 and the real one over the last axis.
-2-D runs ``irfftn``'s passes bit for bit, 3-D differs from them at the ulp
-level, and a component's bits never depend on the ranks a call asks for.
+per rank.  2-D runs ``irfftn``'s passes bit for bit.  In 3-D each axis'
+separable factor (skipped if 1) goes just before that axis' pass, so the
+components with one order on axis 1 share that pass and those with one
+(axis-0, axis-1) order pair the one over axis 0; the bits differ from
+``irfftn``'s at the ulp level.  A component's bits never depend on the ranks
+a call asks for.
 The operators keep no input between calls.
 Components are written straight into packed stacks.  The stacks ``jets``
 returns are read-only; given buffers from ``jet_buffers`` it fills those
@@ -450,13 +451,13 @@ class _FftJetOps(_JetOps):
     a fresh half-spectrum, then the complex ones in place, axes dim-2 ... 0.
     On 1-D grids one multiply against the ranks' stacked multipliers and one
     batched ``irfft`` write every rank; pocketfft transforms each row as a
-    single call would.  On 2-D/3-D grids, in 3-D first, once per distinct
-    order on axis 1: multiply by that axis' factor and ``ifft`` over axis 1
-    in place in the middle buffer; then per component: multiply by its axis-0
-    x last-axis factor into the work buffer, ``ifft`` over axis 0 in place,
-    ``irfft`` into the component's row.  2-D runs ``irfftn``'s passes bit for
-    bit, 3-D differs at the ulp level; a component's bits depend on its
-    orders only.
+    single call would.  2-D, per component: multiply by its whole factor,
+    ``ifft`` over axis 0 in place, ``irfft`` into its row, as ``irfftn``.
+    3-D, each axis' factor just before its pass: ``ifft`` over axis 1 into
+    the middle buffer per distinct order m_1, under it over axis 0 per m_0,
+    then ``irfft`` per component.  Unit factors are skipped: the m_0 = 0
+    pass runs last, in place in the middle buffer.  3-D differs from
+    ``irfftn`` at the ulp level; a component's bits depend on its orders.
     """
 
     def __init__(self, spec):
@@ -471,23 +472,28 @@ class _FftJetOps(_JetOps):
 
     def _plan(self, ranks):
         """Multipliers of ``ranks``: on 1-D grids one (len(ranks), 1, N//2+1) array;
-        else per axis-1 order its factor and its components' (rank position,
-        component position, axis-0 x last-axis factor)."""
+        else [(axis-1 factor, [(axis-0 factor, [(rank position, component position,
+        last-axis factor)])])], None if 1; in 2-D the whole factor is axis 0's."""
         plan = self._plans.get(ranks)
         if plan is None:
             spec, dim = self.spec, self.spec.dim
+            comps = [(i, c, _powers_of(idx, dim)) for i, rank in enumerate(ranks)
+                     for c, idx in enumerate(sym_indices(dim, rank))]
             if dim == 1:
                 plan = np.array([_rank_multipliers(spec, rank) for rank in ranks])
                 plan.flags.writeable = False
+            elif dim == 2:
+                plan = [(None, [(_multiplier(spec, m), [(i, c, None)]) for i, c, m in comps])]
             else:
-                groups = {}  # by m[1:-1]: (m_1,) in 3-D, one group () in 2-D
-                for i, rank in enumerate(ranks):
-                    for c, idx in enumerate(sym_indices(dim, rank)):
-                        m = _powers_of(idx, dim)
-                        outer = _multiplier(spec, m[:1] + (0,) * (dim - 2) + m[-1:])
-                        groups.setdefault(m[1:-1], []).append((i, c, outer))
-                plan = [(_multiplier(spec, (0, *mid, 0)) if mid else None, comps)
-                        for mid, comps in groups.items()]
+                def factor(*m):
+                    return _multiplier(spec, m) if any(m) else None
+                tree = {}  # m_1 -> m_0 -> components
+                for i, c, (m0, m1, m2) in comps:
+                    tree.setdefault(m1, {}).setdefault(m0, []).append((i, c, factor(0, 0, m2)))
+                # m_0 = 0 last: its axis-0 pass runs in place in the middle buffer
+                plan = [(factor(0, m1, 0), [(factor(m0, 0, 0), leaves) for m0, leaves
+                                            in sorted(by_m0.items(), reverse=True)])
+                        for m1, by_m0 in tree.items()]
             self._plans[ranks] = plan
         return plan
 
@@ -501,8 +507,9 @@ class _FftJetOps(_JetOps):
     def _work(self, ranks, stacks):
         if self.spec.dim == 1:
             return np.empty((len(ranks), 1) + self._half, dtype=np.complex128)
-        middle = np.empty(self._half, dtype=np.complex128) if self.spec.dim == 3 else None
-        return np.empty(self._half, dtype=np.complex128), middle  # (work, 3-D middle buffer)
+        if self.spec.dim == 2:
+            return np.empty(self._half, dtype=np.complex128), None, None
+        return tuple(np.empty(self._half, dtype=np.complex128) for _ in range(3))
 
     def _write(self, spectrum, ranks, stacks, work):
         plan = self._plan(ranks)
@@ -510,18 +517,21 @@ class _FftJetOps(_JetOps):
             np.multiply(spectrum, plan, out=work)
             _pocketfft.irfft(work, self._inv_n_last, out=stacks)
             return
-        work, middle = work
+        outer, middle, last = work  # for the axis-0 pass, the axis-1 pass, the last factor
         axes_0, inv_n_0 = self._passes[0]
-        for shared, comps in plan:
+        for f1, subgroups in plan:
             source = spectrum
-            if shared is not None:  # 3-D
-                source = np.multiply(spectrum, shared, out=middle)
+            if middle is not None:  # 3-D
                 axes_1, inv_n_1 = self._passes[1]
-                _pocketfft.ifft(middle, inv_n_1, axes=axes_1, out=middle)
-            for i, c, outer in comps:
-                np.multiply(source, outer, out=work)
-                _pocketfft.ifft(work, inv_n_0, axes=axes_0, out=work)
-                _pocketfft.irfft(work, self._inv_n_last, out=stacks[i][c])
+                shared = spectrum if f1 is None else np.multiply(spectrum, f1, out=middle)
+                _pocketfft.ifft(shared, inv_n_1, axes=axes_1, out=middle)
+                source = middle
+            for f0, leaves in subgroups:
+                stage = source if f0 is None else np.multiply(source, f0, out=outer)
+                _pocketfft.ifft(stage, inv_n_0, axes=axes_0, out=stage)
+                for i, c, f2 in leaves:
+                    real = stage if f2 is None else np.multiply(stage, f2, out=last)
+                    _pocketfft.irfft(real, self._inv_n_last, out=stacks[i][c])
 
 
 # Largest 1-D spectral grid on the DFT matrix pair.  Forward plus Hessian into

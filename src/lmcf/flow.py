@@ -110,30 +110,31 @@ class FlowState:
     forward transform of u, and cached as raw read-only arrays; the field
     wrappers ``u``, ``du``, ``d2u`` and ``d3u`` are built only when asked for.
     ``integrate`` seeds its records and its result from the loop's own arrays,
-    jets included, so those states recompute nothing the loop already has."""
+    jets and angle included, so those states recompute nothing the loop has."""
 
     __slots__ = ("t", "spec", "scheme", "_u", "_values", "_ops", "_coeffs",
-                 "_jets", "_norms_sq", "_psi", "__weakref__")
+                 "_jets", "_norms_sq", "_psi", "_angle", "__weakref__")
 
     def __init__(self, t, u, scheme="spectral"):
         self.t, self.spec, self.scheme, self._u = float(t), u.spec, scheme, u
         self._values, self._ops, self._coeffs = u.values, jet_ops(u.spec, scheme), None
-        self._jets, self._norms_sq, self._psi = {}, {}, {}
+        self._jets, self._norms_sq, self._psi, self._angle = {}, {}, {}, None
 
     @classmethod
     def initial(cls, u0, cfg):
         return cls(0.0, u0, scheme=cfg.scheme)
 
     @classmethod
-    def _from_loop(cls, t, values, coeffs, jets, d2u_sq, ops, scheme):
+    def _from_loop(cls, t, values, coeffs, jets, d2u_sq, angle, ops, scheme):
         """State over ``integrate``'s frozen arrays: the values of u, their
         coefficients under ``ops``, the jet stacks by rank (the Hessian at
-        least) and |D^2 u|^2."""
-        d2u_sq.setflags(write=False)
+        least), |D^2 u|^2 and, if known, ``angle_and_density()``."""
+        for array in (d2u_sq, *(angle or ())):
+            array.setflags(write=False)
         state = cls.__new__(cls)
         state.t, state.spec, state.scheme, state._u = t, ops.spec, scheme, None
         state._values, state._ops, state._coeffs = values, ops, coeffs
-        state._jets, state._norms_sq, state._psi = jets, {2: d2u_sq}, {}
+        state._jets, state._norms_sq, state._psi, state._angle = jets, {2: d2u_sq}, {}, angle
         return state
 
     @property
@@ -175,6 +176,14 @@ class FlowState:
             self._norms_sq[rank] = out
         return out
 
+    def angle_and_density(self):
+        """Read-only pointwise (theta, sqrt(det mu)), computed once per state."""
+        if self._angle is None:
+            self._angle = _angle_and_density(self._jet(2), self.spec.dim)
+            for array in self._angle:
+                array.setflags(write=False)
+        return self._angle
+
     def psi(self, C0, C1):
         """Read-only pointwise psi = C0 u^2 + C1 |du|^2 + |D^2 u|^2, computed
         once per state and (C0, C1)."""
@@ -208,24 +217,24 @@ def rhs(u: PeriodicScalarField, kappa: float, scheme: str = "spectral") -> Perio
     return PeriodicScalarField(u.spec, vals)
 
 
-def _rhs_values(u_vals, hess, kappa, dim):
-    out = _angle_values(hess, dim)
+def _rhs_values(u_vals, hess, kappa, dim, theta=None):
+    """theta(D^2 u) + kappa*u, fresh; ``theta``, if given, is ``hess``' angle."""
+    out = _angle_values(hess, dim) if theta is None else theta.copy()
     if kappa != 0.0:
         out += kappa * u_vals
     return out
 
 
-def _rk4_update(u_vals, hess, dt, kappa, ops, dim, buffers):
-    """One RK4 step from raw values; ``hess`` is the Hessian stack of u_vals,
-    possibly the stage stack of ``buffers`` (from ``ops.jet_buffers((2,))``),
-    which k1 reads before any stage overwrites it.  Returns a fresh array.
+def _rk4_update(u_vals, k1, dt, kappa, ops, dim, buffers):
+    """One RK4 step from raw values and k1, a fresh ``_rhs_values`` array of
+    u_vals, which the step consumes; the stages write their Hessians into
+    ``buffers`` (from ``ops.jet_buffers((2,))``).  Returns a fresh array.
 
     The stage arithmetic runs in place, in the order of
     ``u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with ``y = u + c dt k``, so the
     result is bit-identical to the expression.
     """
     stage = buffers[0][0]  # the Hessian stack each stage's jets call overwrites
-    k1 = _rhs_values(u_vals, hess, kappa, dim)
     y = k1 * (0.5 * dt)
     y += u_vals
     ops.jets(ops.forward(y), (2,), buffers)
@@ -267,8 +276,9 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
     dt = cfg.dt if dt is None else dt
     ops = jet_ops(state.spec, cfg.scheme)
     with np.errstate(invalid="ignore"):  # as in integrate: a non-finite field is a blowup
-        u_new = _rk4_update(state._values, state._jet(2), dt, cfg.kappa, ops,
-                            state.spec.dim, ops.jet_buffers((2,)))
+        k1 = _rhs_values(state._values, state._jet(2), cfg.kappa, state.spec.dim)
+        u_new = _rk4_update(state._values, k1, dt, cfg.kappa, ops, state.spec.dim,
+                            ops.jet_buffers((2,)))
         u_new.setflags(write=False)
         new = FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
         for guarded in (state, new):
@@ -281,7 +291,7 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
 def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
     """All tracked scalars of one state (sup norms, psi, angle range, volume),
     read through the state's caches, which then serve later readers too."""
-    theta, sqrt_det = _angle_and_density(state._jet(2), state.spec.dim)
+    theta, sqrt_det = state.angle_and_density()
     return MonitorRecord(
         t=state.t,
         max_u=float(np.abs(state._values).max()),
@@ -340,7 +350,8 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     ``FlowState`` seeded with the loop's own arrays, jets included, with no
     field wrapper; the result's state is built the same way over the Hessian
     alone, so a final record off the cadence synthesizes D u and D^3 u itself.
-    The blowup guard and the record read the same pointwise |D^2 u|^2.
+    The blowup guard and the record read the same pointwise |D^2 u|^2, and the
+    record and the step's k1 the same angle, seeded into the record's state.
     """
     _admit(u0, cfg)
     if cfg.kappa > 0.0:
@@ -368,7 +379,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     caller_errstate = np.geterr()
 
     def state_now(jets):
-        return FlowState._from_loop(t, u, coeffs, jets, d2u_sq, ops, cfg.scheme)
+        return FlowState._from_loop(t, u, coeffs, jets, d2u_sq, angle, ops, cfg.scheme)
 
     def emit(state):
         nonlocal last_emitted, warned_region
@@ -400,6 +411,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                 jets = dict(zip((1, 2, 3), ops.jets(coeffs, (1, 2, 3))))
                 hess = jets[2]
                 d2u_sq = sym_norm_sq(hess, dim, 2)
+                angle = _angle_and_density(hess, dim)  # the record's, and k1's theta
                 emit(state_now(jets))
                 del jets
             else:
@@ -422,7 +434,9 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             # be: kept across the step, it let 2-D 128^2 jobs fault in about 4x
             # the pages on some heap layouts
             del d2u_sq
-            u = _rk4_update(u, hess, dt, kappa, ops, dim, buffers)
+            k1 = _rhs_values(u, hess, kappa, dim, None if angle is None else angle[0])
+            angle = None  # freed too, and the next state has one only if it records
+            u = _rk4_update(u, k1, dt, kappa, ops, dim, buffers)
             u.setflags(write=False)  # so the result state wraps it without a copy
             t += dt
             step += 1

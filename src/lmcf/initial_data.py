@@ -94,6 +94,14 @@ def random_bandlimited_potential(
     return PeriodicScalarField(spec, values)
 
 
+def check_recipe(preset, modes):
+    """ValueError unless ``preset`` is known and random_bandlimited has one max mode."""
+    if preset not in PRESET_NAMES:
+        raise ValueError(f"unknown u0_preset {preset!r}; known: {', '.join(PRESET_NAMES)}")
+    if preset == "random_bandlimited" and np.ndim(modes) and len(modes) != 1:
+        raise ValueError(f"u0_modes of random_bandlimited data is one max mode, got {modes}")
+
+
 def build_initial(
     spec: GridSpec,
     preset: str,
@@ -105,11 +113,10 @@ def build_initial(
     scheme: str = "spectral",
 ) -> PeriodicScalarField:
     """Dispatch on the preset name; see the module docstring for semantics."""
+    check_recipe(preset, modes)
     if preset == "constant":
         return constant_potential(spec, amplitude)
     if preset == "single_mode":
         return single_mode_potential(spec, amplitude, modes)
-    if preset == "random_bandlimited":
-        max_mode = int(modes[0]) if not isinstance(modes, int) else int(modes)
-        return random_bandlimited_potential(spec, amplitude, max_mode, seed, C0, C1, scheme)
-    raise ValueError(f"unknown initial-data preset {preset!r}; known: {PRESET_NAMES}")
+    max_mode = int(modes[0]) if np.ndim(modes) else int(modes)
+    return random_bandlimited_potential(spec, amplitude, max_mode, seed, C0, C1, scheme)

@@ -19,6 +19,7 @@ from lmcf.config_io import (
 )
 from lmcf.fields import GridSpec
 from lmcf.flow import FlowConfig, checkpoint_load
+from lmcf.initial_data import build_initial
 from lmcf.monitors import MONITOR_HEADER, read_monitor_csv
 
 QUICK_CONFIG = """
@@ -73,6 +74,21 @@ class TestConfigParsing:
     def test_malformed(self, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config_text(text)
+
+    def test_random_bandlimited_takes_one_max_mode(self):
+        # a list used to run silently as its first entry
+        text = QUICK_CONFIG.replace("single_mode", "random_bandlimited")
+        assert parse_config_text(text.replace("u0_modes = 1", "u0_modes = 3")).u0_modes == (3,)
+        with pytest.raises(ConfigError, match=r"u0_modes of random_bandlimited data is one "
+                                              r"max mode, got \(3, 2\)"):
+            parse_config_text(text.replace("u0_modes = 1", "u0_modes = 3,2"))
+        spec = GridSpec(1, (16,))
+        with pytest.raises(ValueError, match="u0_modes"):
+            build_initial(spec, "random_bandlimited", 0.01, modes=(3, 2))
+        one = build_initial(spec, "random_bandlimited", 0.01, modes=(3,), seed=2).values
+        for modes in (3, np.int64(3)):  # a numpy integer used to raise an IndexError
+            again = build_initial(spec, "random_bandlimited", 0.01, modes=modes, seed=2)
+            assert np.array_equal(again.values, one)
 
     def test_format_parse_roundtrip(self):
         setup = parse_config_text(QUICK_CONFIG)

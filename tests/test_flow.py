@@ -504,6 +504,35 @@ class TestIntegrate:
         assert res.records == tuple(dataclasses.replace(rec, psi_max=-1.0)
                                     for rec in plain.records)
 
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("kappa", [0.0, -0.5])
+    @pytest.mark.parametrize("sizes", [(64,), (256,), (32, 24), (16, 12, 8)])
+    def test_records_never_perturb_the_trajectory(self, sizes, kappa, wrapped, monkeypatch):
+        # a record state's angle is also its RK4 step's k1: a record at every
+        # step must leave the trajectory where records at the ends only leave it,
+        # also with monitor_record wrapped the way the benchmark's fault
+        # injection wraps it
+        record, angles = lmcf.flow.monitor_record, []
+
+        def passthrough(state, cfg):
+            angles.extend(state.angle_and_density())
+            return record(state, cfg)
+
+        if wrapped:
+            monkeypatch.setattr(lmcf.flow, "monitor_record", passthrough)
+        spec = GridSpec(len(sizes), sizes)
+        base = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, conv_tol=1e-14)
+        cfg = dataclasses.replace(base, t_max=5.25 * base.dt)
+        u0 = random_bandlimited_potential(spec, 0.05, 2, seed=9)
+        every, ends = (integrate(u0, dataclasses.replace(cfg, checkpoint_every=n))
+                       for n in (1, 0))
+        assert (every.steps, len(every.records)) == (5, 6)
+        assert (ends.steps, len(ends.records)) == (5, 2)
+        assert np.array_equal(every.state.u.values, ends.state.u.values)
+        assert every.records[-1] == ends.records[-1]
+        assert len(angles) == (16 if wrapped else 0)
+        assert not any(array.flags.writeable for array in angles)  # the seeded ones too
+
     def test_bitwise_determinism(self):
         spec = GridSpec(1, (32,))
         cfg = FlowConfig(grid=spec, kappa=-0.2, t_max=0.05, conv_tol=1e-12,
