@@ -3,7 +3,7 @@
 
 Runs ``lmcf run`` and then ``lmcf resume`` from its checkpoint on the
 certified presets and on configs that cover every jet route (1-D DFT matrix
-pair and FFT, 2-D and 3-D FFT, 2-D central4), unequal sizes and periods
+pair at N = 16 and 64 and FFT, 2-D and 3-D FFT, 2-D central4), unequal sizes and periods
 per axis (2-D and 3-D FFT) and a record every step with kappa != 0 (1-D and
 3-D), then ``lmcf verify all``.
 Prints one sha256 per run pair, one over all of them (exit codes,
@@ -26,6 +26,9 @@ from run_stability_battery import CERTIFIED_PRESETS  # the script's directory is
 
 _RANDOM = "u0_preset = random_bandlimited\nu0_seed = 5\n"
 CONFIGS = {
+    # the smallest DFT matrix grid, ending off its record cadence (51 steps, a record every 7)
+    "dft_1d_16": "dim = 1\nsizes = 16\nkappa = -0.5\nt_max = 0.02\ncheckpoint_every = 7\n"
+                 "u0_amplitude = 0.05\nu0_modes = 3\n" + _RANDOM,
     "dft_1d_64": "dim = 1\nsizes = 64\nkappa = -0.5\nt_max = 0.02\ncheckpoint_every = 1\n"
                  "u0_amplitude = 0.09\nu0_modes = 3\n" + _RANDOM,
     "fft_1d_256": "dim = 1\nsizes = 256\nkappa = 0\nt_max = 0.004\ncheckpoint_every = 1\n"

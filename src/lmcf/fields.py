@@ -36,7 +36,8 @@ a call asks for.
 The operators keep no input between calls.
 Components are written straight into packed stacks.  The stacks ``jets``
 returns are read-only; given buffers from ``jet_buffers`` it fills those
-instead, so that a time stepper allocates its stage Hessians once.
+instead, so that a time stepper allocates its stage Hessians once and
+writes each through one bound call of ``hessian_writer``.
 
 This module owns the packed symmetric layout: a symmetric tensor stores
 each distinct component once, in sorted multi-index order, and everything
@@ -212,6 +213,8 @@ def sym_norm_sq(comps, dim, rank):
     at a time into one output, with no (ncomp, ...) temporary.
     """
     out = comps[0] * comps[0]  # the first component, (0, ..., 0), has multiplicity 1
+    if len(comps) == 1:
+        return out
     term = None
     for comp, weight in zip(comps[1:], sym_multiplicities(dim, rank)[1:]):
         term = np.multiply(comp, comp, out=term)
@@ -421,13 +424,27 @@ class _JetOps:
         """What ``_write`` needs besides the outputs."""
         return None
 
+    def _plan(self, ranks):
+        """What ``_write`` reads of ``ranks``: the ranks themselves unless the route plans."""
+        return ranks
+
+    def hessian_writer(self, buffers):
+        """``jets(forward(y), (2,), buffers)`` as one bound call ``write(y)``,
+        for a ``jet_buffers((2,))`` set; it returns y's coefficients."""
+        forward, write, plan, (stacks, work) = self.forward, self._write, self._plan((2,)), buffers
+
+        def write_hessian(y):
+            coeffs = forward(y)
+            write(coeffs, plan, stacks, work)
+            return coeffs
+        return write_hessian
+
     def jets(self, coeffs, ranks, buffers=None):
         """Packed stacks of D^r u, one per rank r in the tuple ``ranks``."""
+        stacks, work = buffers or self.jet_buffers(ranks)
+        self._write(coeffs, self._plan(ranks), stacks, work)
         if buffers is not None:
-            self._write(coeffs, ranks, *buffers)
-            return buffers[0]
-        stacks, work = self.jet_buffers(ranks)
-        self._write(coeffs, ranks, stacks, work)
+            return stacks
         if self.spec.dim == 1:
             stacks.setflags(write=False)  # its rows are read-only views
         else:
@@ -511,8 +528,7 @@ class _FftJetOps(_JetOps):
             return np.empty(self._half, dtype=np.complex128), None, None
         return tuple(np.empty(self._half, dtype=np.complex128) for _ in range(3))
 
-    def _write(self, spectrum, ranks, stacks, work):
-        plan = self._plan(ranks)
+    def _write(self, spectrum, plan, stacks, work):
         if self.spec.dim == 1:
             np.multiply(spectrum, plan, out=work)
             _pocketfft.irfft(work, self._inv_n_last, out=stacks)

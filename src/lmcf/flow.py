@@ -28,6 +28,7 @@ from .fields import (
     SymMatrixField,
     SymTensor3Field,
     VectorField,
+    _as_int,
     jet_ops,
     psi_values,
     sym_norm_sq,
@@ -87,6 +88,8 @@ class FlowConfig:
             raise ValueError("C0 and C1 must be >= 1")
         if not (0.0 < self.eps1 <= 1.0):
             raise ValueError(f"eps1 must be in (0, 1], got {self.eps1}")
+        object.__setattr__(self, "checkpoint_every",
+                           _as_int("checkpoint_every", self.checkpoint_every))
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
 
@@ -225,28 +228,28 @@ def _rhs_values(u_vals, hess, kappa, dim, theta=None):
     return out
 
 
-def _rk4_update(u_vals, k1, dt, kappa, ops, dim, buffers):
+def _rk4_update(u_vals, k1, dt, write, hess, kappa, dim):
     """One RK4 step from raw values and k1, a fresh ``_rhs_values`` array of
-    u_vals, which the step consumes; the stages write their Hessians into
-    ``buffers`` (from ``ops.jet_buffers((2,))``).  Returns a fresh array.
+    u_vals, which the step consumes; each stage is one call of ``write``, an
+    ``ops.hessian_writer`` bound to the buffer set whose Hessian stack is
+    ``hess``, and then ``_rhs_values`` of that stack.  Returns a fresh array.
 
     The stage arithmetic runs in place, in the order of
     ``u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with ``y = u + c dt k``, so the
     result is bit-identical to the expression.
     """
-    stage = buffers[0][0]  # the Hessian stack each stage's jets call overwrites
     y = k1 * (0.5 * dt)
     y += u_vals
-    ops.jets(ops.forward(y), (2,), buffers)
-    k2 = _rhs_values(y, stage, kappa, dim)
+    write(y)
+    k2 = _rhs_values(y, hess, kappa, dim)
     np.multiply(k2, 0.5 * dt, out=y)
     y += u_vals
-    ops.jets(ops.forward(y), (2,), buffers)
-    k3 = _rhs_values(y, stage, kappa, dim)
+    write(y)
+    k3 = _rhs_values(y, hess, kappa, dim)
     np.multiply(k3, dt, out=y)
     y += u_vals
-    ops.jets(ops.forward(y), (2,), buffers)
-    k4 = _rhs_values(y, stage, kappa, dim)
+    write(y)
+    k4 = _rhs_values(y, hess, kappa, dim)
     k2 *= 2.0
     k1 += k2
     k3 *= 2.0
@@ -260,10 +263,10 @@ def _rk4_update(u_vals, k1, dt, kappa, ops, dim, buffers):
 def _blowup_guard(t, u_vals, d2u_sq):
     """(sup|D^2 u|, None) of the state at t while sup|D^2 u| <= HESSIAN_BLOWUP_GUARD,
     else (sup|D^2 u|, its BlowupError); a non-finite u has a non-finite Hessian."""
-    sup_d2 = float(np.sqrt(d2u_sq.max()))
+    sup_d2 = math.sqrt(d2u_sq.max())  # the bits of np.sqrt, for less per-call cost
     if sup_d2 <= HESSIAN_BLOWUP_GUARD:
         return sup_d2, None
-    reason = ("non-finite field" if not np.isfinite(sup_d2)
+    reason = ("non-finite field" if not math.isfinite(sup_d2)
               else f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}")
     return sup_d2, BlowupError(t, float(np.abs(u_vals).max()), sup_d2, reason)
 
@@ -275,10 +278,11 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
     _admit(state, cfg)
     dt = cfg.dt if dt is None else dt
     ops = jet_ops(state.spec, cfg.scheme)
+    buffers = ops.jet_buffers((2,))
     with np.errstate(invalid="ignore"):  # as in integrate: a non-finite field is a blowup
         k1 = _rhs_values(state._values, state._jet(2), cfg.kappa, state.spec.dim)
-        u_new = _rk4_update(state._values, k1, dt, cfg.kappa, ops, state.spec.dim,
-                            ops.jet_buffers((2,)))
+        u_new = _rk4_update(state._values, k1, dt, ops.hessian_writer(buffers),
+                            buffers[0][0], cfg.kappa, state.spec.dim)
         u_new.setflags(write=False)
         new = FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
         for guarded in (state, new):
@@ -344,7 +348,8 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     Each state costs one forward transform and one synthesis from its
     coefficients: D u, D^2 u and D^3 u together at a state on the record
     cadence, bit-identical to one synthesis per rank, and otherwise D^2 u
-    alone, written into the RK4 stage buffer, the call's one ``jet_buffers``.
+    alone, written into the RK4 stage buffer, the call's one ``jet_buffers``,
+    by the bound Hessian writer each RK4 stage calls (``ops.hessian_writer``).
     The convergence test's gradient comes from the same coefficients.  Each
     record is ``monitor_record`` (looked up by module name) of a
     ``FlowState`` seeded with the loop's own arrays, jets included, with no
@@ -361,12 +366,9 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
         )
 
     ops = jet_ops(cfg.grid, cfg.scheme)
+    dim, dt, tol, kappa = cfg.grid.dim, cfg.dt, cfg.conv_tol, cfg.kappa
     buffers = ops.jet_buffers((2,))
-    stage_hess = buffers[0][0]
-    dim = cfg.grid.dim
-    dt = cfg.dt
-    tol = cfg.conv_tol
-    kappa = cfg.kappa
+    write_hessian, stage_hess = ops.hessian_writer(buffers), buffers[0][0]
     record_every = cfg.checkpoint_every
 
     u = u0.values
@@ -403,8 +405,8 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 
     with np.errstate(invalid="ignore"):
         while True:
-            coeffs = ops.forward(u)
             if step == 0 or (record_every and (first_step + step) % record_every == 0):
+                coeffs = ops.forward(u)
                 # the ranks monitor_record reads, from one synthesis; they leave
                 # with the record, so the RK4 stages and the result's state do
                 # not hold them
@@ -415,7 +417,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
                 emit(state_now(jets))
                 del jets
             else:
-                ops.jets(coeffs, (2,), buffers)  # k1 reads it before a stage overwrites it
+                coeffs = write_hessian(u)  # k1 reads it before a stage overwrites it
                 hess = stage_hess
                 d2u_sq = sym_norm_sq(hess, dim, 2)
 
@@ -436,7 +438,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             del d2u_sq
             k1 = _rhs_values(u, hess, kappa, dim, None if angle is None else angle[0])
             angle = None  # freed too, and the next state has one only if it records
-            u = _rk4_update(u, k1, dt, kappa, ops, dim, buffers)
+            u = _rk4_update(u, k1, dt, write_hessian, stage_hess, kappa, dim)
             u.setflags(write=False)  # so the result state wraps it without a copy
             t += dt
             step += 1

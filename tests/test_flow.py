@@ -28,10 +28,14 @@ from lmcf.fields import (
     sym_norm_sq,
 )
 from lmcf.flow import (
+    HESSIAN_BLOWUP_GUARD,
     BlowupError,
     CheckpointError,
     FlowConfig,
     FlowState,
+    _blowup_guard,
+    _rhs_values,
+    _rk4_update,
     checkpoint_load,
     checkpoint_save,
     integrate,
@@ -40,6 +44,7 @@ from lmcf.flow import (
     rhs,
     step_rk4,
 )
+from lmcf.geometry import _angle_values
 from lmcf.initial_data import random_bandlimited_potential, single_mode_potential
 
 TWO_PI = 2.0 * np.pi
@@ -64,6 +69,11 @@ LOOP_ROUTES = [
     pytest.param((128,), 8, "spectral", -0.5, _DftMatrixJetOps, id="dft_1d_128"),
     pytest.param((256,), 8, "spectral", 0.0, _FftJetOps, id="fft_1d_256"),
     pytest.param((32, 32), 6, "central4", 0.0, _Central4JetOps, id="central4_2d"),
+]
+
+# every loop route and the smallest DFT matrix grid
+STAGE_ROUTES = LOOP_ROUTES + [
+    pytest.param((16,), 8, "spectral", -0.5, _DftMatrixJetOps, id="dft_1d_16"),
 ]
 
 
@@ -207,6 +217,65 @@ class TestStepRk4:
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert abs(math.log2(e1 / e2) - 4.0) <= 0.3
+
+
+class TestBoundStage:
+    @pytest.mark.parametrize("kappa", [0.0, -0.5])
+    @pytest.mark.parametrize("sizes,steps,scheme,route_kappa,route", STAGE_ROUTES)
+    def test_bound_call_is_the_public_route(self, sizes, steps, scheme, route_kappa, route,
+                                            kappa):
+        # each RK4 stage is one bound writer call into the stage buffer, then
+        # theta + kappa y, with the public route's bits, signed zeros included;
+        # at kappa = 0 that is the angle alone, with no +0.0 * y
+        spec = GridSpec(len(sizes), sizes)
+        ops = jet_ops(spec, scheme)
+        assert type(ops) is route
+        dim = spec.dim
+        buffers = ops.jet_buffers((2,))
+        write, stage_hess = ops.hessian_writer(buffers), buffers[0][0]
+
+        def public_rhs(y):
+            return _rhs_values(y, ops.hessian(y), kappa, dim)
+
+        parity = np.indices(spec.sizes).sum(axis=0) % 2
+        constant = np.full(spec.sizes, 0.3)  # its FFT Hessians hold some -0.0
+        if scheme == "spectral":
+            assert not ops.hessian(constant).any()  # the DFT pair's shift makes these exact
+        for y in (random_bandlimited_potential(spec, 0.05, 2, seed=6).values, constant,
+                  np.where(parity == 0, 0.0, -0.0)):  # central4: theta = -0.0 where y = +0
+            hess = ops.hessian(y)
+            assert np.array_equal(write(y), ops.forward(y))
+            assert np.array_equal(stage_hess, hess)
+            got = _rhs_values(y, stage_hess, kappa, dim)
+            wants = [public_rhs(y)]
+            if kappa == 0.0:
+                wants.append(_angle_values(hess, dim))
+            for want in wants:
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            # a whole step through the bound writer is the RK4 expression's
+            dt = 1e-4
+            k1 = public_rhs(y)
+            k2 = public_rhs(y + (0.5 * dt) * k1)
+            k3 = public_rhs(y + (0.5 * dt) * k2)
+            k4 = public_rhs(y + dt * k3)
+            want = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            got = _rk4_update(y, public_rhs(y), dt, write, stage_hess, kappa, dim)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("peak", [0.0, 5e-324, 1e-300, 1e300, math.inf, math.nan])
+    def test_blowup_guard_reads_the_bits_of_np_sqrt(self, peak):
+        d2u_sq = np.array([0.0, peak, 0.0])
+        sup_d2, blowup = _blowup_guard(0.5, np.ones(3), d2u_sq)
+        want = float(np.sqrt(d2u_sq.max()))
+        assert struct.pack("<d", sup_d2) == struct.pack("<d", want)
+        if want <= HESSIAN_BLOWUP_GUARD:
+            assert blowup is None
+        else:
+            assert blowup.reason == ("non-finite field" if not np.isfinite(want)
+                                     else f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}")
+            assert struct.pack("<d", blowup.sup_d2u) == struct.pack("<d", want)
 
 
 class TestIntegrate:
@@ -358,8 +427,9 @@ class TestIntegrate:
     def test_one_synthesis_per_state_and_stage(self, sizes, steps, scheme, kappa, route,
                                                monkeypatch):
         # a state on the record cadence gets D u, D^2 u and D^3 u from one jets
-        # call, every other state and each RK4 stage one rank-2 call; a final
-        # record off the cadence synthesizes D u and D^3 u through the state
+        # call, every other state and each RK4 stage one call of the bound
+        # Hessian writer, counted here as a (2,) synthesis; a final record off
+        # the cadence synthesizes D u and D^3 u through the state
         spec = GridSpec(len(sizes), sizes)
         base = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, scheme=scheme)
         cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
@@ -367,11 +437,17 @@ class TestIntegrate:
         u0 = random_bandlimited_potential(spec, 0.05, 2, seed=6)
         ops = jet_ops(spec, scheme)
         assert type(ops) is route
-        forward, jets = ops.forward, ops.jets
+        forward, jets, hessian_writer = ops.forward, ops.jets, ops.hessian_writer
         forwards, ranks = [], []
+
+        def spy_writer(buffers):
+            write = hessian_writer(buffers)
+            return lambda y: ranks.append((2,)) or write(y)
+
         monkeypatch.setattr(ops, "forward", lambda v: forwards.append(v) or forward(v))
         monkeypatch.setattr(ops, "jets", lambda c, r, buffers=None:
                             ranks.append(r) or jets(c, r, buffers))
+        monkeypatch.setattr(ops, "hessian_writer", spy_writer)
         res = integrate(u0, cfg)
         assert res.steps == steps
         assert len(forwards) == 1 + 4 * steps
@@ -389,8 +465,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
     def test_one_buffer_set_per_call(self, sizes, steps, scheme, kappa, route, monkeypatch):
         # the RK4 stages and the Hessian of every state off the record cadence
-        # share one jet_buffers set; the fresh output of a jets call without
-        # buffers is not counted
+        # share one jet_buffers set, the one Hessian writer is bound to; the
+        # fresh output of a jets call without buffers is not counted
         spec = GridSpec(len(sizes), sizes)
         base = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, scheme=scheme)
         cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
@@ -398,8 +474,8 @@ class TestIntegrate:
         u0 = random_bandlimited_potential(spec, 0.05, 2, seed=6)
         ops = jet_ops(spec, scheme)
         assert type(ops) is route
-        jet_buffers, jets = ops.jet_buffers, ops.jets
-        inside, calls = [], []
+        jet_buffers, jets, hessian_writer = ops.jet_buffers, ops.jets, ops.hessian_writer
+        inside, calls, sets, bound = [], [], [], []
 
         def spy_jets(coeffs, ranks, buffers=None):
             inside.append(ranks)
@@ -409,14 +485,19 @@ class TestIntegrate:
                 inside.pop()
 
         def spy_buffers(ranks):
+            buffers = jet_buffers(ranks)
             if not inside:
                 calls.append(ranks)
-            return jet_buffers(ranks)
+                sets.append(buffers)
+            return buffers
 
         monkeypatch.setattr(ops, "jets", spy_jets)
         monkeypatch.setattr(ops, "jet_buffers", spy_buffers)
+        monkeypatch.setattr(ops, "hessian_writer",
+                            lambda buffers: bound.append(buffers) or hessian_writer(buffers))
         assert integrate(u0, cfg).steps == steps
         assert calls == [(2,)]
+        assert len(bound) == 1 and bound[0] is sets[0]
 
     @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
     def test_result_state_is_a_fresh_state(self, sizes, steps, scheme, kappa, route,
@@ -625,6 +706,18 @@ class TestFlowConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             FlowConfig(**base)
+
+    @pytest.mark.parametrize("every", [2.5, 2.0, True, "2", None])
+    def test_checkpoint_every_must_be_an_integer(self, every):
+        # a float or a bool would set the record cadence without a word
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint_every must be an integer, got {every!r}")):
+            FlowConfig(grid=GridSpec(1, (16,)), kappa=0.0, t_max=1.0, checkpoint_every=every)
+
+    def test_checkpoint_every_takes_numpy_integers(self):
+        cfg = FlowConfig(grid=GridSpec(1, (16,)), kappa=0.0, t_max=1.0,
+                         checkpoint_every=np.int64(3))
+        assert cfg.checkpoint_every == 3 and type(cfg.checkpoint_every) is int
 
 
 class TestCheckpoint:
