@@ -5,11 +5,14 @@ Runs ``lmcf run`` and then ``lmcf resume`` from its checkpoint on the
 certified presets and on configs that cover every jet route (1-D DFT matrix
 pair at N = 16 and 64 and FFT, 2-D and 3-D FFT, 2-D central4), unequal sizes and periods
 per axis (2-D and 3-D FFT) and a record every step with kappa != 0 (1-D and
-3-D), then ``lmcf verify all``.
+3-D), then ``lmcf verify all``, then two ``step_rk4`` chains that no CLI
+command runs: the RK4 order fit's chain at dt = 4e-4 and one
+``sample_trajectory`` run.
 Prints one sha256 per run pair, one over all of them (exit codes,
-monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf verify all``
-and one over all of those files, so two checkouts' outputs can be compared
-report by report.  A resumed summary echoes its checkpoint path, so run
+monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf verify all``,
+one over all of those files and one per chain (t, u and ``monitor_record``
+of every state), so two checkouts' outputs can be compared report by
+report.  A resumed summary echoes its checkpoint path, so run
 it from the root of each checkout with the same relative output directory:
 
     PYTHONPATH=src python scripts/output_digest.py [out_dir]
@@ -18,10 +21,15 @@ it from the root of each checkout with the same relative output directory:
 import contextlib
 import hashlib
 import io
+import struct
 import sys
 from pathlib import Path
 
 from lmcf.cli import main
+from lmcf.fields import GridSpec
+from lmcf.flow import FlowConfig, FlowState, monitor_record, step_rk4
+from lmcf.initial_data import random_bandlimited_potential, single_mode_potential
+from lmcf.verification import sample_trajectory
 from run_stability_battery import CERTIFIED_PRESETS  # the script's directory is on sys.path
 
 _RANDOM = "u0_preset = random_bandlimited\nu0_seed = 5\n"
@@ -74,6 +82,34 @@ def run_pair(out, name, config):
     return sha
 
 
+def _digest_states(sha, states, cfg):
+    for state in states:
+        sha.update(struct.pack("<d", state.t) + state.u.values.tobytes()
+                   + repr(monitor_record(state, cfg)).encode())
+
+
+def chain_digests():
+    """sha256 of every state of two ``step_rk4`` chains: the RK4 order fit's
+    middle chain (N = 16, kappa -0.5, dt 4e-4 to t = 0.08) and the triples of
+    the inequalities battery's ``sample_trajectory`` run at kappa -1."""
+    spec = GridSpec(1, (16,))
+    cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0)
+    state = FlowState.initial(single_mode_potential(spec, 0.01, (1,)), cfg)
+    chain = hashlib.sha256()
+    _digest_states(chain, [state], cfg)
+    for _ in range(round(0.08 / 4e-4)):
+        state = step_rk4(state, cfg, dt=4e-4)
+        _digest_states(chain, [state], cfg)
+
+    spec = GridSpec(1, (64,))
+    cfg = FlowConfig(grid=spec, kappa=-1.0, t_max=1.0, checkpoint_every=0)
+    u0 = random_bandlimited_potential(spec, 0.08, 3, seed=12, C0=cfg.C0, C1=cfg.C1)
+    trajectory = hashlib.sha256()
+    for tr in sample_trajectory(u0, cfg, 40, 10).triples:
+        _digest_states(trajectory, (tr.before, tr.at, tr.after), cfg)
+    return {"step_rk4_chain": chain, "sample_trajectory": trajectory}
+
+
 def digest(out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -97,6 +133,8 @@ def digest(out_dir):
     for name in names:
         print(f"  {name:40s} {hashlib.sha256((verify_dir / name).read_bytes()).hexdigest()}")
     print(f"{'verify_all':20s} {verify.hexdigest()}  ({len(names)} files, exit {code})")
+    for name, sha in chain_digests().items():
+        print(f"{name:20s} {sha.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -20,24 +20,24 @@ Two differentiation schemes are provided:
   from modeling error.
 
 Every operator comes in two halves: ``forward`` maps values to coefficients
-(the half-spectrum, or the values themselves for ``central4``) and ``jets``,
-the one synthesis entry point, builds the components of every rank the
-caller asks for from them in one synthesis, so a caller holding one state's
-coefficients gets all its ranks for one forward transform: a flow record
-gets ranks 1-3 from one call.  On 1-D FFT grids that is one multiply
-against the stacked multipliers and one batched ``irfft``, whose rows are
-bit-identical to single-rank calls; the DFT matrix route makes one product
-per rank.  2-D runs ``irfftn``'s passes bit for bit.  In 3-D each axis'
-separable factor (skipped if 1) goes just before that axis' pass, so the
-components with one order on axis 1 share that pass and those with one
-(axis-0, axis-1) order pair the one over axis 0; the bits differ from
-``irfftn``'s at the ulp level.  A component's bits never depend on the ranks
-a call asks for.
+(the half-spectrum, or the values themselves for ``central4``) and ``jets``
+builds the components of every rank the caller asks for from them in one
+synthesis, so a caller holding one state's coefficients gets all its ranks
+for one forward transform: a flow record gets ranks 1-3 from one call.
+On 1-D FFT grids that is one multiply against the stacked multipliers and
+one batched ``irfft``, whose rows are bit-identical to single-rank calls;
+the DFT matrix route makes one product per rank.  2-D runs ``irfftn``'s
+passes bit for bit.  In 3-D each axis' separable factor (skipped if 1) goes
+just before that axis' pass, so the components with one order on axis 1
+share that pass and those with one (axis-0, axis-1) order pair the one over
+axis 0; the bits differ from ``irfftn``'s at the ulp level.  A component's
+bits never depend on the ranks a call asks for.
 The operators keep no input between calls.
-Components are written straight into packed stacks.  The stacks ``jets``
-returns are read-only; given buffers from ``jet_buffers`` it fills those
-instead, so that a time stepper allocates its stage Hessians once and
-writes each through one bound call of ``hessian_writer``.
+Components are written straight into packed stacks.  Each entry point has
+one mode: ``jets`` always returns fresh read-only stacks, and
+``hessian_writer`` returns a bound call that writes a Hessian into the one
+stack it owns, so that a time stepper allocates its stage Hessian once and
+writes each stage through one call.
 
 This module owns the packed symmetric layout: a symmetric tensor stores
 each distinct component once, in sorted multi-index order, and everything
@@ -396,10 +396,6 @@ class _JetOps:
 
     ``jets(forward(values), ranks)[i]`` is ``components(values, ranks[i])``:
     one ``forward`` and one synthesis serve every rank the caller needs.
-    ``jets`` returns fresh read-only stacks; with ``buffers`` from
-    ``jet_buffers(ranks)`` it writes into them instead and returns their
-    writable stacks, which the next call overwrites, so that a stepper
-    allocates its stage buffers once.
     """
 
     def __init__(self, spec):
@@ -407,8 +403,8 @@ class _JetOps:
         self._shapes = {rank: (len(sym_indices(spec.dim, rank)),) + spec.sizes
                         for rank in (1, 2, 3, 4)}
 
-    def jet_buffers(self, ranks):
-        """Buffers ``(stacks, work)`` for ``jets(coeffs, ranks, buffers)``.
+    def _buffers(self, ranks):
+        """Output stacks and work for one ``_write`` of ``ranks``: ``(stacks, work)``.
 
         On 1-D grids every rank has one component and ``stacks`` is one
         (len(ranks), 1, N) array, indexed by rank position; elsewhere it is a
@@ -428,23 +424,23 @@ class _JetOps:
         """What ``_write`` reads of ``ranks``: the ranks themselves unless the route plans."""
         return ranks
 
-    def hessian_writer(self, buffers):
-        """``jets(forward(y), (2,), buffers)`` as one bound call ``write(y)``,
-        for a ``jet_buffers((2,))`` set; it returns y's coefficients."""
-        forward, write, plan, (stacks, work) = self.forward, self._write, self._plan((2,)), buffers
+    def hessian_writer(self):
+        """``(write, hess)``: ``write(y)`` writes the Hessian of y into the
+        writable stack ``hess``, which every call overwrites, with the bits of
+        ``components(y, 2)``, and returns y's coefficients."""
+        stacks, work = self._buffers((2,))
+        forward, write, plan = self.forward, self._write, self._plan((2,))
 
         def write_hessian(y):
             coeffs = forward(y)
             write(coeffs, plan, stacks, work)
             return coeffs
-        return write_hessian
+        return write_hessian, stacks[0]
 
-    def jets(self, coeffs, ranks, buffers=None):
-        """Packed stacks of D^r u, one per rank r in the tuple ``ranks``."""
-        stacks, work = buffers or self.jet_buffers(ranks)
+    def jets(self, coeffs, ranks):
+        """Fresh read-only packed stacks of D^r u, one per rank r in the tuple ``ranks``."""
+        stacks, work = self._buffers(ranks)
         self._write(coeffs, self._plan(ranks), stacks, work)
-        if buffers is not None:
-            return stacks
         if self.spec.dim == 1:
             stacks.setflags(write=False)  # its rows are read-only views
         else:
@@ -454,9 +450,6 @@ class _JetOps:
 
     def components(self, values, rank):
         return self.jets(self.forward(values), (rank,))[0]
-
-    def hessian(self, values):
-        return self.components(values, 2)
 
 
 class _FftJetOps(_JetOps):

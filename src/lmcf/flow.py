@@ -34,6 +34,7 @@ from .fields import (
     sym_norm_sq,
     sym_sup_norm,
 )
+from . import geometry
 from .geometry import _angle_and_density, _angle_values, _sqrt_det_volume
 from .monitors import MonitorRecord
 
@@ -108,36 +109,37 @@ class FlowConfig:
 
 
 class FlowState:
-    """Potential u at one time under one scheme.  Every jet D^k u, its pointwise
-    norm |D^k u|^2 and psi are computed once per state, all jets from one
-    forward transform of u, and cached as raw read-only arrays; the field
-    wrappers ``u``, ``du``, ``d2u`` and ``d3u`` are built only when asked for.
-    ``integrate`` seeds its records and its result from the loop's own arrays,
-    jets and angle included, so those states recompute nothing the loop has."""
+    """Potential u at one time under one scheme, and the one owner of what it
+    derives.  Every jet D^k u, its pointwise norm |D^k u|^2, psi, the angle
+    and sqrt(det mu), the induced metric mu and the graph volume are computed
+    once per state, all jets from one forward transform of u, and cached
+    read-only; the field wrappers ``u``, ``du``, ``d2u`` and ``d3u`` are built
+    only when asked for.  ``integrate`` builds its records and its result over
+    the loop's own arrays, transform and jets included."""
 
-    __slots__ = ("t", "spec", "scheme", "_u", "_values", "_ops", "_coeffs",
-                 "_jets", "_norms_sq", "_psi", "_angle", "__weakref__")
+    __slots__ = ("t", "spec", "scheme", "_u", "_values", "_ops", "_coeffs", "_jets",
+                 "_norms_sq", "_psi", "_angle", "_metric", "_volume", "__weakref__")
 
     def __init__(self, t, u, scheme="spectral"):
         self.t, self.spec, self.scheme, self._u = float(t), u.spec, scheme, u
         self._values, self._ops, self._coeffs = u.values, jet_ops(u.spec, scheme), None
-        self._jets, self._norms_sq, self._psi, self._angle = {}, {}, {}, None
+        self._jets, self._norms_sq, self._psi = {}, {}, {}
+        self._angle = self._metric = self._volume = None
 
     @classmethod
     def initial(cls, u0, cfg):
         return cls(0.0, u0, scheme=cfg.scheme)
 
     @classmethod
-    def _from_loop(cls, t, values, coeffs, jets, d2u_sq, angle, ops, scheme):
+    def _from_loop(cls, t, values, coeffs, jets, ops, scheme):
         """State over ``integrate``'s frozen arrays: the values of u, their
-        coefficients under ``ops``, the jet stacks by rank (the Hessian at
-        least), |D^2 u|^2 and, if known, ``angle_and_density()``."""
-        for array in (d2u_sq, *(angle or ())):
-            array.setflags(write=False)
+        coefficients under ``ops`` and the jet stacks by rank (the Hessian at
+        least)."""
         state = cls.__new__(cls)
         state.t, state.spec, state.scheme, state._u = t, ops.spec, scheme, None
         state._values, state._ops, state._coeffs = values, ops, coeffs
-        state._jets, state._norms_sq, state._psi, state._angle = jets, {2: d2u_sq}, {}, angle
+        state._jets, state._norms_sq, state._psi = jets, {}, {}
+        state._angle = state._metric = state._volume = None
         return state
 
     @property
@@ -187,6 +189,20 @@ class FlowState:
                 array.setflags(write=False)
         return self._angle
 
+    def metric(self) -> geometry.InducedMetricField:
+        """The induced metric mu = I + (D^2 u)^2 with its inverse and
+        sqrt(det mu), computed once per state.  ``geometry.induced_metric`` is
+        looked up by module name, so a wrapper installed there sees each build."""
+        if self._metric is None:
+            self._metric = geometry.induced_metric(self.d2u)
+        return self._metric
+
+    def volume(self):
+        """Graph volume, the quadrature of sqrt(det mu), computed once per state."""
+        if self._volume is None:
+            self._volume = _sqrt_det_volume(self.angle_and_density()[1], self.spec)
+        return self._volume
+
     def psi(self, C0, C1):
         """Read-only pointwise psi = C0 u^2 + C1 |du|^2 + |D^2 u|^2, computed
         once per state and (C0, C1)."""
@@ -216,7 +232,7 @@ class FlowResult:
 def rhs(u: PeriodicScalarField, kappa: float, scheme: str = "spectral") -> PeriodicScalarField:
     """Right-hand side theta(D^2 u) + kappa*u of the potential flow."""
     ops = jet_ops(u.spec, scheme)
-    vals = _rhs_values(u.values, ops.hessian(u.values), kappa, u.spec.dim)
+    vals = _rhs_values(u.values, ops.components(u.values, 2), kappa, u.spec.dim)
     return PeriodicScalarField(u.spec, vals)
 
 
@@ -231,8 +247,8 @@ def _rhs_values(u_vals, hess, kappa, dim, theta=None):
 def _rk4_update(u_vals, k1, dt, write, hess, kappa, dim):
     """One RK4 step from raw values and k1, a fresh ``_rhs_values`` array of
     u_vals, which the step consumes; each stage is one call of ``write``, an
-    ``ops.hessian_writer`` bound to the buffer set whose Hessian stack is
-    ``hess``, and then ``_rhs_values`` of that stack.  Returns a fresh array.
+    ``ops.hessian_writer()`` whose Hessian stack is ``hess``, and then
+    ``_rhs_values`` of that stack.  Returns a fresh array.
 
     The stage arithmetic runs in place, in the order of
     ``u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with ``y = u + c dt k``, so the
@@ -277,12 +293,11 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
     blowup guard, so a chain stops where ``integrate`` reports a blowup."""
     _admit(state, cfg)
     dt = cfg.dt if dt is None else dt
-    ops = jet_ops(state.spec, cfg.scheme)
-    buffers = ops.jet_buffers((2,))
+    write_hessian, stage_hess = jet_ops(state.spec, cfg.scheme).hessian_writer()
     with np.errstate(invalid="ignore"):  # as in integrate: a non-finite field is a blowup
         k1 = _rhs_values(state._values, state._jet(2), cfg.kappa, state.spec.dim)
-        u_new = _rk4_update(state._values, k1, dt, ops.hessian_writer(buffers),
-                            buffers[0][0], cfg.kappa, state.spec.dim)
+        u_new = _rk4_update(state._values, k1, dt, write_hessian, stage_hess,
+                            cfg.kappa, state.spec.dim)
         u_new.setflags(write=False)
         new = FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
         for guarded in (state, new):
@@ -295,7 +310,7 @@ def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
 def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
     """All tracked scalars of one state (sup norms, psi, angle range, volume),
     read through the state's caches, which then serve later readers too."""
-    theta, sqrt_det = state.angle_and_density()
+    theta = state.angle_and_density()[0]
     return MonitorRecord(
         t=state.t,
         max_u=float(np.abs(state._values).max()),
@@ -305,7 +320,7 @@ def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
         psi_max=float(state.psi(cfg.C0, cfg.C1).max()),
         theta_min=float(theta.min()),
         theta_max=float(theta.max()),
-        volume=_sqrt_det_volume(sqrt_det, state.spec),
+        volume=state.volume(),
         dt=cfg.dt,
     )
 
@@ -331,32 +346,19 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     Convergence means sup|du| < conv_tol and sup|D^2 u| < conv_tol, plus
     sup|u| < conv_tol when kappa != 0: then only the zero potential is
     stationary.  For kappa = 0 every constant is stationary and any constant
-    limit counts.
-
-    Emits a MonitorRecord at the start, at every step whose global index
-    (counted from t = 0) is a multiple of ``checkpoint_every``, and at
-    termination.  Raises nothing on blowup: the result carries the blowup
+    limit counts.  Blowup raises nothing: the result carries the blowup
     guard's BlowupError.
 
-    ``t_start`` continues the clock from a checkpoint: the update sequence and
-    the record cadence are then bit-identical to the uninterrupted run.
+    Emits ``monitor_record`` (looked up by module name) of a ``FlowState`` at
+    the start, at every step whose global index (counted from t = 0) is a
+    multiple of ``checkpoint_every``, and at termination; the guard and the
+    first RK4 stage read a record state's caches.  ``t_start`` continues the
+    clock from a checkpoint: the update sequence and the record cadence are
+    then bit-identical to the uninterrupted run.
 
     A non-finite field is reported as a blowup, so numpy's invalid-value
     warnings are off inside the loop; ``sink`` runs under the caller's
     floating-point error state.
-
-    Each state costs one forward transform and one synthesis from its
-    coefficients: D u, D^2 u and D^3 u together at a state on the record
-    cadence, bit-identical to one synthesis per rank, and otherwise D^2 u
-    alone, written into the RK4 stage buffer, the call's one ``jet_buffers``,
-    by the bound Hessian writer each RK4 stage calls (``ops.hessian_writer``).
-    The convergence test's gradient comes from the same coefficients.  Each
-    record is ``monitor_record`` (looked up by module name) of a
-    ``FlowState`` seeded with the loop's own arrays, jets included, with no
-    field wrapper; the result's state is built the same way over the Hessian
-    alone, so a final record off the cadence synthesizes D u and D^3 u itself.
-    The blowup guard and the record read the same pointwise |D^2 u|^2, and the
-    record and the step's k1 the same angle, seeded into the record's state.
     """
     _admit(u0, cfg)
     if cfg.kappa > 0.0:
@@ -367,8 +369,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
 
     ops = jet_ops(cfg.grid, cfg.scheme)
     dim, dt, tol, kappa = cfg.grid.dim, cfg.dt, cfg.conv_tol, cfg.kappa
-    buffers = ops.jet_buffers((2,))
-    write_hessian, stage_hess = ops.hessian_writer(buffers), buffers[0][0]
+    write_hessian, stage_hess = ops.hessian_writer()
     record_every = cfg.checkpoint_every
 
     u = u0.values
@@ -381,7 +382,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     caller_errstate = np.geterr()
 
     def state_now(jets):
-        return FlowState._from_loop(t, u, coeffs, jets, d2u_sq, angle, ops, cfg.scheme)
+        return FlowState._from_loop(t, u, coeffs, jets, ops, cfg.scheme)
 
     def emit(state):
         nonlocal last_emitted, warned_region
@@ -408,14 +409,14 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             if step == 0 or (record_every and (first_step + step) % record_every == 0):
                 coeffs = ops.forward(u)
                 # the ranks monitor_record reads, from one synthesis; they leave
-                # with the record, so the RK4 stages and the result's state do
-                # not hold them
+                # with the record's state, so the RK4 stages and the result's
+                # state do not hold them
                 jets = dict(zip((1, 2, 3), ops.jets(coeffs, (1, 2, 3))))
-                hess = jets[2]
-                d2u_sq = sym_norm_sq(hess, dim, 2)
-                angle = _angle_and_density(hess, dim)  # the record's, and k1's theta
-                emit(state_now(jets))
-                del jets
+                state = state_now(jets)
+                # read before the record, which then reuses them; the angle is k1's too
+                hess, d2u_sq, angle = jets[2], state.norm_sq(2), state.angle_and_density()
+                emit(state)
+                del state, jets
             else:
                 coeffs = write_hessian(u)  # k1 reads it before a stage overwrites it
                 hess = stage_hess

@@ -104,7 +104,7 @@ def induced_metric(Q: SymMatrixField) -> InducedMetricField:
     return InducedMetricField(
         mu=SymMatrixField(Q.spec, np.stack(mu_c)),
         mu_inv=SymMatrixField(Q.spec, np.stack(inv_c)),
-        sqrt_det=PeriodicScalarField(Q.spec, _volume_density(Q.components, Q.spec.dim)),
+        sqrt_det=PeriodicScalarField(Q.spec, _angle_and_density(Q.components, Q.spec.dim)[1]),
     )
 
 
@@ -177,16 +177,9 @@ def _angle_values(qcomps, dim):
     return _lifted_angle(*_det_i_plus_iq(qcomps, dim))
 
 
-def _volume_density(qcomps, dim):
-    """sqrt(det(I + Q^2)) = |det(I + iQ)| from the component stack of Q."""
-    if dim == 1:
-        return np.hypot(1.0, qcomps[0])
-    re, im, _ = _det_i_plus_iq(qcomps, dim)
-    return np.hypot(re, im)
-
-
 def _angle_and_density(qcomps, dim):
-    """``(_angle_values, _volume_density)`` of one stack from one det(I + iQ)."""
+    """``(_angle_values, sqrt(det(I + Q^2)))`` of one stack from one det(I + iQ):
+    the density is |det(I + iQ)|, the one definition every volume reads."""
     if dim == 1:
         q = qcomps[0]
         return np.arctan(q), np.hypot(1.0, q)
@@ -297,11 +290,6 @@ def volume(M: InducedMetricField) -> float:
     return _sqrt_det_volume(M.sqrt_det.values, M.spec)
 
 
-def hessian_volume(hess, spec) -> float:
-    """Graph volume from the raw packed Hessian stack of the potential."""
-    return _sqrt_det_volume(_volume_density(hess, spec.dim), spec)
-
-
 def metric_from_potential(u: PeriodicScalarField, scheme: str = "spectral") -> InducedMetricField:
     """Induced metric of the graph generated by the potential u."""
     return induced_metric(derivative(u, 2, scheme))
@@ -309,4 +297,5 @@ def metric_from_potential(u: PeriodicScalarField, scheme: str = "spectral") -> I
 
 def graph_volume(u: PeriodicScalarField, scheme: str = "spectral") -> float:
     """Volume of the graph generated by the potential u."""
-    return hessian_volume(derivative(u, 2, scheme).components, u.spec)
+    hess = derivative(u, 2, scheme).components
+    return _sqrt_det_volume(_angle_and_density(hess, u.spec.dim)[1], u.spec)

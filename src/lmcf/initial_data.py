@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .fields import GridSpec, PeriodicScalarField, jet_ops, psi_values, sym_norm_sq
+from .fields import GridSpec, PeriodicScalarField, _as_int, jet_ops, psi_values, sym_norm_sq
 
 PRESET_NAMES = ("constant", "single_mode", "random_bandlimited")
 
@@ -32,7 +32,7 @@ def _check_resolved(spec: GridSpec, mode):
 
 def single_mode_potential(spec: GridSpec, amplitude: float, mode) -> PeriodicScalarField:
     """amplitude * cos(2 pi k . x / P) for an integer mode vector k."""
-    mode = tuple(int(m) for m in mode)
+    mode = tuple(_as_int("mode", m) for m in mode)
     if len(mode) == 1 and spec.dim > 1:
         mode = mode + (0,) * (spec.dim - 1)
     if len(mode) != spec.dim:
@@ -69,6 +69,7 @@ def random_bandlimited_potential(
     scheme: str = "spectral",
 ) -> PeriodicScalarField:
     """Seeded random mean-zero field, scaled so initial max psi = amplitude^2."""
+    max_mode, seed = _as_int("max_mode", max_mode), _as_int("seed", seed)
     if max_mode < 1:
         raise ValueError("max_mode must be >= 1")
     if seed < 0:
@@ -118,5 +119,5 @@ def build_initial(
         return constant_potential(spec, amplitude)
     if preset == "single_mode":
         return single_mode_potential(spec, amplitude, modes)
-    max_mode = int(modes[0]) if np.ndim(modes) else int(modes)
+    max_mode = modes[0] if np.ndim(modes) else modes
     return random_bandlimited_potential(spec, amplitude, max_mode, seed, C0, C1, scheme)

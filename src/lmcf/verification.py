@@ -22,6 +22,7 @@ import numpy as np
 from .fields import (
     NonFiniteError,
     PeriodicScalarField,
+    _as_int,
     derivative,
     jet_ops,
     l2_pairing,
@@ -35,8 +36,7 @@ from .geometry import (
     InducedMetricField,
     _angle_values,
     graph_volume,
-    hessian_volume,
-    induced_metric,
+    induced_metric,  # noqa: F401  unused here; perfbench/tracing.py wraps this module's name
     jacobi_eigenvalues_sym3,
     laplace_beltrami,
     metric_from_potential,
@@ -244,7 +244,7 @@ def check_angle_expansion(samples, amplitudes, scheme="spectral") -> ResidualRep
             state = _finite_state(PeriodicScalarField(base.spec, eps * base.values), scheme)
             hess = state.d2u.components
             dim = base.spec.dim
-            theta = _angle_values(hess, dim)
+            theta = state.angle_and_density()[0]
             res = max(res, float(np.max(np.abs(theta - sym_trace(hess, dim)))))
             bound = max(bound, float(np.max(state.norm_sq(1) + state.norm_sq(2))))
             oracle_gap = max(oracle_gap, angle_oracle_gap(hess, dim))
@@ -266,7 +266,7 @@ def check_laplacian_difference(u, f, amplitudes=(0.5, 0.25, 0.125, 0.0625),
     op_scale = 1.0
     for eps in amplitudes:
         state = _finite_state(PeriodicScalarField(base.spec, eps * base.values), scheme)
-        M = induced_metric(state.d2u)
+        M = state.metric()
         lb = laplace_beltrami(f, M, "divergence", scheme)
         tr = trace_metric_hessian(f, M, scheme)
         res = float(np.max(np.abs(lb.values - tr.values)))
@@ -310,6 +310,8 @@ def sample_trajectory(u0, cfg, sample_every, n_samples) -> Trajectory:
     Only the states of the triples are kept; the others are dropped as the
     chain of ``step_rk4`` calls passes them.
     """
+    sample_every = _as_int("sample_every", sample_every)
+    n_samples = _as_int("n_samples", n_samples)
     if sample_every < 1 or n_samples < 1:
         raise ValueError("sample_every and n_samples must be >= 1")
     _admit(u0, cfg)
@@ -436,7 +438,7 @@ def check_evolution_inequality(name, trajectory: Trajectory) -> ResidualReport:
         for tr in trajectory.triples
     ]
     slacks = _centered_difference_slacks(phi_triples, dt)
-    metrics = [induced_metric(tr.at.d2u) for tr in trajectory.triples]
+    metrics = [tr.at.metric() for tr in trajectory.triples]
     rows = []
     for tr, phis, M, slack in zip(trajectory.triples, phi_triples, metrics, slacks):
         lhs = parabolic_lhs(phis, M, dt, cfg.scheme)
@@ -457,14 +459,15 @@ def check_evolution_inequality(name, trajectory: Trajectory) -> ResidualReport:
     return _report(f"evolution_{name}", rows, passed, note=note)
 
 
-def _non_increasing_report(name, series, slack):
-    """Each step of a (t, value) series may rise by at most ``slack``."""
-    rows = tuple((t, value - prev, slack) for (_, prev), (t, value) in zip(series, series[1:]))
+def _non_increasing_report(name, series):
+    """Each step of a (t, value) series may rise by at most MONOTONE_SLACK."""
+    rows = tuple((t, value - prev, MONOTONE_SLACK)
+                 for (_, prev), (t, value) in zip(series, series[1:]))
     fitted_c = max((res for _, res, _ in rows), default=0.0)
     return ResidualReport(name, rows, fitted_c, math.nan, _within_bounds(rows))
 
 
-def check_log_jet_monotone(trajectory: Trajectory, K, slack=MONOTONE_SLACK) -> ResidualReport:
+def check_log_jet_monotone(trajectory: Trajectory, K) -> ResidualReport:
     """max over the grid of log(1 + |D^3 u|^2) + K*psi must not increase."""
     if K < 1.0:
         raise ValueError("K must be >= 1")
@@ -473,12 +476,12 @@ def check_log_jet_monotone(trajectory: Trajectory, K, slack=MONOTONE_SLACK) -> R
     for tr in trajectory.triples:
         w = np.log1p(tr.at.norm_sq(3)) + K * tr.at.psi(cfg.C0, cfg.C1)
         values.append((tr.at.t, float(np.max(w))))
-    return _non_increasing_report("log_jet_monotone", values, slack)
+    return _non_increasing_report("log_jet_monotone", values)
 
 
-def check_psi_monotone(records, slack=MONOTONE_SLACK) -> ResidualReport:
+def check_psi_monotone(records) -> ResidualReport:
     """Recorded max psi must be non-increasing within the slack, per sample."""
-    return _non_increasing_report("psi_monotone", [(r.t, r.psi_max) for r in records], slack)
+    return _non_increasing_report("psi_monotone", [(r.t, r.psi_max) for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +497,14 @@ def _dissipation_integral(state: FlowState, cfg: FlowConfig, form):
     every kappa in this reduction (the flat-ambient mean curvature 1-form
     is d theta, while the velocity is d(theta + kappa u)).
     """
-    theta = _angle_values(state.d2u.components, state.spec.dim)
+    theta = state.angle_and_density()[0]
     dtheta = jet_ops(state.spec, cfg.scheme).components(theta, 1)
     if cfg.kappa != 0.0:
         velocity = dtheta + cfg.kappa * state.du.components
     else:
         velocity = dtheta
     first = dtheta if form == "pairing" else velocity
-    M = induced_metric(state.d2u)
+    M = state.metric()
     dens = np.einsum("i...,i...->...", first, raise_index(M, velocity))
     return l2_pairing(PeriodicScalarField(state.spec, dens), M.sqrt_det)
 
@@ -525,9 +528,7 @@ def check_volume_dissipation(trajectory: Trajectory, form=None) -> ResidualRepor
     fd = []
     integrals = []
     for tr in trajectory.triples:
-        v_b = hessian_volume(tr.before.d2u.components, cfg.grid)
-        v_a = hessian_volume(tr.after.d2u.components, cfg.grid)
-        fd.append((v_a - v_b) / (2.0 * dt))
+        fd.append((tr.after.volume() - tr.before.volume()) / (2.0 * dt))
         integrals.append(_dissipation_integral(tr.at, cfg, form))
     times = [tr.at.t for tr in trajectory.triples]
     rates = _local_rates(times, [abs(i) for i in integrals])
@@ -563,8 +564,8 @@ def fit_decay_rate(records, field, window):
     if len(pts) < 2:
         raise ValueError(f"need at least 2 records in window [{t1}, {t2}]")
     for t, y in pts:
-        if y <= 0.0:
-            raise ValueError(f"non-positive {field} = {y} at t = {t} in window")
+        if not 0.0 < y < math.inf:
+            raise ValueError(f"non-positive or non-finite {field} = {y} at t = {t} in window")
     ts = np.array([p[0] for p in pts])
     ys = np.log([p[1] for p in pts])
     return float(np.polyfit(ts, ys, 1)[0])

@@ -45,7 +45,11 @@ from lmcf.flow import (
     step_rk4,
 )
 from lmcf.geometry import _angle_values
-from lmcf.initial_data import random_bandlimited_potential, single_mode_potential
+from lmcf.initial_data import (
+    build_initial,
+    random_bandlimited_potential,
+    single_mode_potential,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -231,19 +235,19 @@ class TestBoundStage:
         ops = jet_ops(spec, scheme)
         assert type(ops) is route
         dim = spec.dim
-        buffers = ops.jet_buffers((2,))
-        write, stage_hess = ops.hessian_writer(buffers), buffers[0][0]
+        write, stage_hess = ops.hessian_writer()
 
         def public_rhs(y):
-            return _rhs_values(y, ops.hessian(y), kappa, dim)
+            return _rhs_values(y, ops.components(y, 2), kappa, dim)
 
         parity = np.indices(spec.sizes).sum(axis=0) % 2
         constant = np.full(spec.sizes, 0.3)  # its FFT Hessians hold some -0.0
         if scheme == "spectral":
-            assert not ops.hessian(constant).any()  # the DFT pair's shift makes these exact
+            # the DFT pair's shift makes these exact
+            assert not ops.components(constant, 2).any()
         for y in (random_bandlimited_potential(spec, 0.05, 2, seed=6).values, constant,
                   np.where(parity == 0, 0.0, -0.0)):  # central4: theta = -0.0 where y = +0
-            hess = ops.hessian(y)
+            hess = ops.components(y, 2)
             assert np.array_equal(write(y), ops.forward(y))
             assert np.array_equal(stage_hess, hess)
             got = _rhs_values(y, stage_hess, kappa, dim)
@@ -440,13 +444,12 @@ class TestIntegrate:
         forward, jets, hessian_writer = ops.forward, ops.jets, ops.hessian_writer
         forwards, ranks = [], []
 
-        def spy_writer(buffers):
-            write = hessian_writer(buffers)
-            return lambda y: ranks.append((2,)) or write(y)
+        def spy_writer():
+            write, hess = hessian_writer()
+            return (lambda y: ranks.append((2,)) or write(y)), hess
 
         monkeypatch.setattr(ops, "forward", lambda v: forwards.append(v) or forward(v))
-        monkeypatch.setattr(ops, "jets", lambda c, r, buffers=None:
-                            ranks.append(r) or jets(c, r, buffers))
+        monkeypatch.setattr(ops, "jets", lambda c, r: ranks.append(r) or jets(c, r))
         monkeypatch.setattr(ops, "hessian_writer", spy_writer)
         res = integrate(u0, cfg)
         assert res.steps == steps
@@ -465,8 +468,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
     def test_one_buffer_set_per_call(self, sizes, steps, scheme, kappa, route, monkeypatch):
         # the RK4 stages and the Hessian of every state off the record cadence
-        # share one jet_buffers set, the one Hessian writer is bound to; the
-        # fresh output of a jets call without buffers is not counted
+        # share the one buffer set of the call's one Hessian writer; the fresh
+        # output of a jets call is not counted
         spec = GridSpec(len(sizes), sizes)
         base = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, scheme=scheme)
         cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
@@ -474,30 +477,34 @@ class TestIntegrate:
         u0 = random_bandlimited_potential(spec, 0.05, 2, seed=6)
         ops = jet_ops(spec, scheme)
         assert type(ops) is route
-        jet_buffers, jets, hessian_writer = ops.jet_buffers, ops.jets, ops.hessian_writer
+        buffers, jets, hessian_writer = ops._buffers, ops.jets, ops.hessian_writer
         inside, calls, sets, bound = [], [], [], []
 
-        def spy_jets(coeffs, ranks, buffers=None):
+        def spy_jets(coeffs, ranks):
             inside.append(ranks)
             try:
-                return jets(coeffs, ranks, buffers)
+                return jets(coeffs, ranks)
             finally:
                 inside.pop()
 
         def spy_buffers(ranks):
-            buffers = jet_buffers(ranks)
+            out = buffers(ranks)
             if not inside:
                 calls.append(ranks)
-                sets.append(buffers)
-            return buffers
+                sets.append(out)
+            return out
+
+        def spy_writer():
+            writer = hessian_writer()
+            bound.append(writer)
+            return writer
 
         monkeypatch.setattr(ops, "jets", spy_jets)
-        monkeypatch.setattr(ops, "jet_buffers", spy_buffers)
-        monkeypatch.setattr(ops, "hessian_writer",
-                            lambda buffers: bound.append(buffers) or hessian_writer(buffers))
+        monkeypatch.setattr(ops, "_buffers", spy_buffers)
+        monkeypatch.setattr(ops, "hessian_writer", spy_writer)
         assert integrate(u0, cfg).steps == steps
         assert calls == [(2,)]
-        assert len(bound) == 1 and bound[0] is sets[0]
+        assert len(bound) == 1 and np.shares_memory(bound[0][1], sets[0][0][0])
 
     @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
     def test_result_state_is_a_fresh_state(self, sizes, steps, scheme, kappa, route,
@@ -918,6 +925,29 @@ class TestInitialData:
     def test_random_bandlimited_negative_seed_named(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
             random_bandlimited_potential(GridSpec(1, (32,)), 0.05, 3, seed=-3)
+
+    @pytest.mark.parametrize("mode", [(1.5,), (True,), (1, 2.0), ("1",)])
+    def test_single_mode_must_be_integers(self, mode):
+        # a float, bool or string mode would run as some other integer mode
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            single_mode_potential(GridSpec(2, (16, 16)), 1e-3, mode)
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("max_mode", {"modes": (2.7,)}), ("max_mode", {"modes": (True,)}),
+        ("max_mode", {"modes": 2.0}), ("seed", {"seed": 4.0}), ("seed", {"seed": True}),
+    ])
+    def test_random_bandlimited_integers_named(self, field, kwargs):
+        # each field is read as an integer or rejected by name, never truncated
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            build_initial(GridSpec(1, (32,)), "random_bandlimited", 0.05, **kwargs)
+
+    def test_integer_inputs_take_numpy_integers(self):
+        spec = GridSpec(1, (32,))
+        got = build_initial(spec, "random_bandlimited", 0.05, modes=(np.int64(3),),
+                            seed=np.int32(4))
+        assert np.array_equal(got.values, random_bandlimited_potential(spec, 0.05, 3, 4).values)
+        assert np.array_equal(single_mode_potential(spec, 1.0, (np.int64(2),)).values,
+                              single_mode_potential(spec, 1.0, (2,)).values)
 
 
 class TestMonitorRecordContents:

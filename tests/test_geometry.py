@@ -21,7 +21,6 @@ from lmcf.geometry import (
     _det_i_plus_iq,
     angle_gradient,
     graph_volume,
-    hessian_volume,
     induced_metric,
     jacobi_eigenvalues_sym3,
     lagrangian_angle,
@@ -331,9 +330,9 @@ class TestVolumeDensity:
         dense = self.matrices(dim, scale, spec.npoints, rng)
         ref = np.sqrt(np.linalg.det(np.eye(dim) + dense @ dense))
         comps = sym_from_dense(dense, dim).reshape((-1,) + sizes)
-        sqrt_det = induced_metric(SymMatrixField(spec, comps)).sqrt_det.values.reshape(-1)
-        assert np.max(np.abs(sqrt_det / ref - 1.0)) <= 1e-14
-        vol = hessian_volume(comps, spec)
+        M = induced_metric(SymMatrixField(spec, comps))
+        assert np.max(np.abs(M.sqrt_det.values.reshape(-1) / ref - 1.0)) <= 1e-14
+        vol = volume(M)
         assert abs(vol / (np.sum(ref) * spec.cell_volume) - 1.0) <= 1e-14
         if dim == 3 and scale >= 10.0:  # definite Q with theta beyond +-pi
             theta = _angle_values(comps, 3).reshape(-1)

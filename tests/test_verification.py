@@ -1,5 +1,6 @@
 """Residual reports: estimates, monotone quantities, decay fits, variation."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -7,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import lmcf.geometry
 import lmcf.verification
 from lmcf.fields import GridSpec, NonFiniteError, PeriodicScalarField
 from lmcf.flow import FlowConfig, FlowState, step_rk4
@@ -261,6 +263,16 @@ class TestSampleTrajectory:
             sample_trajectory(PeriodicScalarField(cfg.grid, values), cfg,
                               sample_every=2, n_samples=2)
 
+    @pytest.mark.parametrize("field,counts", [
+        ("sample_every", (True, 2)), ("sample_every", (2.0, 2)), ("n_samples", (2, 2.0)),
+    ])
+    def test_counts_must_be_integers(self, field, counts):
+        # a bool or float count is rejected by name
+        cfg = make_cfg(sizes=(32,))
+        u0 = random_bandlimited_potential(cfg.grid, 0.05, 2, seed=1)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            sample_trajectory(u0, cfg, *counts)
+
 
 class TestEvolutionInequalities:
     def test_constant_u2_is_exact_ode(self):
@@ -292,6 +304,23 @@ class TestEvolutionInequalities:
     def test_unknown_name(self, small_trajectory):
         with pytest.raises(ValueError):
             check_evolution_inequality("u4", small_trajectory)
+
+    def test_metric_built_once_per_state(self, monkeypatch):
+        # the evolution checks and the dissipation integral read each state's
+        # cached metric, so it is built once per distinct center state
+        cfg = make_cfg(sizes=(32,), kappa=-0.5)
+        u0 = random_bandlimited_potential(cfg.grid, 0.05, 2, seed=3)
+        traj = sample_trajectory(u0, cfg, sample_every=5, n_samples=4)
+        built = []
+        for module in (lmcf.geometry, lmcf.verification):
+            monkeypatch.setattr(module, "induced_metric", lambda Q, build=module.induced_metric:
+                                built.append(Q.components) or build(Q))
+        reports = [check_evolution_inequality(name, traj) for name in EVOLUTION_NAMES]
+        reports.append(check_volume_dissipation(traj))
+        assert all(rep.passed for rep in reports)
+        assert len(built) == len(traj.triples)
+        for comps, tr in zip(built, traj.triples):
+            assert comps is tr.at._jet(2)
 
     def test_region_violation(self):
         cfg = make_cfg(sizes=(32,), kappa=0.0)
@@ -455,6 +484,14 @@ class TestDecayFit:
                                         theta_max=0, volume=1, dt=0.1)]
         with pytest.raises(ValueError, match="non-positive"):
             fit_decay_rate(bad, "sup_u", (0.0, 0.4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN or inf sample raises as a non-positive one does
+        recs = self._records(-1.0)
+        recs[2] = dataclasses.replace(recs[2], psi_max=bad)
+        with pytest.raises(ValueError, match=f"non-finite psi_max = {bad} at t = {recs[2].t}"):
+            fit_decay_rate(recs, "psi_max", (0.0, 0.4))
 
     def test_rejects_unknown_field(self):
         with pytest.raises(ValueError, match="unknown monitor field"):
