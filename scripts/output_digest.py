@@ -5,14 +5,14 @@ Runs ``lmcf run`` and then ``lmcf resume`` from its checkpoint on the
 certified presets and on configs that cover every jet route (1-D DFT matrix
 pair at N = 16 and 64 and FFT, 2-D and 3-D FFT, 2-D central4), unequal sizes and periods
 per axis (2-D and 3-D FFT) and a record every step with kappa != 0 (1-D and
-3-D), then ``lmcf verify all``, then two ``step_rk4`` chains that no CLI
-command runs: the RK4 order fit's chain at dt = 4e-4 and one
-``sample_trajectory`` run.
+3-D), then ``lmcf verify all``, then what no CLI command runs: the RK4
+order fit's ``step_rk4`` chain at dt = 4e-4 and two ``sample_trajectory``
+runs, each one fixed-step ``integrate`` run (1-D DFT matrix and 2-D FFT).
 Prints one sha256 per run pair, one over all of them (exit codes,
 monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf verify all``,
-one over all of those files and one per chain (t, u and ``monitor_record``
-of every state), so two checkouts' outputs can be compared report by
-report.  A resumed summary echoes its checkpoint path, so run
+one over all of those files and one per chain or trajectory (t, u and
+``monitor_record`` of every state), so two checkouts' outputs can be
+compared report by report.  A resumed summary echoes its checkpoint path, so run
 it from the root of each checkout with the same relative output directory:
 
     PYTHONPATH=src python scripts/output_digest.py [out_dir]
@@ -88,10 +88,18 @@ def _digest_states(sha, states, cfg):
                    + repr(monitor_record(state, cfg)).encode())
 
 
+def _trajectory_digest(u0, cfg, sample_every, n_samples):
+    sha = hashlib.sha256()
+    for tr in sample_trajectory(u0, cfg, sample_every, n_samples).triples:
+        _digest_states(sha, (tr.before, tr.at, tr.after), cfg)
+    return sha
+
+
 def chain_digests():
-    """sha256 of every state of two ``step_rk4`` chains: the RK4 order fit's
-    middle chain (N = 16, kappa -0.5, dt 4e-4 to t = 0.08) and the triples of
-    the inequalities battery's ``sample_trajectory`` run at kappa -1."""
+    """sha256 of every state of the RK4 order fit's middle ``step_rk4`` chain
+    (N = 16, kappa -0.5, dt 4e-4 to t = 0.08), of the triples of the
+    inequalities battery's ``sample_trajectory`` run at kappa -1, and of a
+    2-D one whose triples (steps 2-7) fall on and off a record every 2 steps."""
     spec = GridSpec(1, (16,))
     cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0)
     state = FlowState.initial(single_mode_potential(spec, 0.01, (1,)), cfg)
@@ -104,10 +112,13 @@ def chain_digests():
     spec = GridSpec(1, (64,))
     cfg = FlowConfig(grid=spec, kappa=-1.0, t_max=1.0, checkpoint_every=0)
     u0 = random_bandlimited_potential(spec, 0.08, 3, seed=12, C0=cfg.C0, C1=cfg.C1)
-    trajectory = hashlib.sha256()
-    for tr in sample_trajectory(u0, cfg, 40, 10).triples:
-        _digest_states(trajectory, (tr.before, tr.at, tr.after), cfg)
-    return {"step_rk4_chain": chain, "sample_trajectory": trajectory}
+    trajectory = _trajectory_digest(u0, cfg, 40, 10)
+
+    spec = GridSpec(2, (16, 16))
+    cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0, checkpoint_every=2)
+    u0 = random_bandlimited_potential(spec, 0.05, 2, seed=7)
+    return {"step_rk4_chain": chain, "sample_trajectory": trajectory,
+            "sample_trajectory_2d": _trajectory_digest(u0, cfg, 3, 2)}
 
 
 def digest(out_dir):

@@ -6,15 +6,10 @@ pointwise tensor norms are Euclidean/Frobenius norms of the component arrays.
 
 Two differentiation schemes are provided:
 
-* ``spectral`` — FFT differentiation, exact for band-limited fields up to
-  roundoff.  One cached function, ``_multiplier``, builds a grid's Fourier
-  multipliers from per-axis derivative orders; an odd order zeroes its axis'
-  Nyquist mode, index n//2 on every axis, so real input maps to real output.
-  The FFTs call ``numpy.fft``'s pocketfft kernels directly: its bits without
-  its Python wrapper's per-call cost.  On 1-D grids of at most
-  ``DFT_MATRIX_MAX_N`` = 128 points the operator runs as two real
-  matrix-vector products, the input shifted by its first value so that a
-  constant maps to exact zeros.
+* ``spectral`` — FFT differentiation (``_FftJetOps``), exact for band-limited
+  fields up to roundoff, on the Fourier multipliers that one cached function,
+  ``_multiplier``, builds; 1-D grids of at most ``DFT_MATRIX_MAX_N`` = 128
+  points run it as two real matrix-vector products (``_DftMatrixJetOps``).
 * ``central4`` — 4th-order centered finite differences with periodic wrap,
   kept as an independent fallback so discretization error can be separated
   from modeling error.
@@ -22,22 +17,11 @@ Two differentiation schemes are provided:
 Every operator comes in two halves: ``forward`` maps values to coefficients
 (the half-spectrum, or the values themselves for ``central4``) and ``jets``
 builds the components of every rank the caller asks for from them in one
-synthesis, so a caller holding one state's coefficients gets all its ranks
-for one forward transform: a flow record gets ranks 1-3 from one call.
-On 1-D FFT grids that is one multiply against the stacked multipliers and
-one batched ``irfft``, whose rows are bit-identical to single-rank calls;
-the DFT matrix route makes one product per rank.  2-D runs ``irfftn``'s
-passes bit for bit.  In 3-D each axis' separable factor (skipped if 1) goes
-just before that axis' pass, so the components with one order on axis 1
-share that pass and those with one (axis-0, axis-1) order pair the one over
-axis 0; the bits differ from ``irfftn``'s at the ulp level.  A component's
-bits never depend on the ranks a call asks for.
-The operators keep no input between calls.
-Components are written straight into packed stacks.  Each entry point has
-one mode: ``jets`` always returns fresh read-only stacks, and
-``hessian_writer`` returns a bound call that writes a Hessian into the one
-stack it owns, so that a time stepper allocates its stage Hessian once and
-writes each stage through one call.
+synthesis, into fresh read-only packed stacks: a flow record gets ranks 1-3
+from one forward transform, and a component's bits never depend on the
+ranks a call asks for.  ``hessian_writer`` returns a bound call that writes
+a Hessian into the one stack it owns, so that a time stepper allocates its
+stage Hessian once.  The operators keep no input between calls.
 
 This module owns the packed symmetric layout: a symmetric tensor stores
 each distinct component once, in sorted multi-index order, and everything

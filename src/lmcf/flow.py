@@ -29,6 +29,7 @@ from .fields import (
     SymTensor3Field,
     VectorField,
     _as_int,
+    _frozen_array,
     jet_ops,
     psi_values,
     sym_norm_sq,
@@ -114,8 +115,8 @@ class FlowState:
     and sqrt(det mu), the induced metric mu and the graph volume are computed
     once per state, all jets from one forward transform of u, and cached
     read-only; the field wrappers ``u``, ``du``, ``d2u`` and ``d3u`` are built
-    only when asked for.  ``integrate`` builds its records and its result over
-    the loop's own arrays, transform and jets included."""
+    only when asked for.  ``integrate`` builds its records, its result and its
+    hook's states over the loop's own arrays, transform and jets included."""
 
     __slots__ = ("t", "spec", "scheme", "_u", "_values", "_ops", "_coeffs", "_jets",
                  "_norms_sq", "_psi", "_angle", "_metric", "_volume", "__weakref__")
@@ -132,9 +133,8 @@ class FlowState:
 
     @classmethod
     def _from_loop(cls, t, values, coeffs, jets, ops, scheme):
-        """State over ``integrate``'s frozen arrays: the values of u, their
-        coefficients under ``ops`` and the jet stacks by rank (the Hessian at
-        least)."""
+        """State over ``integrate``'s frozen arrays: u's values, their coefficients
+        under ``ops`` and the jet stacks by rank (the Hessian at least)."""
         state = cls.__new__(cls)
         state.t, state.spec, state.scheme, state._u = t, ops.spec, scheme, None
         state._values, state._ops, state._coeffs = values, ops, coeffs
@@ -190,11 +190,11 @@ class FlowState:
         return self._angle
 
     def metric(self) -> geometry.InducedMetricField:
-        """The induced metric mu = I + (D^2 u)^2 with its inverse and
-        sqrt(det mu), computed once per state.  ``geometry.induced_metric`` is
-        looked up by module name, so a wrapper installed there sees each build."""
+        """The induced metric mu = I + (D^2 u)^2 with its inverse and the
+        state's sqrt(det mu), computed once per state.  ``geometry.induced_metric``
+        is looked up by module name, so a wrapper installed there sees each build."""
         if self._metric is None:
-            self._metric = geometry.induced_metric(self.d2u)
+            self._metric = geometry.induced_metric(self.d2u, self.angle_and_density()[1])
         return self._metric
 
     def volume(self):
@@ -340,7 +340,8 @@ def _admit(run, cfg: FlowConfig):
             f"state scheme does not match config scheme: {run.scheme!r} vs {cfg.scheme!r}")
 
 
-def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) -> FlowResult:
+def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0,
+              hook=None) -> FlowResult:
     """Run the flow from u0 until convergence, t_max or blowup.
 
     Convergence means sup|du| < conv_tol and sup|D^2 u| < conv_tol, plus
@@ -359,6 +360,11 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     A non-finite field is reported as a blowup, so numpy's invalid-value
     warnings are off inside the loop; ``sink`` runs under the caller's
     floating-point error state.
+
+    ``hook = (steps, visit)`` makes a fixed-step run with no records, no
+    convergence test and no time limit: ``visit(index, state)`` gets the
+    guarded state at each global step index in the non-empty ``steps`` (its
+    Hessian a read-only stage-buffer copy) and the run ends "timed_out" there.
     """
     _admit(u0, cfg)
     if cfg.kappa > 0.0:
@@ -368,9 +374,9 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
         )
 
     ops = jet_ops(cfg.grid, cfg.scheme)
-    dim, dt, tol, kappa = cfg.grid.dim, cfg.dt, cfg.conv_tol, cfg.kappa
+    dim, dt, tol, kappa, t_max = cfg.grid.dim, cfg.dt, cfg.conv_tol, cfg.kappa, cfg.t_max
     write_hessian, stage_hess = ops.hessian_writer()
-    record_every = cfg.checkpoint_every
+    record_every, first_record = cfg.checkpoint_every, 0
 
     u = u0.values
     t = float(t_start)
@@ -380,6 +386,12 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     last_emitted = -1
     warned_region = False
     caller_errstate = np.geterr()
+    angle, mark = None, -1  # mark: the step of the next visit; the loop never reaches -1
+    if hook is not None:  # sup|D^2 u| < 0 never holds, so no convergence
+        marks, visit = iter(sorted(index - first_step for index in hook[0])), hook[1]
+        mark, tol, t_max, record_every, first_record = next(marks, -1), 0.0, math.inf, 0, -1
+        if mark < 0:
+            raise ValueError("hook steps must be given and not precede the step of t_start")
 
     def state_now(jets):
         return FlowState._from_loop(t, u, coeffs, jets, ops, cfg.scheme)
@@ -400,13 +412,13 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
     def finish(outcome, blowup=None):
         hess.setflags(write=False)  # the loop writes it no more
         state = state_now({2: hess})
-        if last_emitted != step:
+        if last_emitted != step and hook is None:
             emit(state)
         return FlowResult(outcome, state, tuple(records), step, blowup=blowup)
 
     with np.errstate(invalid="ignore"):
         while True:
-            if step == 0 or (record_every and (first_step + step) % record_every == 0):
+            if step == first_record or (record_every and (first_step + step) % record_every == 0):
                 coeffs = ops.forward(u)
                 # the ranks monitor_record reads, from one synthesis; they leave
                 # with the record's state, so the RK4 stages and the result's
@@ -426,11 +438,16 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0) 
             if blowup is not None:
                 return finish("blowup", blowup)
 
+            if step == mark:  # a copy of the stage buffer, which the next step overwrites
+                visit(first_step + step, state_now({2: _frozen_array(hess)}))
+                if (mark := next(marks, -1)) < 0:
+                    return finish("timed_out")
+
             if sup_d2 < tol and (kappa == 0.0 or float(np.abs(u).max()) < tol):
                 if sym_sup_norm(ops.jets(coeffs, (1,))[0], dim, 1) < tol:
                     return finish("converged")
 
-            if t + 0.5 * dt >= cfg.t_max:
+            if t + 0.5 * dt >= t_max:
                 return finish("timed_out")
 
             # free it before the stage temporaries, as a guard-only temporary would

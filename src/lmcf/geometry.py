@@ -96,15 +96,18 @@ def _metric_arrays(qcomps, dim):
     return (m00, m01, m02, m11, m12, m22), inv
 
 
-def induced_metric(Q: SymMatrixField) -> InducedMetricField:
-    """First fundamental form mu = I + Q^2 of the graph, with inverse and sqrt(det)."""
+def induced_metric(Q: SymMatrixField, sqrt_det=None) -> InducedMetricField:
+    """First fundamental form mu = I + Q^2 of the graph, with inverse and sqrt(det);
+    ``sqrt_det``, if given, is Q's ``_angle_and_density`` density, not recomputed."""
     if not np.isfinite(Q.components).all():
         raise NonFiniteError("induced_metric of a non-finite Hessian field")
     mu_c, inv_c = _metric_arrays(Q.components, Q.spec.dim)
+    if sqrt_det is None:
+        sqrt_det = _angle_and_density(Q.components, Q.spec.dim)[1]
     return InducedMetricField(
         mu=SymMatrixField(Q.spec, np.stack(mu_c)),
         mu_inv=SymMatrixField(Q.spec, np.stack(inv_c)),
-        sqrt_det=PeriodicScalarField(Q.spec, _angle_and_density(Q.components, Q.spec.dim)[1]),
+        sqrt_det=PeriodicScalarField(Q.spec, sqrt_det),
     )
 
 

@@ -31,7 +31,8 @@ from .fields import (
     sym_to_dense,
     sym_trace,
 )
-from .flow import FlowConfig, FlowState, _admit, step_rk4
+from . import flow
+from .flow import FlowConfig, FlowState, step_rk4  # noqa: F401  perfbench wraps step_rk4 here
 from .geometry import (
     InducedMetricField,
     _angle_values,
@@ -305,24 +306,19 @@ class Trajectory:
 
 
 def sample_trajectory(u0, cfg, sample_every, n_samples) -> Trajectory:
-    """Integrate and keep (t-dt, t, t+dt) state triples every ``sample_every`` steps.
-
-    Only the states of the triples are kept; the others are dropped as the
-    chain of ``step_rk4`` calls passes them.
-    """
+    """(t-dt, t, t+dt) state triples every ``sample_every`` steps from one
+    fixed-step ``integrate`` run (looked up by module name) to the last triple,
+    whatever convergence and ``cfg.t_max`` say; its blowup is raised."""
     sample_every = _as_int("sample_every", sample_every)
     n_samples = _as_int("n_samples", n_samples)
     if sample_every < 1 or n_samples < 1:
         raise ValueError("sample_every and n_samples must be >= 1")
-    _admit(u0, cfg)
     centers = [k * sample_every for k in range(1, n_samples + 1)]
-    kept = {c + d: None for c in centers for d in (-1, 0, 1)}
-    state = FlowState.initial(u0, cfg)
-    for index in range(centers[-1] + 2):
-        if index:
-            state = step_rk4(state, cfg)
-        if index in kept:
-            kept[index] = state
+    kept = {}
+    result = flow.integrate(u0, cfg, hook=({c + d for c in centers for d in (-1, 0, 1)},
+                                           kept.__setitem__))
+    if result.blowup is not None:
+        raise result.blowup
     triples = tuple(TrajectoryTriple(kept[c - 1], kept[c], kept[c + 1]) for c in centers)
     return Trajectory(cfg=cfg, triples=triples)
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmcf.flow
+import lmcf.geometry
 from lmcf.fields import (
     GridSpec,
     PeriodicScalarField,
@@ -680,6 +681,26 @@ class TestIntegrate:
         with pytest.warns(UserWarning, match="certified region"):
             integrate(u0, cfg)
 
+    def test_hook_visits_global_steps_and_makes_no_record(self, monkeypatch):
+        # resumed at step 10, the run hands over steps 12 and 14 and stops there
+        spec = GridSpec(1, (32,))
+        cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0, checkpoint_every=2)
+        chain = [FlowState.initial(random_bandlimited_potential(spec, 0.05, 3, seed=7), cfg)]
+        for _ in range(14):
+            chain.append(step_rk4(chain[-1], cfg))
+        monkeypatch.setattr(lmcf.flow, "monitor_record", lambda *args: pytest.fail("a record"))
+        kept = {}
+        res = integrate(chain[10].u, cfg, t_start=chain[10].t, hook=({14, 12}, kept.__setitem__))
+        assert (res.outcome, res.steps, res.records) == ("timed_out", 4, ())
+        assert sorted(kept) == [12, 14]
+        for index, state in kept.items():
+            assert state.t == chain[index].t
+            assert np.array_equal(state.u.values, chain[index].u.values)
+            assert np.array_equal(state.d2u.components, chain[index].d2u.components)
+        for steps in ({9, 12}, set()):
+            with pytest.raises(ValueError, match="must be given and not precede"):
+                integrate(chain[10].u, cfg, t_start=chain[10].t, hook=(steps, kept.__setitem__))
+
 
 class TestFlowConfig:
     def test_dt_formula(self):
@@ -1011,3 +1032,21 @@ class TestFlowState:
         for rank, comps in jets.items():
             assert np.array_equal(comps, ops.components(u0.values.copy(), rank))
             assert not comps.flags.writeable
+
+    @pytest.mark.parametrize("sizes", [(64,), (16, 12), (8, 8, 16)])
+    def test_metric_reads_the_state_density(self, sizes, monkeypatch):
+        # no second det(I + iQ) pass: the metric's sqrt(det mu) is the state's density
+        spec = GridSpec(len(sizes), sizes)
+        state = FlowState(0.0, random_bandlimited_potential(spec, 0.05, 2, seed=9))
+        built_alone = lmcf.geometry.induced_metric(state.d2u)
+        density = state.angle_and_density()[1]
+        passes = []
+        angle_and_density = lmcf.geometry._angle_and_density
+        monkeypatch.setattr(lmcf.geometry, "_angle_and_density",
+                            lambda *args: passes.append(args) or angle_and_density(*args))
+        metric = state.metric()
+        assert passes == [] and metric.sqrt_det.values is density
+        assert np.array_equal(metric.sqrt_det.values, built_alone.sqrt_det.values)
+        for name in ("mu", "mu_inv"):
+            assert np.array_equal(getattr(metric, name).components,
+                                  getattr(built_alone, name).components)

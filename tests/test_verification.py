@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import lmcf.geometry
 import lmcf.verification
 from lmcf.fields import GridSpec, NonFiniteError, PeriodicScalarField
-from lmcf.flow import FlowConfig, FlowState, step_rk4
+from lmcf.flow import BlowupError, FlowConfig, FlowState, step_rk4
 from lmcf.initial_data import random_bandlimited_potential, single_mode_potential
 from lmcf.monitors import MonitorRecord
 from lmcf.verification import (
@@ -35,6 +36,7 @@ from lmcf.verification import (
     second_variation_quadrature,
     write_report,
 )
+from test_flow import TestStepRk4 as StepRk4Cases  # not collected a second time here
 
 TWO_PI = 2.0 * np.pi
 
@@ -211,43 +213,123 @@ class TestLaplacianDifference:
 
 
 class TestSampleTrajectory:
+    @staticmethod
+    def _chain(u0, cfg, steps):
+        """States 0 ... steps of a step_rk4 chain from u0."""
+        chain = [FlowState.initial(u0, cfg)]
+        for _ in range(steps):
+            chain.append(step_rk4(chain[-1], cfg))
+        return chain
+
+    # 16, 32 and 128 points run the DFT-matrix route (128 is its bound), 130
+    # the 1-D FFT route and 16^2 the 2-D one
+    @pytest.mark.parametrize("sizes", [(16,), (32,), (128,), (130,), (16, 16)])
     @pytest.mark.parametrize("sample_every", [1, 3])
-    def test_triples_are_states_of_a_step_rk4_chain(self, sample_every):
-        cfg = make_cfg(sizes=(32,), kappa=-0.5)
+    def test_triples_are_states_of_a_step_rk4_chain(self, sizes, sample_every):
+        cfg = make_cfg(sizes=sizes, kappa=-0.5)
         u0 = random_bandlimited_potential(cfg.grid, 0.05, 3, seed=7)
         n_samples = 3
         traj = sample_trajectory(u0, cfg, sample_every, n_samples)
-        chain = [FlowState.initial(u0, cfg)]
-        for _ in range(sample_every * n_samples + 1):
-            chain.append(step_rk4(chain[-1], cfg))
+        chain = self._chain(u0, cfg, sample_every * n_samples + 1)
         assert len(traj.triples) == n_samples
         for k, tr in enumerate(traj.triples, start=1):
             center = k * sample_every
             for state, ref in zip((tr.before, tr.at, tr.after), chain[center - 1:center + 2]):
                 assert state.t == ref.t
                 assert np.array_equal(state.u.values, ref.u.values)
+                assert np.array_equal(state.d2u.components, ref.d2u.components)
                 assert np.array_equal(state.psi(cfg.C0, cfg.C1), ref.psi(cfg.C0, cfg.C1))
 
     def test_keeps_only_the_states_it_returns(self, monkeypatch):
         cfg = make_cfg(sizes=(32,), kappa=0.0)
         u0 = random_bandlimited_potential(cfg.grid, 0.05, 3, seed=7)
-        made = []  # weak references to the states of steps 1, 2, ...
-        alive_at_step = []
+        built = []  # (step index, weak reference) of every state the loop builds
+        visited, alive_at_visit = [], []
+        from_loop = FlowState._from_loop.__func__
 
-        def recording_step(state, cfg):
+        def recording_from_loop(cls, t, *args):
+            state = from_loop(cls, t, *args)
+            built.append((round(t / cfg.dt), weakref.ref(state)))
+            return state
+
+        def alive():
             gc.collect()
-            alive_at_step.append({i for i, ref in enumerate(made, start=1)
-                                  if ref() is not None and ref() is not state})
-            out = step_rk4(state, cfg)
-            made.append(weakref.ref(out))
-            return out
+            return {index for index, ref in built if ref() is not None}
 
-        monkeypatch.setattr(lmcf.verification, "step_rk4", recording_step)
+        integrate = lmcf.flow.integrate
+
+        def spying_integrate(u0, cfg, hook):
+            steps, visit = hook
+
+            def spy(index, state):
+                alive_at_visit.append(alive() - {index})  # besides the state handed over
+                visited.append(index)
+                visit(index, state)
+            return integrate(u0, cfg, hook=(steps, spy))
+
+        monkeypatch.setattr(FlowState, "_from_loop", classmethod(recording_from_loop))
+        monkeypatch.setattr(lmcf.flow, "integrate", spying_integrate)
         traj = sample_trajectory(u0, cfg, sample_every=4, n_samples=2)
-        assert len(made) == 9
-        # besides the state being stepped, only triple members stay alive
-        assert all(alive <= {3, 4, 5, 7, 8} for alive in alive_at_step)
-        assert [tr.at.t for tr in traj.triples] == [made[3]().t, made[7]().t]
+        assert visited == [3, 4, 5, 7, 8, 9]
+        # the hand-overs and the result's state: the run builds no record state
+        assert [index for index, _ in built] == [3, 4, 5, 7, 8, 9, 9]
+        # besides the state handed over, only triple members stay alive
+        assert all(alive <= {3, 4, 5, 7, 8} for alive in alive_at_visit)
+        assert alive() == {3, 4, 5, 7, 8, 9}
+        assert [tr.at.t for tr in traj.triples] == [ref().t for index, ref in built
+                                                    if index in (4, 8)]
+
+    @pytest.mark.parametrize("u0_kind,t_max", [("constant", 1.0), ("random", 1e-3)])
+    def test_runs_to_the_last_triple(self, u0_kind, t_max):
+        # a constant at kappa = 0 has sup|D^2 u| = 0 < conv_tol, and t = 1e-3 is
+        # step 3 of 21: neither stops the run short
+        cfg = dataclasses.replace(make_cfg(sizes=(16,), kappa=0.0), t_max=t_max)
+        u0 = (PeriodicScalarField.constant(cfg.grid, 0.005) if u0_kind == "constant"
+              else random_bandlimited_potential(cfg.grid, 0.05, 3, seed=7))
+        sample_every, n_samples = 5, 4
+        traj = sample_trajectory(u0, cfg, sample_every, n_samples)
+        chain = self._chain(u0, cfg, sample_every * n_samples + 1)
+        assert len(traj.triples) == n_samples
+        for k, tr in enumerate(traj.triples, start=1):
+            center = k * sample_every
+            # the chain's times: t += dt once per step
+            assert [tr.before.t, tr.at.t, tr.after.t] == [
+                ref.t for ref in chain[center - 1:center + 2]]
+            assert np.array_equal(tr.after.u.values, chain[center + 1].u.values)
+
+    @pytest.mark.parametrize("sample_every,n_samples", [
+        pytest.param(5, 3, id="between-centers"),  # state 12 is between centers 10 and 15
+        pytest.param(11, 1, id="final-after-state"),  # state 12 is the last triple's after
+    ])
+    def test_raises_the_blowup_of_a_step_rk4_chain(self, sample_every, n_samples):
+        # the data of TestStepRk4's after-12-steps case: state 12 fails the guard
+        spec = GridSpec(1, (32,))
+        cfg = FlowConfig(grid=spec, kappa=50.0, t_max=0.05)
+        u0 = single_mode_potential(spec, 0.24, (1,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # kappa > 0 is experimental
+            raised = StepRk4Cases._chain_blowup(u0, cfg)
+            with pytest.raises(BlowupError) as caught:
+                sample_trajectory(u0, cfg, sample_every, n_samples)
+        assert raised.t == self._chain(u0, cfg, 11)[-1].t + cfg.dt
+        StepRk4Cases._assert_same_blowup(raised, caught.value)
+
+    def test_warns_of_no_region_exit(self):
+        # psi >> eps1^2 is reported by the checks' RegionViolationError, not by a warning
+        cfg = make_cfg(sizes=(32,), kappa=0.0)
+        u0 = single_mode_potential(cfg.grid, 0.05, (2,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = sample_trajectory(u0, cfg, sample_every=2, n_samples=2)
+        assert cfg.leaves_region(float(np.max(traj.triples[0].at.psi(cfg.C0, cfg.C1))))
+        with pytest.raises(RegionViolationError):
+            check_evolution_inequality("psi", traj)
+
+    def test_kappa_positive_trajectory_warns_experimental(self):
+        cfg = make_cfg(sizes=(16,), kappa=0.5)
+        u0 = random_bandlimited_potential(cfg.grid, 0.01, 2, seed=7)
+        with pytest.warns(UserWarning, match="kappa > 0 is experimental"):
+            sample_trajectory(u0, cfg, sample_every=2, n_samples=2)
 
     def test_rejects_u0_on_another_grid(self):
         cfg = make_cfg(sizes=(64,))
@@ -313,8 +395,9 @@ class TestEvolutionInequalities:
         traj = sample_trajectory(u0, cfg, sample_every=5, n_samples=4)
         built = []
         for module in (lmcf.geometry, lmcf.verification):
-            monkeypatch.setattr(module, "induced_metric", lambda Q, build=module.induced_metric:
-                                built.append(Q.components) or build(Q))
+            monkeypatch.setattr(module, "induced_metric",
+                                lambda Q, *args, build=module.induced_metric:
+                                built.append(Q.components) or build(Q, *args))
         reports = [check_evolution_inequality(name, traj) for name in EVOLUTION_NAMES]
         reports.append(check_volume_dissipation(traj))
         assert all(rep.passed for rep in reports)
