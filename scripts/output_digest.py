@@ -6,8 +6,9 @@ certified presets and on configs that cover every jet route (1-D DFT matrix
 pair at N = 16 and 64 and FFT, 2-D and 3-D FFT, 2-D central4), unequal sizes and periods
 per axis (2-D and 3-D FFT) and a record every step with kappa != 0 (1-D and
 3-D), then ``lmcf verify all``, then what no CLI command runs: the RK4
-order fit's ``step_rk4`` chain at dt = 4e-4 and two ``sample_trajectory``
-runs, each one fixed-step ``integrate`` run (1-D DFT matrix and 2-D FFT).
+order fit's ``step_rk4`` chain at dt = 4e-4 (cfl 0.2048 at N = 16) and two
+``sample_trajectory`` runs (1-D DFT matrix and 2-D FFT), each chain step and
+each trajectory one fixed-step ``integrate`` run.
 Prints one sha256 per run pair, one over all of them (exit codes,
 monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf verify all``,
 one over all of those files and one per chain or trajectory (t, u and
@@ -97,16 +98,17 @@ def _trajectory_digest(u0, cfg, sample_every, n_samples):
 
 def chain_digests():
     """sha256 of every state of the RK4 order fit's middle ``step_rk4`` chain
-    (N = 16, kappa -0.5, dt 4e-4 to t = 0.08), of the triples of the
+    (N = 16, kappa -0.5, cfl 0.2048, so dt = cfl / 512 = 4e-4 bit for bit, to
+    t = 0.08; its records carry that dt), of the triples of the
     inequalities battery's ``sample_trajectory`` run at kappa -1, and of a
     2-D one whose triples (steps 2-7) fall on and off a record every 2 steps."""
     spec = GridSpec(1, (16,))
-    cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0)
+    cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0, cfl=0.2048)
     state = FlowState.initial(single_mode_potential(spec, 0.01, (1,)), cfg)
     chain = hashlib.sha256()
     _digest_states(chain, [state], cfg)
-    for _ in range(round(0.08 / 4e-4)):
-        state = step_rk4(state, cfg, dt=4e-4)
+    for _ in range(round(0.08 / cfg.dt)):
+        state = step_rk4(state, cfg)
         _digest_states(chain, [state], cfg)
 
     spec = GridSpec(1, (64,))

@@ -287,24 +287,17 @@ def _blowup_guard(t, u_vals, d2u_sq):
     return sup_d2, BlowupError(t, float(np.abs(u_vals).max()), sup_d2, reason)
 
 
-def step_rk4(state: FlowState, cfg: FlowConfig, dt=None) -> FlowState:
-    """Advance one RK4 step.  Raises what ``_admit`` raises, and the
-    BlowupError of the state it steps from or returns if either fails the
-    blowup guard, so a chain stops where ``integrate`` reports a blowup."""
-    _admit(state, cfg)
-    dt = cfg.dt if dt is None else dt
-    write_hessian, stage_hess = jet_ops(state.spec, cfg.scheme).hessian_writer()
-    with np.errstate(invalid="ignore"):  # as in integrate: a non-finite field is a blowup
-        k1 = _rhs_values(state._values, state._jet(2), cfg.kappa, state.spec.dim)
-        u_new = _rk4_update(state._values, k1, dt, write_hessian, stage_hess,
-                            cfg.kappa, state.spec.dim)
-        u_new.setflags(write=False)
-        new = FlowState(state.t + dt, PeriodicScalarField(state.spec, u_new), scheme=cfg.scheme)
-        for guarded in (state, new):
-            blowup = _blowup_guard(guarded.t, guarded._values, guarded.norm_sq(2))[1]
-            if blowup is not None:
-                raise blowup
-    return new
+def step_rk4(state: FlowState, cfg: FlowConfig) -> FlowState:
+    """Advance one RK4 step: a fixed-step ``integrate`` run from ``state`` that
+    keeps its next global step.  Raises what ``integrate`` raises, and the
+    BlowupError it reports for the state it steps from or returns, so a chain
+    stops where ``integrate`` reports a blowup."""
+    step = round(state.t / cfg.dt) + 1
+    kept = {}
+    result = integrate(state, cfg, hook=({step}, kept.__setitem__))
+    if result.blowup is not None:
+        raise result.blowup
+    return kept[step]
 
 
 def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
@@ -327,22 +320,21 @@ def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
 
 def _admit(run, cfg: FlowConfig):
     """Raise ValueError unless ``run`` (u0 or a FlowState) is on the config's
-    grid (SpecMismatchError), a state is under its scheme and a u0 is finite:
-    another grid or scheme would run with another discretization's dt."""
+    grid (SpecMismatchError) and a state is under its scheme: another grid or
+    scheme would run with another discretization's dt.  Returns "u0" or "state"."""
     what = "state" if isinstance(run, FlowState) else "u0"
     if run.spec is not cfg.grid and run.spec != cfg.grid:
         raise SpecMismatchError(
             f"{what} grid does not match config grid: {run.spec} vs {cfg.grid}")
-    if what == "u0" and not run.is_finite():
-        raise ValueError("u0 is not finite")
     if what == "state" and run.scheme != cfg.scheme:
         raise ValueError(
             f"state scheme does not match config scheme: {run.scheme!r} vs {cfg.scheme!r}")
+    return what
 
 
-def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0,
-              hook=None) -> FlowResult:
-    """Run the flow from u0 until convergence, t_max or blowup.
+def integrate(start, cfg: FlowConfig, sink=None, hook=None) -> FlowResult:
+    """Run the flow from ``start``, a u0 field (t = 0) or a ``FlowState`` (its
+    t), until convergence, t_max or blowup.
 
     Convergence means sup|du| < conv_tol and sup|D^2 u| < conv_tol, plus
     sup|u| < conv_tol when kappa != 0: then only the zero potential is
@@ -353,9 +345,11 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0,
     Emits ``monitor_record`` (looked up by module name) of a ``FlowState`` at
     the start, at every step whose global index (counted from t = 0) is a
     multiple of ``checkpoint_every``, and at termination; the guard and the
-    first RK4 stage read a record state's caches.  ``t_start`` continues the
-    clock from a checkpoint: the update sequence and the record cadence are
-    then bit-identical to the uninterrupted run.
+    first RK4 stage read a record state's caches.  A start state continues
+    the clock from its t, from its values alone (its caches are not read): the
+    update sequence and the record cadence are then bit-identical to the
+    uninterrupted run.  Raises what ``_admit`` raises, and ValueError for
+    non-finite start values.
 
     A non-finite field is reported as a blowup, so numpy's invalid-value
     warnings are off inside the loop; ``sink`` runs under the caller's
@@ -366,7 +360,10 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0,
     guarded state at each global step index in the non-empty ``steps`` (its
     Hessian a read-only stage-buffer copy) and the run ends "timed_out" there.
     """
-    _admit(u0, cfg)
+    what = _admit(start, cfg)
+    t, u = (start.t, start._values) if what == "state" else (0.0, start.values)
+    if not np.isfinite(u).all():
+        raise ValueError(f"{what} is not finite")
     if cfg.kappa > 0.0:
         warnings.warn(
             "kappa > 0 is experimental: no convergence guarantee is certified",
@@ -378,8 +375,6 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0,
     write_hessian, stage_hess = ops.hessian_writer()
     record_every, first_record = cfg.checkpoint_every, 0
 
-    u = u0.values
-    t = float(t_start)
     step = 0
     first_step = round(t / dt)
     records = []
@@ -391,7 +386,7 @@ def integrate(u0: PeriodicScalarField, cfg: FlowConfig, sink=None, t_start=0.0,
         marks, visit = iter(sorted(index - first_step for index in hook[0])), hook[1]
         mark, tol, t_max, record_every, first_record = next(marks, -1), 0.0, math.inf, 0, -1
         if mark < 0:
-            raise ValueError("hook steps must be given and not precede the step of t_start")
+            raise ValueError("hook steps must be given and not precede the start's step")
 
     def state_now(jets):
         return FlowState._from_loop(t, u, coeffs, jets, ops, cfg.scheme)
@@ -561,11 +556,7 @@ def checkpoint_load(path, t_max=None):
 
 
 def resume_flow(state: FlowState, cfg: FlowConfig, sink=None) -> FlowResult:
-    """Continue integrating a loaded state until cfg.t_max.
-
-    The step sequence, and hence every emitted record from the resume point
-    on, is bit-identical to the uninterrupted run.  Raises what ``_admit``
-    raises for a state the config does not admit.
-    """
-    _admit(state, cfg)
-    return integrate(state.u, cfg, sink=sink, t_start=state.t)
+    """Continue integrating a loaded state until cfg.t_max: ``integrate`` from
+    the state, so every emitted record from the resume point on is
+    bit-identical to the uninterrupted run."""
+    return integrate(state, cfg, sink=sink)

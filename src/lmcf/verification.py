@@ -172,9 +172,12 @@ def eigen_angle_values(qcomps, dim):
     return at[..., 0] + at[..., 1] + at[..., 2]
 
 
-def angle_oracle_gap(qcomps, dim):
-    """Sup distance between the closed-form angle and the eigenvalue reference."""
-    return float(np.max(np.abs(_angle_values(qcomps, dim) - eigen_angle_values(qcomps, dim))))
+def angle_oracle_gap(qcomps, dim, theta=None):
+    """Sup distance between the closed-form angle and the eigenvalue reference;
+    ``theta``, if given, is the closed-form angle of ``qcomps`` (a state's cached one)."""
+    if theta is None:
+        theta = _angle_values(qcomps, dim)
+    return float(np.max(np.abs(theta - eigen_angle_values(qcomps, dim))))
 
 
 def trace_metric_hessian(f: PeriodicScalarField, M: InducedMetricField, scheme="spectral"):
@@ -248,7 +251,7 @@ def check_angle_expansion(samples, amplitudes, scheme="spectral") -> ResidualRep
             theta = state.angle_and_density()[0]
             res = max(res, float(np.max(np.abs(theta - sym_trace(hess, dim)))))
             bound = max(bound, float(np.max(state.norm_sq(1) + state.norm_sq(2))))
-            oracle_gap = max(oracle_gap, angle_oracle_gap(hess, dim))
+            oracle_gap = max(oracle_gap, angle_oracle_gap(hess, dim, theta))
         rows.append((float(eps), res, bound))
     scale = max(r[2] for r in rows)
     return _order_report("angle_expansion", rows, oracle_gap <= ORACLE_GAP_TOL, 1.9,
@@ -535,7 +538,8 @@ def check_volume_dissipation(trajectory: Trajectory, form=None) -> ResidualRepor
         rows.append((tr.at.t, residual, bound))
     # oracle closure: the angle entering the integrand against the eigenvalue route
     first = trajectory.triples[0].at
-    oracle_gap = angle_oracle_gap(first.d2u.components, first.spec.dim)
+    oracle_gap = angle_oracle_gap(first.d2u.components, first.spec.dim,
+                                  first.angle_and_density()[0])
     passed = oracle_gap <= ORACLE_GAP_TOL and _within_bounds(rows)
     return _report(
         "volume_dissipation", rows, passed,

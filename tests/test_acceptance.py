@@ -315,13 +315,14 @@ def test_criterion_12_engineering_determinism(tmp_path):
 
     # RK4 order fit
     order_spec = GridSpec(1, (16,))
-    order_cfg = FlowConfig(grid=order_spec, kappa=-0.5, t_max=1.0)
     u0 = single_mode_potential(order_spec, 0.01, (1,))
     finals = []
-    for dt in (8e-4, 4e-4, 2e-4):
+    # at N = 16, dt = cfl / 512: 8e-4, 4e-4 and 2e-4 bit for bit
+    for cfl in (0.4096, 0.2048, 0.1024):
+        order_cfg = FlowConfig(grid=order_spec, kappa=-0.5, t_max=1.0, cfl=cfl)
         st = FlowState.initial(u0, order_cfg)
-        for _ in range(round(0.08 / dt)):
-            st = step_rk4(st, order_cfg, dt=dt)
+        for _ in range(round(0.08 / order_cfg.dt)):
+            st = step_rk4(st, order_cfg)
         finals.append(st.u.values)
     e1 = np.max(np.abs(finals[0] - finals[1]))
     e2 = np.max(np.abs(finals[1] - finals[2]))

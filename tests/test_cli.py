@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import lmcf.flow
 from lmcf.cli import main
 from lmcf.config_io import (
     KEYS,
@@ -363,6 +364,27 @@ class TestResumeCommand:
         assert main(["resume", str(out1 / "final.lmcf"), "-o", str(tmp_path / "x"),
                      "--t-max", "0.01"]) == 1
         assert "not beyond" in capsys.readouterr().err
+
+    def test_non_finite_blowup_is_written_and_not_resumed(self, quick_config, tmp_path,
+                                                          capsys, monkeypatch):
+        # a step that turns the field non-finite is a blowup whose final state is
+        # still checkpointed; resuming it is a config error, not a second blowup
+        update = lmcf.flow._rk4_update
+
+        def poisoned(*args):
+            out = update(*args)
+            out[5] = np.nan
+            return out
+
+        monkeypatch.setattr(lmcf.flow, "_rk4_update", poisoned)
+        first = tmp_path / "first"
+        assert main(["run", quick_config, "-o", str(first)]) == 3
+        assert summary_values(first)["blowup_reason"] == "non-finite field"
+        state, _ = checkpoint_load(first / "final.lmcf")
+        assert not state.u.is_finite()
+        capsys.readouterr()
+        assert main(["resume", str(first / "final.lmcf"), "-o", str(tmp_path / "rest")]) == 1
+        assert "lmcf: state is not finite" in capsys.readouterr().err
 
     def test_resume_garbage_checkpoint(self, tmp_path, capsys):
         bad = tmp_path / "bad.lmcf"

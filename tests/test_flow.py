@@ -51,8 +51,10 @@ from lmcf.initial_data import (
     random_bandlimited_potential,
     single_mode_potential,
 )
+from lmcf.verification import fit_decay_rate
 
 TWO_PI = 2.0 * np.pi
+FOUR_PI_SQ = 4.0 * math.pi ** 2
 
 BLAS_THREADS_RUN = """
 import dataclasses, sys
@@ -146,6 +148,16 @@ class TestStepRk4:
                                              "'spectral' vs 'central4'"):
             step_rk4(state, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_state(self, bad):
+        # refused at integrate's start, not reported as a blowup of the state
+        spec = GridSpec(1, (16,))
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)
+        values = np.zeros(spec.sizes)
+        values[3] = bad
+        with pytest.raises(ValueError, match="state is not finite"):
+            step_rk4(FlowState(cfg.dt, PeriodicScalarField(spec, values)), cfg)
+
     @staticmethod
     def _chain_blowup(u0, cfg):
         """The BlowupError a step_rk4 chain from u0 raises before cfg.t_max."""
@@ -210,14 +222,15 @@ class TestStepRk4:
     def test_order_four(self):
         # halving dt shrinks the endpoint difference by ~16
         spec = GridSpec(1, (16,))
-        cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0)
         u0 = single_mode_potential(spec, 0.01, (1,))
         T = 0.08
         finals = []
-        for dt in (8e-4, 4e-4, 2e-4):
+        # at N = 16, dt = cfl / 512: 8e-4, 4e-4 and 2e-4 bit for bit
+        for cfl in (0.4096, 0.2048, 0.1024):
+            cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0, cfl=cfl)
             state = FlowState.initial(u0, cfg)
-            for _ in range(round(T / dt)):
-                state = step_rk4(state, cfg, dt=dt)
+            for _ in range(round(T / cfg.dt)):
+                state = step_rk4(state, cfg)
             finals.append(state.u.values)
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
@@ -690,7 +703,7 @@ class TestIntegrate:
             chain.append(step_rk4(chain[-1], cfg))
         monkeypatch.setattr(lmcf.flow, "monitor_record", lambda *args: pytest.fail("a record"))
         kept = {}
-        res = integrate(chain[10].u, cfg, t_start=chain[10].t, hook=({14, 12}, kept.__setitem__))
+        res = integrate(chain[10], cfg, hook=({14, 12}, kept.__setitem__))
         assert (res.outcome, res.steps, res.records) == ("timed_out", 4, ())
         assert sorted(kept) == [12, 14]
         for index, state in kept.items():
@@ -699,7 +712,48 @@ class TestIntegrate:
             assert np.array_equal(state.d2u.components, chain[index].d2u.components)
         for steps in ({9, 12}, set()):
             with pytest.raises(ValueError, match="must be given and not precede"):
-                integrate(chain[10].u, cfg, t_start=chain[10].t, hook=(steps, kept.__setitem__))
+                integrate(chain[10], cfg, hook=(steps, kept.__setitem__))
+
+
+def curve_shortening_potential(spec, a):
+    """Mean-zero spectral antiderivative, on a 1-D grid, of v = asinh(a sin 2 pi x) / 2 pi,
+    from a 65536-point rfft truncated to the grid's modes below its Nyquist mode."""
+    n, fine = spec.sizes[0], 65536
+    x = np.arange(fine) / fine
+    v_hat = np.fft.rfft(np.arcsinh(a * np.sin(TWO_PI * x)) / TWO_PI)[:n // 2] / fine
+    u_hat = np.zeros(n // 2 + 1, dtype=complex)
+    u_hat[1:n // 2] = v_hat[1:] / (1j * TWO_PI * np.arange(1, n // 2))
+    return PeriodicScalarField(spec, np.fft.irfft(u_hat, n) * n)
+
+
+class TestExactCurveShortening:
+    """In 1-D, v = u_x solves curve shortening v_t = v_xx / (1 + v_x^2), and
+    sinh(2 pi v) = a sin 2 pi x with a = A e^{-4 pi^2 t} is an exact solution for
+    every A: u_xx = a cos 2 pi x / sqrt(1 + a^2 sin^2 2 pi x), so sup|D^2 u| = a,
+    and u is the antiderivative of v with u0's mean."""
+
+    # A = 5 is under-resolved at 64 points, so its error falls with N; every
+    # case is under the blowup guard
+    @pytest.mark.parametrize("amplitude,n,tol,rate_tol", [
+        (1.0, 64, 1e-12, 1e-9), (1.0, 128, 1e-12, 1e-9),
+        (5.0, 64, 1e-6, 1e-3), (5.0, 128, 1e-11, 1e-6),
+    ])
+    def test_run_is_the_exact_solution(self, amplitude, n, tol, rate_tol):
+        spec = GridSpec(1, (n,))
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=0.02, checkpoint_every=100)
+        with pytest.warns(UserWarning, match="certified region"):  # psi_max >= 1 at t = 0
+            res = integrate(curve_shortening_potential(spec, amplitude), cfg)
+        assert res.outcome == "timed_out"
+        a = amplitude * math.exp(-FOUR_PI_SQ * res.state.t)
+        x = spec.coordinates()[0]
+        exact_d2u = a * np.cos(TWO_PI * x) / np.sqrt(1.0 + (a * np.sin(TWO_PI * x)) ** 2)
+        assert np.max(np.abs(res.state.d2u.components[0] - exact_d2u)) <= tol
+        exact_u = curve_shortening_potential(spec, a).values
+        assert np.max(np.abs(res.state.u.values - exact_u)) <= tol
+        sup_d2u = [rec.max_d2u for rec in res.records]
+        assert all(later < earlier for earlier, later in zip(sup_d2u, sup_d2u[1:]))
+        rate = -fit_decay_rate(res.records, "max_d2u", (0.0, res.state.t))
+        assert abs(rate / FOUR_PI_SQ - 1.0) <= rate_tol
 
 
 class TestFlowConfig:
@@ -763,6 +817,20 @@ class TestCheckpoint:
         assert loaded.t == state.t
         assert cfg2.kappa == cfg.kappa
         assert cfg2.grid == spec
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_saves_but_does_not_resume(self, tmp_path, bad):
+        # a non-finite blowup's final state is still written; resuming it is refused
+        spec = GridSpec(1, (16,))
+        cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0)
+        values = np.zeros(spec.sizes)
+        values[3] = bad
+        path = tmp_path / "s.lmcf"
+        checkpoint_save(FlowState(0.25, PeriodicScalarField(spec, values)), cfg, path)
+        loaded, loaded_cfg = checkpoint_load(path)
+        assert np.array_equal(loaded.u.values, values, equal_nan=True)
+        with pytest.raises(ValueError, match="state is not finite"):
+            resume_flow(loaded, loaded_cfg)
 
     def test_roundtrip_keeps_stepper_config(self, tmp_path):
         spec = GridSpec(1, (16,))

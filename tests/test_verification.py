@@ -22,6 +22,7 @@ from lmcf.verification import (
     ResidualReport,
     Trajectory,
     TrajectoryTriple,
+    angle_oracle_gap,
     check_angle_expansion,
     check_evolution_inequality,
     check_laplacian_difference,
@@ -148,6 +149,21 @@ class TestAngleExpansion:
             amplitudes[1] = np.nan
         with pytest.raises(NonFiniteError):
             check_angle_expansion([PeriodicScalarField(spec, values)], amplitudes, scheme)
+
+    @pytest.mark.parametrize("sizes", [(32,), (16, 16), (8, 8, 8)])
+    def test_oracle_gap_of_a_cached_angle_is_the_recomputed_one(self, sizes):
+        spec = GridSpec(len(sizes), sizes)
+        state = FlowState(0.0, random_bandlimited_potential(spec, 0.3, 2, seed=3))
+        hess, theta = state.d2u.components, state.angle_and_density()[0]
+        assert angle_oracle_gap(hess, spec.dim, theta) == angle_oracle_gap(hess, spec.dim)
+
+    def test_oracle_reads_the_cached_angle(self, monkeypatch):
+        spec = GridSpec(1, (64,))
+        base = PeriodicScalarField(spec, np.sin(TWO_PI * spec.coordinates()[0]))
+        expected = check_angle_expansion([base], (1e-1, 1e-2, 1e-3)).lines()
+        monkeypatch.setattr(lmcf.verification, "_angle_values",
+                            lambda *args: pytest.fail("the angle was recomputed"))
+        assert check_angle_expansion([base], (1e-1, 1e-2, 1e-3)).lines() == expected
 
     def test_report_lines_format(self, tmp_path):
         spec = GridSpec(1, (64,))
@@ -306,12 +322,13 @@ class TestSampleTrajectory:
         spec = GridSpec(1, (32,))
         cfg = FlowConfig(grid=spec, kappa=50.0, t_max=0.05)
         u0 = single_mode_potential(spec, 0.24, (1,))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # kappa > 0 is experimental
+        # every step_rk4 call and the sample_trajectory run are integrate runs
+        with pytest.warns(UserWarning, match="kappa > 0 is experimental"):
             raised = StepRk4Cases._chain_blowup(u0, cfg)
             with pytest.raises(BlowupError) as caught:
                 sample_trajectory(u0, cfg, sample_every, n_samples)
-        assert raised.t == self._chain(u0, cfg, 11)[-1].t + cfg.dt
+            last = self._chain(u0, cfg, 11)[-1]
+        assert raised.t == last.t + cfg.dt
         StepRk4Cases._assert_same_blowup(raised, caught.value)
 
     def test_warns_of_no_region_exit(self):
@@ -481,6 +498,12 @@ class TestVolumeDissipation:
         # velocity; the squared form misstates it unless kappa = 0
         rep = check_volume_dissipation(small_trajectory_negative_kappa, form="squared")
         assert not rep.passed
+
+    def test_oracle_reads_the_cached_angle(self, small_trajectory, monkeypatch):
+        expected = check_volume_dissipation(small_trajectory).lines()
+        monkeypatch.setattr(lmcf.verification, "_angle_values",
+                            lambda *args: pytest.fail("the angle was recomputed"))
+        assert check_volume_dissipation(small_trajectory).lines() == expected
 
     def test_bad_form(self, small_trajectory):
         with pytest.raises(ValueError):
