@@ -229,9 +229,9 @@ class FlowResult:
         return self.outcome == "converged"
 
 
-def rhs(u: PeriodicScalarField, kappa: float, scheme: str = "spectral") -> PeriodicScalarField:
+def rhs(u: PeriodicScalarField, kappa: float) -> PeriodicScalarField:
     """Right-hand side theta(D^2 u) + kappa*u of the potential flow."""
-    ops = jet_ops(u.spec, scheme)
+    ops = jet_ops(u.spec, "spectral")
     vals = _rhs_values(u.values, ops.components(u.values, 2), kappa, u.spec.dim)
     return PeriodicScalarField(u.spec, vals)
 

@@ -34,10 +34,6 @@ from .fields import (
     tree_sum,
 )
 
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 30
-
-
 @dataclass(frozen=True, eq=False)
 class InducedMetricField:
     """mu, its inverse and sqrt(det mu) as fields over one grid."""
@@ -112,34 +108,14 @@ def induced_metric(Q: SymMatrixField, sqrt_det=None) -> InducedMetricField:
 
 
 def jacobi_eigenvalues_sym3(dense):
-    """Eigenvalues of a (..., 3, 3) stack of symmetric matrices.
-
-    Vectorized cyclic Jacobi sweeps; exact symmetry is maintained by
-    construction.  Returns eigenvalues sorted ascending along the last axis.
-    """
-    a = np.array(dense, dtype=np.float64)
-    ref = max(float(np.max(np.abs(a))), 1e-300)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = max(
-            float(np.max(np.abs(a[..., p, q]))) for p, q in ((0, 1), (0, 2), (1, 2))
-        )
-        if off <= JACOBI_TOL * ref:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[..., p, q]
-            ang = 0.5 * np.arctan2(2.0 * apq, a[..., p, p] - a[..., q, q])
-            c = np.cos(ang)[..., np.newaxis]
-            s = np.sin(ang)[..., np.newaxis]
-            rowp = c * a[..., p, :] + s * a[..., q, :]
-            rowq = -s * a[..., p, :] + c * a[..., q, :]
-            a[..., p, :] = rowp
-            a[..., q, :] = rowq
-            colp = c * a[..., :, p] + s * a[..., :, q]
-            colq = -s * a[..., :, p] + c * a[..., :, q]
-            a[..., :, p] = colp
-            a[..., :, q] = colq
-    eig = np.stack([a[..., 0, 0], a[..., 1, 1], a[..., 2, 2]], axis=-1)
-    return np.sort(eig, axis=-1)
+    """Ascending eigenvalues of a (..., 3, 3) symmetric stack from LAPACK's eigvalsh;
+    NaN at a non-finite matrix, on which eigvalsh would raise."""
+    finite = np.isfinite(dense).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(dense)
+    eig = np.full(dense.shape[:-1], np.nan)
+    eig[finite] = np.linalg.eigvalsh(dense[finite])
+    return eig
 
 
 def _det_i_plus_iq(qcomps, dim):
@@ -202,12 +178,12 @@ def angle_gradient(Q) -> np.ndarray:
     return np.linalg.inv(np.eye(Q.shape[0]) + Q @ Q)
 
 
-def mean_curvature_one_form(u: PeriodicScalarField, kappa: float, scheme: str = "spectral") -> VectorField:
+def mean_curvature_one_form(u: PeriodicScalarField, kappa: float) -> VectorField:
     """Mean curvature 1-form of the graph: -d(theta + kappa*u)."""
-    hess = derivative(u, 2, scheme)
+    hess = derivative(u, 2)
     theta = _angle_values(hess.components, u.spec.dim)
     s = PeriodicScalarField(u.spec, theta + kappa * u.values)
-    grad = derivative(s, 1, scheme)
+    grad = derivative(s, 1)
     return VectorField(u.spec, -grad.components)
 
 
@@ -293,12 +269,12 @@ def volume(M: InducedMetricField) -> float:
     return _sqrt_det_volume(M.sqrt_det.values, M.spec)
 
 
-def metric_from_potential(u: PeriodicScalarField, scheme: str = "spectral") -> InducedMetricField:
+def metric_from_potential(u: PeriodicScalarField) -> InducedMetricField:
     """Induced metric of the graph generated by the potential u."""
-    return induced_metric(derivative(u, 2, scheme))
+    return induced_metric(derivative(u, 2))
 
 
-def graph_volume(u: PeriodicScalarField, scheme: str = "spectral") -> float:
+def graph_volume(u: PeriodicScalarField) -> float:
     """Volume of the graph generated by the potential u."""
-    hess = derivative(u, 2, scheme).components
+    hess = derivative(u, 2).components
     return _sqrt_det_volume(_angle_and_density(hess, u.spec.dim)[1], u.spec)

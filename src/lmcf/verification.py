@@ -55,6 +55,7 @@ ROUTE_GAP_TOL = 1e-8  # the two Laplace-Beltrami routes, relative to their size
 # two fitted constants agree when each is <= AGREE_FACTOR * other + AGREE_FLOOR
 AGREE_FACTOR = 2.0
 AGREE_FLOOR = 1e-8
+RATE_FLOOR = 1.0  # least local decay rate in the volume-dissipation slack
 
 
 class RegionViolationError(ValueError):
@@ -160,7 +161,7 @@ def psi_field(u: PeriodicScalarField, cfg: FlowConfig) -> PeriodicScalarField:
 def eigen_angle_values(qcomps, dim):
     """Reference angle sum_i arctan(lambda_i(Q)) from the eigenvalues of Q:
     arg(1 + iq) for n = 1 (independent of the closed form's arctan),
-    closed-form eigenvalues for n = 2, cyclic Jacobi sweeps for n = 3."""
+    closed-form eigenvalues for n = 2, LAPACK's eigvalsh for n = 3."""
     if dim == 1:
         return np.angle(1.0 + 1j * qcomps[0])
     if dim == 2:
@@ -173,11 +174,12 @@ def eigen_angle_values(qcomps, dim):
 
 
 def angle_oracle_gap(qcomps, dim, theta=None):
-    """Sup distance between the closed-form angle and the eigenvalue reference;
-    ``theta``, if given, is the closed-form angle of ``qcomps`` (a state's cached one)."""
+    """Sup distance between the closed-form angle ``theta`` (recomputed if None) and the
+    eigenvalue reference; NaN at a non-finite Q, where both can read a finite angle."""
     if theta is None:
         theta = _angle_values(qcomps, dim)
-    return float(np.max(np.abs(theta - eigen_angle_values(qcomps, dim))))
+    gap = float(np.max(np.abs(theta - eigen_angle_values(qcomps, dim))))
+    return gap if np.isfinite(qcomps).all() else math.nan
 
 
 def trace_metric_hessian(f: PeriodicScalarField, M: InducedMetricField, scheme="spectral"):
@@ -185,10 +187,10 @@ def trace_metric_hessian(f: PeriodicScalarField, M: InducedMetricField, scheme="
     return PeriodicScalarField(f.spec, metric_trace(M, derivative(f, 2, scheme).components))
 
 
-def two_route_gap(f: PeriodicScalarField, M: InducedMetricField, scheme="spectral"):
-    """(sup difference, sup magnitude) of the two Laplace-Beltrami routes."""
-    div = laplace_beltrami(f, M, "divergence", scheme)
-    chr_ = laplace_beltrami(f, M, "christoffel", scheme)
+def two_route_gap(f: PeriodicScalarField, M: InducedMetricField):
+    """(sup difference, sup magnitude) of the two spectral Laplace-Beltrami routes."""
+    div = laplace_beltrami(f, M, "divergence")
+    chr_ = laplace_beltrami(f, M, "christoffel")
     gap = float(np.max(np.abs(div.values - chr_.values)))
     scale = max(float(np.max(np.abs(div.values))), 1e-300)
     return gap, scale
@@ -278,7 +280,7 @@ def check_laplacian_difference(u, f, amplitudes=(0.5, 0.25, 0.125, 0.0625),
         # closure is measured spectrally: the two-route tolerance states a
         # spectral-accuracy property, independent of the report's scheme
         if scheme != "spectral":
-            M = metric_from_potential(state.u, "spectral")
+            M = metric_from_potential(state.u)
         gap, scale = two_route_gap(f, M)
         route_gap_rel = max(route_gap_rel, gap / scale)
         op_scale = max(op_scale, scale)
@@ -380,15 +382,15 @@ def parabolic_lhs(phis, M: InducedMetricField, dt, scheme):
     return (phi_a - phi_b) / (2.0 * dt) - lap.values
 
 
-def _local_rates(times, magnitudes, floor=1.0):
-    """Per-sample log-decay rate from consecutive positive samples."""
+def _local_rates(times, magnitudes):
+    """Per-sample log-decay rate, at least RATE_FLOOR, from consecutive positive samples."""
     rates = []
     for (t0, m0), (t1, m1) in zip(zip(times, magnitudes), zip(times[1:], magnitudes[1:])):
         if m0 > 0.0 and m1 > 0.0 and t1 > t0:
-            rates.append(max(floor, abs(math.log(m1 / m0)) / (t1 - t0)))
+            rates.append(max(RATE_FLOOR, abs(math.log(m1 / m0)) / (t1 - t0)))
         else:
-            rates.append(floor)
-    rates.append(rates[-1] if rates else floor)
+            rates.append(RATE_FLOOR)
+    rates.append(rates[-1] if rates else RATE_FLOOR)
     return rates
 
 
@@ -446,9 +448,7 @@ def check_evolution_inequality(name, trajectory: Trajectory) -> ResidualReport:
         rows.append((tr.at.t, residual, bound))
     # oracle closure: the two Laplace-Beltrami routes must agree on this input
     # (measured spectrally: the tolerance states a spectral-accuracy property)
-    gap, scale = two_route_gap(
-        PeriodicScalarField(cfg.grid, phi_triples[0][1]), metrics[0], "spectral"
-    )
+    gap, scale = two_route_gap(PeriodicScalarField(cfg.grid, phi_triples[0][1]), metrics[0])
     routes_ok = gap <= ROUTE_GAP_TOL * scale
     note = f"two-route closure gap {gap / scale:.3g} (relative)"
     if name == "psi":
@@ -571,21 +571,20 @@ def fit_decay_rate(records, field, window):
     return float(np.polyfit(ts, ys, 1)[0])
 
 
-def second_variation_quadrature(h: PeriodicScalarField, scheme="spectral"):
+def second_variation_quadrature(h: PeriodicScalarField):
     """Independent target for the second variation: integral of (flat Laplacian h)^2."""
-    lap = laplacian_flat(h, scheme)
+    lap = laplacian_flat(h)
     return l2_pairing(lap, lap)
 
 
-def _volume_second_difference(h, eps, v0, scheme="spectral"):
+def _volume_second_difference(h, eps, v0):
     """(V(eps h) - 2 V(0) + V(-eps h)) / eps^2 of the graph volume V, given v0 = V(0)."""
-    plus = graph_volume(PeriodicScalarField(h.spec, eps * h.values), scheme)
-    minus = graph_volume(PeriodicScalarField(h.spec, -eps * h.values), scheme)
+    plus = graph_volume(PeriodicScalarField(h.spec, eps * h.values))
+    minus = graph_volume(PeriodicScalarField(h.spec, -eps * h.values))
     return (plus - 2.0 * v0 + minus) / (eps * eps)
 
 
-def check_second_variation(h: PeriodicScalarField, epsilons=(4e-3, 2e-3, 1e-3),
-                           scheme="spectral") -> ResidualReport:
+def check_second_variation(h: PeriodicScalarField, epsilons=(4e-3, 2e-3, 1e-3)) -> ResidualReport:
     """Second difference of the graph volume along the variation h.
 
     At a flat minimal graph the second variation equals the integral of
@@ -598,11 +597,11 @@ def check_second_variation(h: PeriodicScalarField, epsilons=(4e-3, 2e-3, 1e-3),
         raise ValueError("need at least 2 epsilon steps for Richardson extrapolation")
     if not all(0.0 < e < math.inf for e in eps_sorted) or len(set(eps_sorted)) < len(eps_sorted):
         raise ValueError(f"epsilon steps must be positive, finite and distinct: {epsilons}")
-    if sup_norm(derivative(h, 1, scheme)) <= 1e-14 * (1.0 + sup_norm(h)):
+    if sup_norm(derivative(h, 1)) <= 1e-14 * (1.0 + sup_norm(h)):
         raise DegenerateDirectionError("h is constant: the variation direction degenerates")
-    target = second_variation_quadrature(h, scheme)
-    v0 = graph_volume(PeriodicScalarField.zeros(h.spec), scheme)
-    second = {eps: _volume_second_difference(h, eps, v0, scheme) for eps in eps_sorted}
+    target = second_variation_quadrature(h)
+    v0 = graph_volume(PeriodicScalarField.zeros(h.spec))
+    second = {eps: _volume_second_difference(h, eps, v0) for eps in eps_sorted}
     e1, e2 = eps_sorted[0], eps_sorted[1]
     r = e2 / e1
     richardson = (r * r * second[e1] - second[e2]) / (r * r - 1.0)

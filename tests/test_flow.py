@@ -726,11 +726,20 @@ def curve_shortening_potential(spec, a):
     return PeriodicScalarField(spec, np.fft.irfft(u_hat, n) * n)
 
 
+def curve_shortening_d2u(x, a):
+    """u_xx of the exact 1-D solution whose sup|u_xx| is a, at the points x."""
+    return a * np.cos(TWO_PI * x) / np.sqrt(1.0 + (a * np.sin(TWO_PI * x)) ** 2)
+
+
 class TestExactCurveShortening:
     """In 1-D, v = u_x solves curve shortening v_t = v_xx / (1 + v_x^2), and
     sinh(2 pi v) = a sin 2 pi x with a = A e^{-4 pi^2 t} is an exact solution for
     every A: u_xx = a cos 2 pi x / sqrt(1 + a^2 sin^2 2 pi x), so sup|D^2 u| = a,
-    and u is the antiderivative of v with u0's mean."""
+    and u is the antiderivative of v with u0's mean.
+
+    It gives exact solutions in n = 2, 3 as well: a sum of 1-D solutions, one
+    per axis, has theta = sum_i arctan(u_i''), and u = g(m.x) / |m|^2, with g
+    the 1-D solution at time |m|^2 t, has D^2 u = g'' m m^T / |m|^2."""
 
     # A = 5 is under-resolved at 64 points, so its error falls with N; every
     # case is under the blowup guard
@@ -745,8 +754,7 @@ class TestExactCurveShortening:
             res = integrate(curve_shortening_potential(spec, amplitude), cfg)
         assert res.outcome == "timed_out"
         a = amplitude * math.exp(-FOUR_PI_SQ * res.state.t)
-        x = spec.coordinates()[0]
-        exact_d2u = a * np.cos(TWO_PI * x) / np.sqrt(1.0 + (a * np.sin(TWO_PI * x)) ** 2)
+        exact_d2u = curve_shortening_d2u(spec.coordinates()[0], a)
         assert np.max(np.abs(res.state.d2u.components[0] - exact_d2u)) <= tol
         exact_u = curve_shortening_potential(spec, a).values
         assert np.max(np.abs(res.state.u.values - exact_u)) <= tol
@@ -754,6 +762,49 @@ class TestExactCurveShortening:
         assert all(later < earlier for earlier, later in zip(sup_d2u, sup_d2u[1:]))
         rate = -fit_decay_rate(res.records, "max_d2u", (0.0, res.state.t))
         assert abs(rate / FOUR_PI_SQ - 1.0) <= rate_tol
+
+    @pytest.mark.parametrize("amplitude,tol", [(1.0, 1e-12), (2.0, 5e-12)])
+    def test_rotated_2d_run_is_the_exact_solution(self, amplitude, tol):
+        # m = (1, 1): every entry of D^2 u is g''(x + y, 2t) / 2, so this is the one
+        # exact case whose Hessian is not diagonal
+        n = 64
+        line = GridSpec(1, (n,))
+        s_index = np.add.outer(np.arange(n), np.arange(n)) % n  # x + y on the grid
+        spec = GridSpec(2, (n, n))
+        u0 = curve_shortening_potential(line, amplitude).values[s_index] / 2.0
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=0.005, checkpoint_every=100)
+        with pytest.warns(UserWarning, match="certified region"):  # psi_max >= 1 at t = 0
+            res = integrate(PeriodicScalarField(spec, u0), cfg)
+        assert res.outcome == "timed_out"
+        a = amplitude * math.exp(-FOUR_PI_SQ * 2.0 * res.state.t)
+        exact_entry = curve_shortening_d2u(s_index / n, a) / 2.0
+        assert np.max(np.abs(res.state.d2u.components - exact_entry)) <= tol
+        exact_u = curve_shortening_potential(line, a).values[s_index] / 2.0
+        assert np.max(np.abs(res.state.u.values - exact_u)) <= 1e-12
+
+    def test_3d_sum_past_pi_is_the_exact_solution(self):
+        # A = 3 on every axis puts theta_max(0) = 3.75 past pi, onto the 2 pi lift;
+        # 32 points under-resolve A = 3 (diagonal error 6.8e-4), while a wrong lift
+        # makes the diagonal error about 10 and the off-diagonal entries about 5
+        n, amplitude = 32, 3.0
+        line = GridSpec(1, (n,))
+        spec = GridSpec(3, (n,) * 3)
+
+        def axis_sum(g):
+            return g[:, None, None] + g[None, :, None] + g[None, None, :]
+
+        u0 = PeriodicScalarField(spec, axis_sum(curve_shortening_potential(line, amplitude).values))
+        assert FlowState(0.0, u0).angle_and_density()[0].max() > np.pi
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=0.002, checkpoint_every=100)
+        with pytest.warns(UserWarning, match="certified region"):
+            res = integrate(u0, cfg)
+        assert res.outcome == "timed_out"
+        a = amplitude * math.exp(-FOUR_PI_SQ * res.state.t)
+        d2u = res.state.d2u.components
+        for comp, axis in ((0, 0), (3, 1), (5, 2)):
+            exact_diag = curve_shortening_d2u(spec.coordinates()[axis], a)
+            assert np.max(np.abs(d2u[comp] - exact_diag)) <= 1e-3
+        assert np.max(np.abs(d2u[[1, 2, 4]])) <= 1e-12
 
 
 class TestFlowConfig:

@@ -212,13 +212,18 @@ class TestLagrangianAngle:
             target = angle_gradient(q)
             assert np.linalg.norm(fd - target) <= 1e-5 * np.linalg.norm(target)
 
-    def test_jacobi_matches_numpy(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_reference_eigenvalues_are_nan_only_at_non_finite_matrices(self, bad):
+        # eigvalsh raises on NaN; the reference marks the matrix instead
         rng = np.random.default_rng(13)
-        qs = rng.normal(size=(200, 3, 3))
-        qs = qs + np.transpose(qs, (0, 2, 1))
+        qs = rng.normal(size=(4, 5, 3, 3))
+        qs = qs + np.swapaxes(qs, -1, -2)
+        qs[1, 2, 0, 1] = qs[1, 2, 1, 0] = bad
+        qs[3, 0, 2, 2] = bad
         lam = jacobi_eigenvalues_sym3(qs)
-        lam_ref = np.linalg.eigvalsh(qs)
-        assert np.max(np.abs(lam - lam_ref)) <= 1e-11
+        finite = np.isfinite(qs).all(axis=(-2, -1))
+        assert np.isnan(lam[~finite]).all()
+        assert np.array_equal(lam[finite], np.linalg.eigvalsh(qs[finite]))
 
 
 class TestClosedFormAngle3D:

@@ -157,6 +157,19 @@ class TestAngleExpansion:
         hess, theta = state.d2u.components, state.angle_and_density()[0]
         assert angle_oracle_gap(hess, spec.dim, theta) == angle_oracle_gap(hess, spec.dim)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_oracle_gap_of_a_non_finite_hessian_is_nan(self, dim, bad):
+        # every component in turn, the off-diagonal ones included: an infinite
+        # 2-D q01 has the finite angle 0 on both routes, and eigvalsh raises on NaN
+        spec = GridSpec(dim, (8,) * dim)
+        hess = FlowState(0.0, random_bandlimited_potential(spec, 0.3, 2, seed=3)).d2u.components
+        for comp in range(len(hess)):
+            bad_hess = hess.copy()
+            bad_hess[(comp,) + (2,) * dim] = bad
+            with np.errstate(invalid="ignore"):
+                assert math.isnan(angle_oracle_gap(bad_hess, dim))
+
     def test_oracle_reads_the_cached_angle(self, monkeypatch):
         spec = GridSpec(1, (64,))
         base = PeriodicScalarField(spec, np.sin(TWO_PI * spec.coordinates()[0]))
