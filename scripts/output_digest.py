@@ -2,11 +2,12 @@
 """Print sha256 digests of lmcf's deterministic outputs, to compare checkouts.
 
 Runs ``lmcf run`` and then ``lmcf resume`` from its checkpoint on the
-certified presets and on configs that cover every jet route (1-D DFT matrix
-pair at N = 16 and 64 and FFT, 2-D and 3-D FFT, 2-D central4), unequal sizes and periods
-per axis (2-D and 3-D FFT) and a record every step with kappa != 0 (1-D and
-3-D), then ``lmcf verify all``, then what no CLI command runs: the RK4
-order fit's ``step_rk4`` chain at dt = 4e-4 (cfl 0.2048 at N = 16) and two
+certified presets and on configs that cover both jet routes (1-D DFT matrix
+pair at N = 16 and 64 and FFT, 2-D and 3-D FFT), the central4 symbol on each
+(1-D DFT matrix pair at N = 64, 2-D FFT), unequal sizes and periods per axis
+(2-D and 3-D FFT) and a record every step with kappa != 0 (1-D and 3-D),
+then ``lmcf verify all``, then what no CLI command runs: the RK4 order fit's
+``step_rk4`` chain at dt = 4e-4 (cfl 0.2048 at N = 16) and two
 ``sample_trajectory`` runs (1-D DFT matrix and 2-D FFT), each chain step and
 each trajectory one fixed-step ``integrate`` run.
 Prints one sha256 per run pair, one over all of them (exit codes,
@@ -51,6 +52,9 @@ CONFIGS = {
                  "u0_amplitude = 0.04\nu0_modes = 2\n" + _RANDOM,
     "central4_2d_32": "dim = 2\nsizes = 32,32\nkappa = -0.5\nscheme = central4\nt_max = 0.1\n"
                       "checkpoint_every = 3\nu0_amplitude = 0.05\nu0_modes = 2\n" + _RANDOM,
+    # central4 on the DFT matrix pair, ending off its record cadence
+    "central4_1d_64": "dim = 1\nsizes = 64\nkappa = -0.5\nscheme = central4\nt_max = 0.02\n"
+                      "checkpoint_every = 5\nu0_amplitude = 0.05\nu0_modes = 3\n" + _RANDOM,
     "fft_2d_48x32": "dim = 2\nsizes = 48,32\nperiods = 1,1.5\nkappa = -0.5\nt_max = 0.005\n"
                     "checkpoint_every = 2\nu0_amplitude = 0.05\nu0_modes = 3\n" + _RANDOM,
     "fft_3d_16x12x8": "dim = 3\nsizes = 16,12,8\nperiods = 1,2,0.5\nkappa = 0\nt_max = 0.01\n"

@@ -4,22 +4,23 @@ Fields live on a uniform grid over T^n (n = 1, 2 or 3) with the flat metric,
 so every covariant derivative reduces to plain partial derivatives and all
 pointwise tensor norms are Euclidean/Frobenius norms of the component arrays.
 
-Two differentiation schemes are provided:
+Derivatives are Fourier multipliers, which one cached function,
+``_multiplier``, builds for either of two schemes:
 
-* ``spectral`` — FFT differentiation (``_FftJetOps``), exact for band-limited
-  fields up to roundoff, on the Fourier multipliers that one cached function,
-  ``_multiplier``, builds; 1-D grids of at most ``DFT_MATRIX_MAX_N`` = 128
-  points run it as two real matrix-vector products (``_DftMatrixJetOps``).
-* ``central4`` — 4th-order centered finite differences with periodic wrap,
-  kept as an independent fallback so discretization error can be separated
-  from modeling error.
+* ``spectral`` — i k per axis, exact for band-limited fields up to roundoff;
+* ``central4`` — the symbol of the 4th-order centered finite-difference
+  stencil with periodic wrap (a periodic stencil is diagonal in Fourier
+  space), kept as an independent discretization so discretization error can
+  be separated from modeling error.
 
-Every operator comes in two halves: ``forward`` maps values to coefficients
-(the half-spectrum, or the values themselves for ``central4``) and ``jets``
-builds the components of every rank the caller asks for from them in one
-synthesis, into fresh read-only packed stacks: a flow record gets ranks 1-3
-from one forward transform, and a component's bits never depend on the
-ranks a call asks for.  ``hessian_writer`` returns a bound call that writes
+The grid alone picks one of two synthesis routes: FFTs (``_FftJetOps``), or
+on 1-D grids of at most ``DFT_MATRIX_MAX_N`` = 128 points two real
+matrix-vector products (``_DftMatrixJetOps``).  Every operator comes in two
+halves: ``forward`` maps values to coefficients and ``jets`` builds the
+components of every rank the caller asks for from them in one synthesis,
+into fresh read-only packed stacks: a flow record gets ranks 1-3 from one
+forward transform, and a component's bits never depend on the ranks a call
+asks for.  ``hessian_writer`` returns a bound call that writes
 a Hessian into the one stack it owns, so that a time stepper allocates its
 stage Hessian once.  The operators keep no input between calls.
 
@@ -314,62 +315,43 @@ def _powers_of(idx, dim):
 
 
 @lru_cache(maxsize=256)
-def _multiplier(spec, powers):
-    """prod_a (i k_a)^m_a for the per-axis orders m = ``powers``, in ``rfftn``
-    layout; an axis of order 0 contributes no factor.  An odd m_a zeroes axis
-    a's Nyquist mode: position n//2 in both the ``fftfreq`` and the
-    ``rfftfreq`` layout."""
+def _multiplier(spec, powers, scheme):
+    """prod_a D_a^m_a for the per-axis orders m = ``powers``, in ``rfftn``
+    layout; an axis of order 0 contributes no factor.  D_a is i k_a for
+    ``spectral``; for ``central4`` it is the symbol of the 4th-order centered
+    stencil, d1 = i (8 sin kh - sin 2kh) / 6h for odd and d2 = (16 cos kh -
+    cos 2kh - 15) / 6h^2 for even orders, D^3 = d1 d2 and D^4 = d2^2: a
+    periodic stencil is diagonal in Fourier space.  An odd m_a zeroes axis
+    a's Nyquist mode, position n//2 in both the ``fftfreq`` and the
+    ``rfftfreq`` layout, where the stencil's d1 vanishes too."""
     dim = spec.dim
     mult = np.ones((1,) * dim, dtype=np.complex128)
     for axis, m in enumerate(powers):
         if m == 0:
             continue
-        n = spec.sizes[axis]
+        n, h = spec.sizes[axis], spec.spacings[axis]
         freq = np.fft.rfftfreq if axis == dim - 1 else np.fft.fftfreq
-        k = 2.0 * np.pi * freq(n, d=spec.periods[axis] / n)
-        if m % 2 == 0:
-            fac = (-(k * k)) ** (m // 2)
+        k = 2.0 * np.pi * freq(n, d=h)
+        if scheme == "spectral":
+            d1, d2 = 1j * k, -(k * k)
         else:
-            fac = np.where(np.arange(k.size) == n // 2, 0.0,
-                           (1j * k) * (-(k * k)) ** ((m - 1) // 2))
+            kh = k * h
+            d1 = 1j * (8.0 * np.sin(kh) - np.sin(2.0 * kh)) / (6.0 * h)
+            d2 = (16.0 * np.cos(kh) - np.cos(2.0 * kh) - 15.0) / (6.0 * h * h)
+        if m % 2 == 0:
+            fac = d2 ** (m // 2)
+        else:
+            fac = np.where(np.arange(k.size) == n // 2, 0.0, d1 * d2 ** ((m - 1) // 2))
         mult = mult * fac.reshape((1,) * axis + (k.size,) + (1,) * (dim - 1 - axis))
     mult.flags.writeable = False
     return mult
 
 
-def _rank_multipliers(spec, rank):
+def _rank_multipliers(spec, rank, scheme):
     """Multipliers of the packed rank-``rank`` components, in order."""
     dim = spec.dim
-    return tuple(_multiplier(spec, _powers_of(idx, dim)) for idx in sym_indices(dim, rank))
-
-
-# ---------------------------------------------------------------------------
-# 4th-order centered stencils
-
-def _d1_central4(values, axis, h):
-    return (
-        -np.roll(values, -2, axis) + 8.0 * np.roll(values, -1, axis)
-        - 8.0 * np.roll(values, 1, axis) + np.roll(values, 2, axis)
-    ) / (12.0 * h)
-
-
-def _d2_central4(values, axis, h):
-    return (
-        -np.roll(values, -2, axis) + 16.0 * np.roll(values, -1, axis) - 30.0 * values
-        + 16.0 * np.roll(values, 1, axis) - np.roll(values, 2, axis)
-    ) / (12.0 * h * h)
-
-
-def _central4_partial(values, axis, h, power):
-    # powers 3 and 4 compose the first/second-derivative stencils, which
-    # keeps 4th-order accuracy and exact commutation across axes
-    if power == 1:
-        return _d1_central4(values, axis, h)
-    if power == 2:
-        return _d2_central4(values, axis, h)
-    if power == 3:
-        return _d1_central4(_d2_central4(values, axis, h), axis, h)
-    return _d2_central4(_d2_central4(values, axis, h), axis, h)
+    return tuple(_multiplier(spec, _powers_of(idx, dim), scheme)
+                 for idx in sym_indices(dim, rank))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +362,11 @@ class _JetOps:
 
     ``jets(forward(values), ranks)[i]`` is ``components(values, ranks[i])``:
     one ``forward`` and one synthesis serve every rank the caller needs.
+    The ``scheme`` picks the multipliers the synthesis applies.
     """
 
-    def __init__(self, spec):
-        self.spec = spec
+    def __init__(self, spec, scheme="spectral"):
+        self.spec, self.scheme = spec, scheme
         self._shapes = {rank: (len(sym_indices(spec.dim, rank)),) + spec.sizes
                         for rank in (1, 2, 3, 4)}
 
@@ -399,10 +382,6 @@ class _JetOps:
         else:
             stacks = tuple(np.empty(self._shapes[rank]) for rank in ranks)
         return stacks, self._work(ranks, stacks)
-
-    def _work(self, ranks, stacks):
-        """What ``_write`` needs besides the outputs."""
-        return None
 
     def _plan(self, ranks):
         """What ``_write`` reads of ``ranks``: the ranks themselves unless the route plans."""
@@ -454,8 +433,8 @@ class _FftJetOps(_JetOps):
     ``irfftn`` at the ulp level; a component's bits depend on its orders.
     """
 
-    def __init__(self, spec):
-        super().__init__(spec)
+    def __init__(self, spec, scheme="spectral"):
+        super().__init__(spec, scheme)
         sizes = spec.sizes
         self._half = sizes[:-1] + (sizes[-1] // 2 + 1,)
         # per complex axis, in rfftn's order dim-2 ... 0: its gufunc axes and ifft's 1/N_a
@@ -470,17 +449,18 @@ class _FftJetOps(_JetOps):
         last-axis factor)])])], None if 1; in 2-D the whole factor is axis 0's."""
         plan = self._plans.get(ranks)
         if plan is None:
-            spec, dim = self.spec, self.spec.dim
+            spec, dim, scheme = self.spec, self.spec.dim, self.scheme
             comps = [(i, c, _powers_of(idx, dim)) for i, rank in enumerate(ranks)
                      for c, idx in enumerate(sym_indices(dim, rank))]
             if dim == 1:
-                plan = np.array([_rank_multipliers(spec, rank) for rank in ranks])
+                plan = np.array([_rank_multipliers(spec, rank, scheme) for rank in ranks])
                 plan.flags.writeable = False
             elif dim == 2:
-                plan = [(None, [(_multiplier(spec, m), [(i, c, None)]) for i, c, m in comps])]
+                plan = [(None, [(_multiplier(spec, m, scheme), [(i, c, None)])
+                                for i, c, m in comps])]
             else:
                 def factor(*m):
-                    return _multiplier(spec, m) if any(m) else None
+                    return _multiplier(spec, m, scheme) if any(m) else None
                 tree = {}  # m_1 -> m_0 -> components
                 for i, c, (m0, m1, m2) in comps:
                     tree.setdefault(m1, {}).setdefault(m0, []).append((i, c, factor(0, 0, m2)))
@@ -548,8 +528,8 @@ class _DftMatrixJetOps(_JetOps):
     product with its own G_r.
     """
 
-    def __init__(self, spec):
-        super().__init__(spec)
+    def __init__(self, spec, scheme="spectral"):
+        super().__init__(spec, scheme)
         fhat = np.fft.rfft(np.eye(spec.sizes[0]), axis=0)
         self._forward_matrix = _frozen_array(np.concatenate([fhat.real, fhat.imag]))
         self._inverse = {}
@@ -559,7 +539,7 @@ class _DftMatrixJetOps(_JetOps):
         if inv is None:
             n = self.spec.sizes[0]
             half = np.eye(n // 2 + 1)
-            (mult,) = _rank_multipliers(self.spec, rank)
+            (mult,) = _rank_multipliers(self.spec, rank, self.scheme)
             basis = np.concatenate([half, 1j * half]) * mult
             inv = self._inverse[rank] = _frozen_array(np.fft.irfft(basis, n=n).T)
         return inv
@@ -578,33 +558,15 @@ class _DftMatrixJetOps(_JetOps):
             np.dot(inv, coeffs, out=out)
 
 
-class _Central4JetOps(_JetOps):
-    """Finite-difference jets: the coefficients are the values themselves."""
-
-    def forward(self, values):
-        return values
-
-    def _write(self, values, ranks, stacks, work):
-        hs = self.spec.spacings
-        for stack, rank in zip(stacks, ranks):
-            for comp, idx in zip(stack, sym_indices(self.spec.dim, rank)):
-                deriv = values
-                for axis, m in enumerate(_powers_of(idx, self.spec.dim)):
-                    if m:
-                        deriv = _central4_partial(deriv, axis, hs[axis], m)
-                comp[...] = deriv
-
-
 @lru_cache(maxsize=32)
 def jet_ops(spec, scheme):
-    """Cached differentiation operator for raw value arrays on one grid."""
+    """Cached differentiation operator for raw value arrays on one grid; the
+    grid picks the route, the scheme its multipliers."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    if scheme == "central4":
-        return _Central4JetOps(spec)
     if spec.dim == 1 and spec.sizes[0] <= DFT_MATRIX_MAX_N:
-        return _DftMatrixJetOps(spec)
-    return _FftJetOps(spec)
+        return _DftMatrixJetOps(spec, scheme)
+    return _FftJetOps(spec, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -356,9 +356,10 @@ def integrate(start, cfg: FlowConfig, sink=None, hook=None) -> FlowResult:
     floating-point error state.
 
     ``hook = (steps, visit)`` makes a fixed-step run with no records, no
-    convergence test and no time limit: ``visit(index, state)`` gets the
-    guarded state at each global step index in the non-empty ``steps`` (its
-    Hessian a read-only stage-buffer copy) and the run ends "timed_out" there.
+    convergence test and no time limit: ``steps`` is a non-empty collection
+    of integers, and ``visit(index, state)`` gets the guarded state once at
+    each distinct global step index in it (its Hessian a read-only
+    stage-buffer copy); the run ends "timed_out" at the last.
     """
     what = _admit(start, cfg)
     t, u = (start.t, start._values) if what == "state" else (0.0, start.values)
@@ -383,7 +384,8 @@ def integrate(start, cfg: FlowConfig, sink=None, hook=None) -> FlowResult:
     caller_errstate = np.geterr()
     angle, mark = None, -1  # mark: the step of the next visit; the loop never reaches -1
     if hook is not None:  # sup|D^2 u| < 0 never holds, so no convergence
-        marks, visit = iter(sorted(index - first_step for index in hook[0])), hook[1]
+        marks = iter(sorted({_as_int("hook step", index) - first_step for index in hook[0]}))
+        visit = hook[1]
         mark, tol, t_max, record_every, first_record = next(marks, -1), 0.0, math.inf, 0, -1
         if mark < 0:
             raise ValueError("hook steps must be given and not precede the start's step")

@@ -15,7 +15,6 @@ from lmcf.fields import (
     SpecMismatchError,
     SymMatrixField,
     UnsupportedOrderError,
-    _Central4JetOps,
     _DftMatrixJetOps,
     _FftJetOps,
     _multiplier,
@@ -65,6 +64,36 @@ def spy_on_kernels(monkeypatch, check=None):
 
     monkeypatch.setattr(fields, "_pocketfft", SimpleNamespace(**{n: spy(n) for n in PUBLIC_FFT}))
     return calls
+
+
+def _d1_central4(values, axis, h):
+    return (
+        -np.roll(values, -2, axis) + 8.0 * np.roll(values, -1, axis)
+        - 8.0 * np.roll(values, 1, axis) + np.roll(values, 2, axis)
+    ) / (12.0 * h)
+
+
+def _d2_central4(values, axis, h):
+    return (
+        -np.roll(values, -2, axis) + 16.0 * np.roll(values, -1, axis) - 30.0 * values
+        + 16.0 * np.roll(values, 1, axis) - np.roll(values, 2, axis)
+    ) / (12.0 * h * h)
+
+
+def central4_stencil(values, spec, rank):
+    """Packed rank-``rank`` jet of ``values`` by the periodic 4th-order stencils;
+    orders 3 and 4 compose the first- and second-derivative stencils."""
+    comps = []
+    for idx in sym_indices(spec.dim, rank):
+        deriv = values
+        for axis, m in enumerate(_powers_of(idx, spec.dim)):
+            h = spec.spacings[axis]
+            for _ in range(m // 2):
+                deriv = _d2_central4(deriv, axis, h)
+            if m % 2:
+                deriv = _d1_central4(deriv, axis, h)
+        comps.append(deriv)
+    return np.array(comps)
 
 
 def sin_field(spec, k=1, axis=0):
@@ -214,6 +243,27 @@ class TestDerivative:
 DFT_SIZES = [8, 12, 16, 24, 64, 96, 128]
 
 
+class TestCentral4Symbol:
+    """central4 is the stencils' Fourier symbol on the grid's spectral route;
+    the np.roll stencils themselves are the oracle."""
+
+    @pytest.mark.parametrize("sizes,periods,route", [
+        ((64,), None, _DftMatrixJetOps), ((256,), None, _FftJetOps),
+        ((16, 12), (1.0, 1.5), _FftJetOps), ((16, 12, 8), (1.0, 2.0, 0.5), _FftJetOps),
+    ])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_the_stencils(self, sizes, periods, route, rank):
+        # white noise gives every mode unit amplitude, so roundoff in either
+        # route is a fixed share of the largest derivative: <= 3.2 EPS measured
+        spec = GridSpec(len(sizes), sizes, periods)
+        assert type(jet_ops(spec, "central4")) is route
+        f = PeriodicScalarField(spec, np.random.default_rng(rank).standard_normal(sizes))
+        ref = central4_stencil(f.values, spec, rank)
+        out = derivative(f, rank, "central4").components
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 20 * EPS * np.max(np.abs(ref))
+
+
 class TestDftMatrixRoute:
     """Small 1-D spectral grids: the DFT matrix pair against numpy.fft."""
 
@@ -263,8 +313,8 @@ class TestNyquistRule:
     def test_odd_powers_zero_index_n_over_2_on_a_leading_axis(self):
         for n in range(8, 4097, 2):
             spec = GridSpec(2, (n, 8))
-            d1 = _rank_multipliers(spec, 1)[0]  # i k_0
-            d3 = _rank_multipliers(spec, 3)[0]  # (i k_0)^3
+            d1 = _rank_multipliers(spec, 1, "spectral")[0]  # i k_0
+            d3 = _rank_multipliers(spec, 3, "spectral")[0]  # (i k_0)^3
             assert d1[n // 2, 0] == 0.0 and d3[n // 2, 0] == 0.0, n
 
     @pytest.mark.parametrize("sizes, axis, other", [
@@ -345,7 +395,7 @@ class TestOnePassPerState:
         ("spectral", (64,), _DftMatrixJetOps), ("spectral", (128,), _DftMatrixJetOps),
         ("spectral", (130,), _FftJetOps), ("spectral", (256,), _FftJetOps),
         ("spectral", (32, 24), _FftJetOps), ("spectral", (16, 12, 8), _FftJetOps),
-        ("central4", (64,), _Central4JetOps), ("central4", (16, 16), _Central4JetOps),
+        ("central4", (64,), _DftMatrixJetOps), ("central4", (16, 16), _FftJetOps),
     ])
     def test_multi_rank_synthesis_matches_per_rank(self, scheme, sizes, route):
         # a batched irfft must give each rank the bits of its own synthesis
@@ -373,15 +423,15 @@ class TestOnePassPerState:
         axes = tuple(range(spec.dim))
         for rank, stack in zip((1, 2, 3, 4), ops.jets(spectrum, (1, 2, 3, 4))):
             indices = sym_indices(spec.dim, rank)
-            for comp, idx, mult in zip(stack, indices, _rank_multipliers(spec, rank)):
+            for comp, idx, mult in zip(stack, indices, _rank_multipliers(spec, rank, "spectral")):
                 full = np.fft.irfftn(spectrum * mult, s=sizes, axes=axes)
                 if spec.dim == 2:
                     assert np.array_equal(comp, full)
                     continue
                 m0, m1, m2 = _powers_of(idx, 3)
-                middle = np.fft.ifft(spectrum * _multiplier(spec, (0, m1, 0)), axis=1)
-                outer = np.fft.ifft(middle * _multiplier(spec, (m0, 0, 0)), axis=0)
-                last = outer * _multiplier(spec, (0, 0, m2))
+                middle = np.fft.ifft(spectrum * _multiplier(spec, (0, m1, 0), "spectral"), axis=1)
+                outer = np.fft.ifft(middle * _multiplier(spec, (m0, 0, 0), "spectral"), axis=0)
+                last = outer * _multiplier(spec, (0, 0, m2), "spectral")
                 assert np.array_equal(comp, np.fft.irfft(last, n=sizes[-1], axis=2))
                 assert np.max(np.abs(comp - full)) <= 4 * EPS * np.max(np.abs(comp))
 

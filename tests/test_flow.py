@@ -21,7 +21,6 @@ from lmcf.fields import (
     GridSpec,
     PeriodicScalarField,
     SpecMismatchError,
-    _Central4JetOps,
     _DftMatrixJetOps,
     _FftJetOps,
     jet_ops,
@@ -67,15 +66,35 @@ res = integrate(random_bandlimited_potential(spec, 0.05, 3, seed=11), cfg)
 print(repr([dataclasses.astuple(rec) for rec in res.records]))
 """
 
+# a hook run has no time limit: a step it could never reach would hang it
+HOOK_STEPS_RUN = """
+import numpy as np
+from lmcf.fields import GridSpec
+from lmcf.flow import FlowConfig, integrate
+from lmcf.initial_data import random_bandlimited_potential
+spec = GridSpec(1, (16,))
+cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0)
+u0 = random_bandlimited_potential(spec, 0.05, 2, seed=7)
+seen = []
+res = integrate(u0, cfg, hook=([3, np.int64(3), 1], lambda index, state: seen.append(index)))
+print(seen, res.steps)
+for steps in ([2.5], [True]):
+    try:
+        integrate(u0, cfg, hook=(steps, lambda index, state: seen.append(index)))
+    except ValueError as exc:
+        print(exc)
+"""
 
-# grids, step counts, schemes and kappas that take integrate through each jet route
+# grids, step counts, schemes and kappas that take integrate through each jet
+# route, central4's symbol on both
 LOOP_ROUTES = [
     pytest.param((32, 32), 6, "spectral", -0.5, _FftJetOps, id="sizes0-6"),
     pytest.param((16, 16, 16), 3, "spectral", -0.5, _FftJetOps, id="sizes1-3"),
     pytest.param((64,), 8, "spectral", -1.0, _DftMatrixJetOps, id="dft_1d_64"),
     pytest.param((128,), 8, "spectral", -0.5, _DftMatrixJetOps, id="dft_1d_128"),
     pytest.param((256,), 8, "spectral", 0.0, _FftJetOps, id="fft_1d_256"),
-    pytest.param((32, 32), 6, "central4", 0.0, _Central4JetOps, id="central4_2d"),
+    pytest.param((32, 32), 6, "central4", 0.0, _FftJetOps, id="central4_2d"),
+    pytest.param((64,), 8, "central4", -0.5, _DftMatrixJetOps, id="central4_1d_64"),
 ]
 
 # every loop route and the smallest DFT matrix grid
@@ -256,11 +275,11 @@ class TestBoundStage:
 
         parity = np.indices(spec.sizes).sum(axis=0) % 2
         constant = np.full(spec.sizes, 0.3)  # its FFT Hessians hold some -0.0
-        if scheme == "spectral":
-            # the DFT pair's shift makes these exact
-            assert not ops.components(constant, 2).any()
+        # both schemes' symbols vanish exactly at k = 0, and the DFT pair's shift
+        # makes its zeros exact too
+        assert not ops.components(constant, 2).any()
         for y in (random_bandlimited_potential(spec, 0.05, 2, seed=6).values, constant,
-                  np.where(parity == 0, 0.0, -0.0)):  # central4: theta = -0.0 where y = +0
+                  np.where(parity == 0, 0.0, -0.0)):
             hess = ops.components(y, 2)
             assert np.array_equal(write(y), ops.forward(y))
             assert np.array_equal(stage_hess, hess)
@@ -714,6 +733,18 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="must be given and not precede"):
                 integrate(chain[10], cfg, hook=(steps, kept.__setitem__))
 
+    def test_hook_visits_each_integer_step_once(self):
+        # a repeated step is visited once and a float or bool step is refused;
+        # either used to leave a mark the loop never reaches, so this runs in a
+        # subprocess whose timeout turns a hang into a failure
+        proc = subprocess.run([sys.executable, "-c", HOOK_STEPS_RUN], capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.splitlines() == [
+            "[1, 3] 3",
+            "hook step must be an integer, got 2.5",
+            "hook step must be an integer, got True",
+        ]
+
 
 def curve_shortening_potential(spec, a):
     """Mean-zero spectral antiderivative, on a 1-D grid, of v = asinh(a sin 2 pi x) / 2 pi,
@@ -781,6 +812,31 @@ class TestExactCurveShortening:
         assert np.max(np.abs(res.state.d2u.components - exact_entry)) <= tol
         exact_u = curve_shortening_potential(line, a).values[s_index] / 2.0
         assert np.max(np.abs(res.state.u.values - exact_u)) <= 1e-12
+
+    def test_2d_sum_on_unequal_axes_is_the_exact_solution(self):
+        # u = g_2(x) + g_1(y): A = 2 on the 64-point axis, A = 1 on the 48-point
+        # one, the one exact case on a non-square grid; measured errors 1.1e-12
+        # and 2.0e-13 on the diagonal, 1.3e-13 off it, 2.0e-15 in u
+        spec = GridSpec(2, (64, 48))
+        lines = [GridSpec(1, (n,)) for n in spec.sizes]
+        amplitudes = (2.0, 1.0)
+
+        def axis_sum(scale):
+            g = [curve_shortening_potential(line, scale * amp).values
+                 for line, amp in zip(lines, amplitudes)]
+            return g[0][:, None] + g[1][None, :]
+
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=0.01, checkpoint_every=100)
+        with pytest.warns(UserWarning, match="certified region"):  # psi_max >= 1 at t = 0
+            res = integrate(PeriodicScalarField(spec, axis_sum(1.0)), cfg)
+        assert res.outcome == "timed_out"
+        decay = math.exp(-FOUR_PI_SQ * res.state.t)
+        d2u = res.state.d2u.components
+        for comp, axis, tol in ((0, 0, 1e-11), (2, 1, 2e-12)):
+            exact_diag = curve_shortening_d2u(spec.coordinates()[axis], amplitudes[axis] * decay)
+            assert np.max(np.abs(d2u[comp] - exact_diag)) <= tol
+        assert np.max(np.abs(d2u[1])) <= 1e-12
+        assert np.max(np.abs(res.state.u.values - axis_sum(decay))) <= 1e-13
 
     def test_3d_sum_past_pi_is_the_exact_solution(self):
         # A = 3 on every axis puts theta_max(0) = 3.75 past pi, onto the 2 pi lift;
