@@ -15,14 +15,14 @@ Derivatives are Fourier multipliers, which one cached function,
 
 The grid alone picks one of two synthesis routes: FFTs (``_FftJetOps``), or
 on 1-D grids of at most ``DFT_MATRIX_MAX_N`` = 128 points two real
-matrix-vector products (``_DftMatrixJetOps``).  Every operator comes in two
-halves: ``forward`` maps values to coefficients and ``jets`` builds the
-components of every rank the caller asks for from them in one synthesis,
-into fresh read-only packed stacks: a flow record gets ranks 1-3 from one
-forward transform, and a component's bits never depend on the ranks a call
-asks for.  ``hessian_writer`` returns a bound call that writes
-a Hessian into the one stack it owns, so that a time stepper allocates its
-stage Hessian once.  The operators keep no input between calls.
+matrix-vector products (``_DftMatrixJetOps``).  A route is ``forward``,
+values to coefficients, and ``_writer(ranks)``, which allocates the stacks
+of a synthesis once and returns a call that fills them in place.  ``jets``
+runs a fresh writer into read-only stacks: a flow record gets ranks 1-3 from
+one forward transform, and a component's bits never depend on the ranks a
+call asks for.  ``hessian_writer`` keeps one writer of a Hessian, so that a
+time stepper allocates its stage Hessian once.  The operators keep no input
+between calls.
 
 This module owns the packed symmetric layout: a symmetric tensor stores
 each distinct component once, in sorted multi-index order, and everything
@@ -38,10 +38,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft  # the kernels numpy.fft calls
+
+_dot = np.dot._implementation  # np.dot's C function: matmul's gemv without a dispatcher frame
 
 SCHEMES = ("spectral", "central4")
 
@@ -360,55 +362,37 @@ def _rank_multipliers(spec, rank, scheme):
 class _JetOps:
     """Jets of raw value arrays on one grid, written into packed stacks.
 
-    ``jets(forward(values), ranks)[i]`` is ``components(values, ranks[i])``:
-    one ``forward`` and one synthesis serve every rank the caller needs.
-    The ``scheme`` picks the multipliers the synthesis applies.
+    A route defines ``forward``, values to coefficients, and ``_writer(ranks)``,
+    which allocates the packed stacks of the tuple ``ranks`` and its work
+    buffers once, binds its multipliers to them and returns ``(write, stacks)``:
+    ``write(coeffs)`` fills the stacks in place.  On 1-D grids ``stacks`` is
+    one (len(ranks), 1, N) array indexed by rank position, elsewhere a tuple
+    with an array per rank.  ``jets(forward(values), ranks)[i]`` is
+    ``components(values, ranks[i])``: one ``forward`` and one synthesis serve
+    every rank the caller needs.  The ``scheme`` picks the multipliers.
     """
 
     def __init__(self, spec, scheme="spectral"):
         self.spec, self.scheme = spec, scheme
-        self._shapes = {rank: (len(sym_indices(spec.dim, rank)),) + spec.sizes
-                        for rank in (1, 2, 3, 4)}
-
-    def _buffers(self, ranks):
-        """Output stacks and work for one ``_write`` of ``ranks``: ``(stacks, work)``.
-
-        On 1-D grids every rank has one component and ``stacks`` is one
-        (len(ranks), 1, N) array, indexed by rank position; elsewhere it is a
-        tuple with an array per rank, freed with its stack.  ``work`` is what
-        the route's ``_write`` needs besides them."""
-        if self.spec.dim == 1:
-            stacks = np.empty((len(ranks), 1) + self.spec.sizes)
-        else:
-            stacks = tuple(np.empty(self._shapes[rank]) for rank in ranks)
-        return stacks, self._work(ranks, stacks)
-
-    def _plan(self, ranks):
-        """What ``_write`` reads of ``ranks``: the ranks themselves unless the route plans."""
-        return ranks
 
     def hessian_writer(self):
         """``(write, hess)``: ``write(y)`` writes the Hessian of y into the
         writable stack ``hess``, which every call overwrites, with the bits of
         ``components(y, 2)``, and returns y's coefficients."""
-        stacks, work = self._buffers((2,))
-        forward, write, plan = self.forward, self._write, self._plan((2,))
+        forward, (write, stacks) = self.forward, self._writer((2,))
 
         def write_hessian(y):
             coeffs = forward(y)
-            write(coeffs, plan, stacks, work)
+            write(coeffs)
             return coeffs
         return write_hessian, stacks[0]
 
     def jets(self, coeffs, ranks):
         """Fresh read-only packed stacks of D^r u, one per rank r in the tuple ``ranks``."""
-        stacks, work = self._buffers(ranks)
-        self._write(coeffs, self._plan(ranks), stacks, work)
-        if self.spec.dim == 1:
-            stacks.setflags(write=False)  # its rows are read-only views
-        else:
-            for stack in stacks:
-                stack.setflags(write=False)
+        write, stacks = self._writer(ranks)
+        write(coeffs)
+        for stack in (stacks,) if self.spec.dim == 1 else stacks:  # 1-D: one array
+            stack.setflags(write=False)
         return stacks
 
     def components(self, values, rank):
@@ -444,9 +428,9 @@ class _FftJetOps(_JetOps):
         self._plans = {}
 
     def _plan(self, ranks):
-        """Multipliers of ``ranks``: on 1-D grids one (len(ranks), 1, N//2+1) array;
-        else [(axis-1 factor, [(axis-0 factor, [(rank position, component position,
-        last-axis factor)])])], None if 1; in 2-D the whole factor is axis 0's."""
+        """Multipliers of ``ranks``, cached: on 1-D grids one (len(ranks), 1, N//2+1)
+        array; else [(axis-1 factor, [(axis-0 factor, [(rank position, component
+        position, last-axis factor)])])], None if 1; in 2-D the whole factor is axis 0's."""
         plan = self._plans.get(ranks)
         if plan is None:
             spec, dim, scheme = self.spec, self.spec.dim, self.scheme
@@ -478,33 +462,38 @@ class _FftJetOps(_JetOps):
             _pocketfft.fft(spectrum, 1.0, axes=axes, out=spectrum)
         return spectrum
 
-    def _work(self, ranks, stacks):
-        if self.spec.dim == 1:
-            return np.empty((len(ranks), 1) + self._half, dtype=np.complex128)
-        if self.spec.dim == 2:
-            return np.empty(self._half, dtype=np.complex128), None, None
-        return tuple(np.empty(self._half, dtype=np.complex128) for _ in range(3))
+    def _writer(self, ranks):
+        spec, half, plan, inv_n_last = self.spec, self._half, self._plan(ranks), self._inv_n_last
+        if spec.dim == 1:
+            stacks = np.empty((len(ranks), 1) + spec.sizes)
+            work = np.empty((len(ranks), 1) + half, dtype=np.complex128)
 
-    def _write(self, spectrum, plan, stacks, work):
-        if self.spec.dim == 1:
-            np.multiply(spectrum, plan, out=work)
-            _pocketfft.irfft(work, self._inv_n_last, out=stacks)
-            return
-        outer, middle, last = work  # for the axis-0 pass, the axis-1 pass, the last factor
-        axes_0, inv_n_0 = self._passes[0]
-        for f1, subgroups in plan:
-            source = spectrum
-            if middle is not None:  # 3-D
-                axes_1, inv_n_1 = self._passes[1]
-                shared = spectrum if f1 is None else np.multiply(spectrum, f1, out=middle)
-                _pocketfft.ifft(shared, inv_n_1, axes=axes_1, out=middle)
-                source = middle
-            for f0, leaves in subgroups:
-                stage = source if f0 is None else np.multiply(source, f0, out=outer)
-                _pocketfft.ifft(stage, inv_n_0, axes=axes_0, out=stage)
-                for i, c, f2 in leaves:
-                    real = stage if f2 is None else np.multiply(stage, f2, out=last)
-                    _pocketfft.irfft(real, self._inv_n_last, out=stacks[i][c])
+            def write(spectrum):
+                np.multiply(spectrum, plan, out=work)
+                _pocketfft.irfft(work, inv_n_last, out=stacks)
+            return write, stacks
+        stacks = tuple(np.empty((len(sym_indices(spec.dim, rank)),) + spec.sizes)
+                       for rank in ranks)
+        outer = np.empty(half, dtype=np.complex128)  # for the axis-0 pass
+        middle = last = None  # 3-D: for the axis-1 pass and the last-axis factor
+        if spec.dim == 3:
+            middle, last = (np.empty(half, dtype=np.complex128) for _ in range(2))
+        (axes_0, inv_n_0), (axes_1, inv_n_1) = self._passes[0], self._passes.get(1, (None, None))
+
+        def write(spectrum):
+            for f1, subgroups in plan:
+                source = spectrum
+                if middle is not None:  # 3-D
+                    shared = spectrum if f1 is None else np.multiply(spectrum, f1, out=middle)
+                    _pocketfft.ifft(shared, inv_n_1, axes=axes_1, out=middle)
+                    source = middle
+                for f0, leaves in subgroups:
+                    stage = source if f0 is None else np.multiply(source, f0, out=outer)
+                    _pocketfft.ifft(stage, inv_n_0, axes=axes_0, out=stage)
+                    for i, c, f2 in leaves:
+                        real = stage if f2 is None else np.multiply(stage, f2, out=last)
+                        _pocketfft.irfft(real, inv_n_last, out=stacks[i][c])
+        return write, stacks
 
 
 # Largest 1-D spectral grid on the DFT matrix pair.  Forward plus Hessian into
@@ -525,7 +514,7 @@ class _DftMatrixJetOps(_JetOps):
     so ``D1(D1 u)`` and ``D2 u`` agree as closely as on the FFT route.  The
     shift by ``u[0]`` changes no derivative and makes a constant input map to
     exact zeros.  The coefficients are ``F @ (u - u[0])``; each rank is one
-    product with its own G_r.
+    product with its own G_r, bound to its output row once per writer.
     """
 
     def __init__(self, spec, scheme="spectral"):
@@ -545,17 +534,18 @@ class _DftMatrixJetOps(_JetOps):
         return inv
 
     def forward(self, values):
-        return np.dot(self._forward_matrix, values - values[0])
+        return _dot(self._forward_matrix, values - values[0])
 
-    def _work(self, ranks, stacks):
-        """Each rank's product, its G_r and the row it writes, looked up once
-        per set of buffers rather than once per call."""
-        return [(self._inverse_matrix(rank), stacks[i, 0]) for i, rank in enumerate(ranks)]
+    def _writer(self, ranks):
+        stacks = np.empty((len(ranks), 1) + self.spec.sizes)
+        if len(ranks) == 1:  # the writer is the product: its call runs no Python frame
+            return partial(_dot, self._inverse_matrix(ranks[0]), out=stacks[0, 0]), stacks
+        products = [(self._inverse_matrix(rank), stacks[i, 0]) for i, rank in enumerate(ranks)]
 
-    def _write(self, coeffs, ranks, stacks, products):
-        # np.dot runs the same gemv as np.matmul with less per-call dispatch
-        for inv, out in products:
-            np.dot(inv, coeffs, out=out)
+        def write(coeffs):
+            for inv, out in products:
+                _dot(inv, coeffs, out)
+        return write, stacks
 
 
 @lru_cache(maxsize=32)
@@ -579,9 +569,9 @@ def derivative(f: PeriodicScalarField, order: int, scheme: str = "spectral"):
     for order 1..4 respectively.
     """
     try:
-        order = operator.index(order)
-    except TypeError:
-        raise UnsupportedOrderError(f"derivative order must be an integer, got {order!r}") from None
+        order = _as_int("derivative order", order)
+    except ValueError as exc:
+        raise UnsupportedOrderError(str(exc)) from None
     if order < 1 or order > 4:
         raise UnsupportedOrderError(f"derivative order must be 1..4, got {order}")
     ops = jet_ops(f.spec, scheme)

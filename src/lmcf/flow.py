@@ -292,6 +292,7 @@ def step_rk4(state: FlowState, cfg: FlowConfig) -> FlowState:
     keeps its next global step.  Raises what ``integrate`` raises, and the
     BlowupError it reports for the state it steps from or returns, so a chain
     stops where ``integrate`` reports a blowup."""
+    _admit(state, cfg)  # before its t sets the step
     step = round(state.t / cfg.dt) + 1
     kept = {}
     result = integrate(state, cfg, hook=({step}, kept.__setitem__))
@@ -320,8 +321,9 @@ def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
 
 def _admit(run, cfg: FlowConfig):
     """Raise ValueError unless ``run`` (u0 or a FlowState) is on the config's
-    grid (SpecMismatchError) and a state is under its scheme: another grid or
-    scheme would run with another discretization's dt.  Returns "u0" or "state"."""
+    grid (SpecMismatchError) and a state is under its scheme, at a finite
+    t >= 0: another grid or scheme would run with another discretization's
+    dt, and the clock counts steps from t = 0.  Returns "u0" or "state"."""
     what = "state" if isinstance(run, FlowState) else "u0"
     if run.spec is not cfg.grid and run.spec != cfg.grid:
         raise SpecMismatchError(
@@ -329,6 +331,8 @@ def _admit(run, cfg: FlowConfig):
     if what == "state" and run.scheme != cfg.scheme:
         raise ValueError(
             f"state scheme does not match config scheme: {run.scheme!r} vs {cfg.scheme!r}")
+    if what == "state" and not 0.0 <= run.t < math.inf:
+        raise ValueError(f"state t must be finite and >= 0, got {run.t}")
     return what
 
 
@@ -527,6 +531,8 @@ def checkpoint_load(path, t_max=None):
         sizes = struct.unpack(f"<{n}I", _read_exact(fh, 4 * n, "grid sizes"))
         periods = struct.unpack(f"<{n}d", _read_exact(fh, 8 * n, "periods"))
         t, kappa = struct.unpack("<2d", _read_exact(fh, 16, "time and kappa"))
+        if not 0.0 <= t < math.inf:
+            raise CheckpointError(f"invalid time in checkpoint: t = {t}")
         stepper = {}
         if version == 2:
             stepper = dict(zip(_STEPPER_FIELDS, struct.unpack(

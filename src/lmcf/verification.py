@@ -459,10 +459,12 @@ def check_evolution_inequality(name, trajectory: Trajectory) -> ResidualReport:
 
 
 def _non_increasing_report(name, series):
-    """Each step of a (t, value) series may rise by at most MONOTONE_SLACK."""
+    """Each step of a (t, value) series of at least 2 points may rise by at most MONOTONE_SLACK."""
+    if len(series) < 2:
+        raise ValueError(f"{name} needs at least 2 points, got {len(series)}")
     rows = tuple((t, value - prev, MONOTONE_SLACK)
                  for (_, prev), (t, value) in zip(series, series[1:]))
-    fitted_c = max((res for _, res, _ in rows), default=0.0)
+    fitted_c = max(res for _, res, _ in rows)
     return ResidualReport(name, rows, fitted_c, math.nan, _within_bounds(rows))
 
 

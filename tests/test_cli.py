@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -385,6 +386,20 @@ class TestResumeCommand:
         capsys.readouterr()
         assert main(["resume", str(first / "final.lmcf"), "-o", str(tmp_path / "rest")]) == 1
         assert "lmcf: state is not finite" in capsys.readouterr().err
+
+    def test_resume_refuses_a_negative_time(self, quick_config, tmp_path, capsys):
+        # a checkpoint whose header says t = -0.5 is a bad file, not a run
+        # that converges before it starts
+        first = tmp_path / "first"
+        assert main(["run", quick_config, "-o", str(first)]) == 0
+        path = first / "final.lmcf"
+        data = bytearray(path.read_bytes())
+        data[24:32] = struct.pack("<d", -0.5)  # the 1-D header's t
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["resume", str(path), "-o", str(tmp_path / "rest")]) == 1
+        assert "lmcf: invalid time in checkpoint: t = -0.5" in capsys.readouterr().err
+        assert not (tmp_path / "rest").exists()
 
     def test_resume_garbage_checkpoint(self, tmp_path, capsys):
         bad = tmp_path / "bad.lmcf"

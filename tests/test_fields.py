@@ -1,5 +1,7 @@
 """Field calculus on periodic grids: derivatives, norms, pairings."""
 
+import functools
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -198,7 +200,8 @@ class TestDerivative:
         with pytest.raises(SpecMismatchError):
             l2_pairing(a, b)
 
-    @pytest.mark.parametrize("order", [0, 5])
+    # a bool is no order: derivative(f, True) is not the gradient
+    @pytest.mark.parametrize("order", [0, 5, True, False, 2.0, "2"])
     def test_unsupported_order(self, order):
         f = PeriodicScalarField.zeros(GridSpec(1, (16,)))
         with pytest.raises(UnsupportedOrderError):
@@ -410,6 +413,57 @@ class TestOnePassPerState:
                 assert stack.shape == (len(sym_indices(spec.dim, rank)),) + sizes
                 assert not stack.flags.writeable
                 assert np.array_equal(stack, ops.jets(coeffs, (rank,))[0])
+
+    @pytest.mark.parametrize("scheme,sizes,route", [
+        ("spectral", (16,), _DftMatrixJetOps), ("spectral", (64,), _DftMatrixJetOps),
+        ("spectral", (128,), _DftMatrixJetOps), ("spectral", (256,), _FftJetOps),
+        ("spectral", (32, 24), _FftJetOps), ("spectral", (16, 12, 8), _FftJetOps),
+        ("central4", (64,), _DftMatrixJetOps),
+    ])
+    def test_writer_writes_in_place(self, scheme, sizes, route):
+        # two calls of one writer fill the stacks it returned, each with the
+        # bits of a fresh jets call
+        spec = GridSpec(len(sizes), sizes)
+        ops = jet_ops(spec, scheme)
+        assert type(ops) is route
+        u = random_bandlimited_potential(spec, 0.3, 3, seed=4).values
+        for ranks in ((2,), (1, 2, 3), (4, 1, 3, 2)):
+            write, stacks = ops._writer(ranks)
+            rows = list(stacks)  # on 1-D grids, views of the one array
+            for v in (u, -2.0 * u):
+                coeffs = ops.forward(v)
+                write(coeffs)
+                for row, stack, fresh in zip(rows, stacks, ops.jets(coeffs, ranks), strict=True):
+                    assert np.shares_memory(row, stack) and stack.flags.writeable
+                    assert np.array_equal(row, fresh)
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_dft_hessian_write_is_one_c_call(self, n):
+        # the single-rank writer is np.dot's C function bound to G_2 and its
+        # output row, so an RK4 stage's product runs no Python frame: a stage
+        # runs the Hessian writer's frame and forward's, nothing more
+        ops = jet_ops(GridSpec(1, (n,)), "spectral")
+        write, stacks = ops._writer((2,))
+        assert isinstance(write, functools.partial) and write.func is np.dot._implementation
+        assert write.args == (ops._inverse_matrix(2),)
+        assert np.shares_memory(write.keywords["out"], stacks)
+        u = random_bandlimited_potential(GridSpec(1, (n,)), 0.3, 3, seed=4).values
+
+        def python_frames(call, *args):
+            frames = []
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    frames.append(frame.f_code.co_name)
+            sys.setprofile(profile)
+            try:
+                call(*args)
+            finally:
+                sys.setprofile(None)
+            return frames
+
+        assert python_frames(write, ops.forward(u)) == []
+        assert python_frames(ops.hessian_writer()[0], u) == ["write_hessian", "forward"]
 
     @pytest.mark.parametrize("sizes", [(32, 24), (128, 128), (16, 12, 8), (32, 32, 32)])
     def test_inverse_passes_match_irfftn(self, sizes):

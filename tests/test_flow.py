@@ -501,8 +501,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
     def test_one_buffer_set_per_call(self, sizes, steps, scheme, kappa, route, monkeypatch):
         # the RK4 stages and the Hessian of every state off the record cadence
-        # share the one buffer set of the call's one Hessian writer; the fresh
-        # output of a jets call is not counted
+        # share the stacks of the call's one Hessian writer; the fresh output
+        # of a jets call is not counted
         spec = GridSpec(len(sizes), sizes)
         base = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, scheme=scheme)
         cfg = dataclasses.replace(base, t_max=(steps + 0.25) * base.dt, conv_tol=1e-14,
@@ -510,7 +510,7 @@ class TestIntegrate:
         u0 = random_bandlimited_potential(spec, 0.05, 2, seed=6)
         ops = jet_ops(spec, scheme)
         assert type(ops) is route
-        buffers, jets, hessian_writer = ops._buffers, ops.jets, ops.hessian_writer
+        writer, jets, hessian_writer = ops._writer, ops.jets, ops.hessian_writer
         inside, calls, sets, bound = [], [], [], []
 
         def spy_jets(coeffs, ranks):
@@ -520,24 +520,24 @@ class TestIntegrate:
             finally:
                 inside.pop()
 
-        def spy_buffers(ranks):
-            out = buffers(ranks)
+        def spy_writer(ranks):
+            out = writer(ranks)
             if not inside:
                 calls.append(ranks)
-                sets.append(out)
+                sets.append(out[1])
             return out
 
-        def spy_writer():
-            writer = hessian_writer()
-            bound.append(writer)
-            return writer
+        def spy_hessian_writer():
+            pair = hessian_writer()
+            bound.append(pair)
+            return pair
 
         monkeypatch.setattr(ops, "jets", spy_jets)
-        monkeypatch.setattr(ops, "_buffers", spy_buffers)
-        monkeypatch.setattr(ops, "hessian_writer", spy_writer)
+        monkeypatch.setattr(ops, "_writer", spy_writer)
+        monkeypatch.setattr(ops, "hessian_writer", spy_hessian_writer)
         assert integrate(u0, cfg).steps == steps
         assert calls == [(2,)]
-        assert len(bound) == 1 and np.shares_memory(bound[0][1], sets[0][0][0])
+        assert len(bound) == 1 and np.shares_memory(bound[0][1], sets[0][0])
 
     @pytest.mark.parametrize("sizes,steps,scheme,kappa,route", LOOP_ROUTES)
     def test_result_state_is_a_fresh_state(self, sizes, steps, scheme, kappa, route,
@@ -1040,6 +1040,32 @@ class TestCheckpoint:
         assert not os.path.exists(path) and not os.path.exists(f"{path}.tmp")
         with pytest.raises(ValueError, match=re.escape(message)):
             resume_flow(state, cfg)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+    @pytest.mark.parametrize("call", [integrate, step_rk4, checkpoint_save])
+    def test_start_time_must_be_finite_and_non_negative(self, tmp_path, call, t):
+        # the clock counts steps from t = 0: such a t has no step index
+        spec = GridSpec(1, (16,))
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)
+        state = FlowState(t, random_bandlimited_potential(spec, 0.05, 2, seed=9))
+        args = (tmp_path / "c.lmcf",) if call is checkpoint_save else ()
+        with pytest.raises(ValueError, match=re.escape(
+                f"state t must be finite and >= 0, got {t}")):
+            call(state, cfg, *args)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+    def test_load_rejects_a_time_off_the_clock(self, tmp_path, t):
+        spec = GridSpec(1, (16,))
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)
+        path = tmp_path / "c.lmcf"
+        checkpoint_save(FlowState(0.5, PeriodicScalarField.constant(spec, 1.0)), cfg, path)
+        data = bytearray(path.read_bytes())
+        data[24:32] = struct.pack("<d", t)  # after magic, version, n, N_0 and P_0
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"invalid time in checkpoint: t = {t}")):
+            checkpoint_load(path)
 
     def test_resume_is_bitwise_identical(self, tmp_path):
         spec = GridSpec(1, (32,))

@@ -493,6 +493,14 @@ class TestMonotoneQuantities:
         ]
         assert check_psi_monotone(recs).passed
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_psi_monotone_needs_two_records(self, count):
+        # a report with no step to check would pass with zero rows
+        recs = [MonitorRecord(t=0.0, max_u=0, max_du=0, max_d2u=0, max_d3u=0, psi_max=1e-3,
+                              theta_min=0, theta_max=0, volume=1.0, dt=1e-3)] * count
+        with pytest.raises(ValueError, match=f"psi_monotone needs at least 2 points, got {count}"):
+            check_psi_monotone(recs)
+
 
 class TestVolumeDissipation:
     def test_kappa_zero_squared_form(self, small_trajectory):
