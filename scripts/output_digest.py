@@ -7,20 +7,24 @@ pair at N = 16 and 64 and FFT, 2-D and 3-D FFT), the central4 symbol on each
 (1-D DFT matrix pair at N = 64, 2-D FFT), unequal sizes and periods per axis
 (2-D and 3-D FFT) and a record every step with kappa != 0 (1-D and 3-D),
 then ``lmcf verify all``, then what no CLI command runs: the RK4 order fit's
-``step_rk4`` chain at dt = 4e-4 (cfl 0.2048 at N = 16) and two
+``step_rk4`` chain at dt = 4e-4 (cfl 0.2048 at N = 16), two
 ``sample_trajectory`` runs (1-D DFT matrix and 2-D FFT), each chain step and
-each trajectory one fixed-step ``integrate`` run.
+each trajectory one fixed-step ``integrate`` run, and one ensemble
+``integrate`` run per 1-D route (DFT matrix pair at N = 16, FFT at N = 256).
 Prints one sha256 per run pair, one over all of them (exit codes,
 monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf verify all``,
-one over all of those files and one per chain or trajectory (t, u and
-``monitor_record`` of every state), so two checkouts' outputs can be
-compared report by report.  A resumed summary echoes its checkpoint path, so run
+one over all of those files, one per chain or trajectory (t, u and
+``monitor_record`` of every state) and one per ensemble member (outcome,
+steps, records and final t and u), marked "= alone" when it equals the
+member's own run, so two checkouts' outputs can be compared report by
+report.  A resumed summary echoes its checkpoint path, so run
 it from the root of each checkout with the same relative output directory:
 
     PYTHONPATH=src python scripts/output_digest.py [out_dir]
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import struct
@@ -29,7 +33,7 @@ from pathlib import Path
 
 from lmcf.cli import main
 from lmcf.fields import GridSpec
-from lmcf.flow import FlowConfig, FlowState, monitor_record, step_rk4
+from lmcf.flow import FlowConfig, FlowState, Run, integrate, monitor_record, step_rk4
 from lmcf.initial_data import random_bandlimited_potential, single_mode_potential
 from lmcf.verification import sample_trajectory
 from run_stability_battery import CERTIFIED_PRESETS  # the script's directory is on sys.path
@@ -127,6 +131,34 @@ def chain_digests():
             "sample_trajectory_2d": _trajectory_digest(u0, cfg, 3, 2)}
 
 
+def _result_digest(result):
+    sha = hashlib.sha256(f"{result.outcome},{result.steps}".encode())
+    for rec in result.records:
+        sha.update(repr(rec).encode())
+    sha.update(struct.pack("<d", result.state.t) + result.state.u.values.tobytes())
+    return sha
+
+
+def ensemble_digests():
+    """sha256 of each member of one ensemble run per 1-D route, each paired
+    with the sha256 of the member run alone: kappa 0, -0.5 and -1, each with
+    its own t_max and record cadence, the last from a state at step 20."""
+    out = {}
+    for route, n, t_max in (("dft_16", 16, 0.02), ("fft_256", 256, 0.0015)):
+        spec = GridSpec(1, (n,))
+        base = FlowConfig(grid=spec, kappa=0.0, t_max=t_max, conv_tol=1e-13)
+        u0s = [random_bandlimited_potential(spec, 0.05, 3, seed=seed) for seed in (5, 6, 7)]
+        runs = (Run(u0s[0], dataclasses.replace(base, checkpoint_every=7)),
+                Run(u0s[1], dataclasses.replace(base, kappa=-0.5, t_max=0.75 * t_max,
+                                                checkpoint_every=3)),
+                Run(FlowState(20 * base.dt, u0s[2]),
+                    dataclasses.replace(base, kappa=-1.0, checkpoint_every=5)))
+        for i, (together, run) in enumerate(zip(integrate(runs), runs)):
+            out[f"ensemble_{route}[{i}]"] = (_result_digest(together),
+                                             _result_digest(integrate(run.start, run.cfg)))
+    return out
+
+
 def digest(out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,6 +184,9 @@ def digest(out_dir):
     print(f"{'verify_all':20s} {verify.hexdigest()}  ({len(names)} files, exit {code})")
     for name, sha in chain_digests().items():
         print(f"{name:20s} {sha.hexdigest()}")
+    for name, (together, alone) in ensemble_digests().items():
+        mark = "= alone" if together.digest() == alone.digest() else f"alone {alone.hexdigest()}"
+        print(f"{name:20s} {together.hexdigest()}  {mark}")
 
 
 if __name__ == "__main__":

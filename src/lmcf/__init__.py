@@ -25,9 +25,12 @@ from .fields import (
 from .flow import (
     BlowupError,
     CheckpointError,
+    EnsembleError,
     FlowConfig,
     FlowResult,
     FlowState,
+    Run,
+    RunResults,
     checkpoint_load,
     checkpoint_save,
     integrate,

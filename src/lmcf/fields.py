@@ -24,6 +24,18 @@ call asks for.  ``hessian_writer`` keeps one writer of a Hessian, so that a
 time stepper allocates its stage Hessian once.  The operators keep no input
 between calls.
 
+On 1-D grids both routes also take an (M, N) stack of M ensemble members,
+with a leading member axis on the coefficients and a member axis between
+the component and the grid axis of the stacks, (ncomp, M, N), so the
+packed-layout functions below apply unchanged.  Each member row keeps the
+bits of its own call: the DFT pair makes one matrix-vector product per row
+(a matrix product over all rows rounds differently), and pocketfft
+transforms each row of a batched call as a single call would.
+
+The routes call two numpy internals, ``numpy.fft._pocketfft_umath`` and the
+C function behind ``np.dot``; without them importing this module raises an
+ImportError naming the installed numpy and ``TESTED_NUMPY``.
+
 This module owns the packed symmetric layout: a symmetric tensor stores
 each distinct component once, in sorted multi-index order, and everything
 that depends on that layout lives here and works on raw component stacks —
@@ -41,9 +53,17 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from numpy.fft import _pocketfft_umath as _pocketfft  # the kernels numpy.fft calls
 
-_dot = np.dot._implementation  # np.dot's C function: matmul's gemv without a dispatcher frame
+TESTED_NUMPY = "2.4.6"  # the numpy whose internals below lmcf is tested against
+
+try:
+    from numpy.fft import _pocketfft_umath as _pocketfft  # the kernels numpy.fft calls
+    _pocketfft.rfft_n_even, _pocketfft.fft, _pocketfft.ifft, _pocketfft.irfft  # every pass called
+    _dot = np.dot._implementation  # np.dot's C function: matmul's gemv without a dispatcher frame
+except (ImportError, AttributeError) as _exc:
+    raise ImportError(
+        f"lmcf.fields calls numpy internals that numpy {np.__version__} lacks ({_exc}); "
+        f"it is tested with numpy {TESTED_NUMPY}") from _exc
 
 SCHEMES = ("spectral", "central4")
 
@@ -359,27 +379,41 @@ def _rank_multipliers(spec, rank, scheme):
 # ---------------------------------------------------------------------------
 # cached per-grid differentiation operators (hot-loop path)
 
+def _member_rows(spec, members):
+    """The member axis of a writer's stacks: () for one state, (members,) on a 1-D grid."""
+    if members is not None and spec.dim != 1:
+        raise ValueError(f"a member stack needs a 1-D grid, got {spec.dim}-D")
+    return () if members is None else (members,)
+
+
 class _JetOps:
     """Jets of raw value arrays on one grid, written into packed stacks.
 
-    A route defines ``forward``, values to coefficients, and ``_writer(ranks)``,
-    which allocates the packed stacks of the tuple ``ranks`` and its work
-    buffers once, binds its multipliers to them and returns ``(write, stacks)``:
-    ``write(coeffs)`` fills the stacks in place.  On 1-D grids ``stacks`` is
-    one (len(ranks), 1, N) array indexed by rank position, elsewhere a tuple
-    with an array per rank.  ``jets(forward(values), ranks)[i]`` is
-    ``components(values, ranks[i])``: one ``forward`` and one synthesis serve
-    every rank the caller needs.  The ``scheme`` picks the multipliers.
+    A route defines ``forward``, values to coefficients, and ``_writer(ranks,
+    members)``, which allocates the packed stacks of the tuple ``ranks`` and
+    its work buffers once, binds its multipliers to them and returns ``(write,
+    stacks)``: ``write(coeffs)`` fills the stacks in place.  On 1-D grids
+    ``stacks`` is one (len(ranks), 1, N) array indexed by rank position,
+    elsewhere a tuple with an array per rank.  ``jets(forward(values),
+    ranks)[i]`` is ``components(values, ranks[i])``: one ``forward`` and one
+    synthesis serve every rank the caller needs.  The ``scheme`` picks the
+    multipliers.
+
+    On 1-D grids the values may also be an (M, N) stack of M members: the
+    coefficients get a leading member axis, and a writer bound for
+    ``members=M`` fills (len(ranks), 1, M, N) stacks, so a rank's stack is
+    (ncomp, M, N) and each member's row has the bits of its own call.
     """
 
     def __init__(self, spec, scheme="spectral"):
         self.spec, self.scheme = spec, scheme
 
-    def hessian_writer(self):
+    def hessian_writer(self, members=None):
         """``(write, hess)``: ``write(y)`` writes the Hessian of y into the
         writable stack ``hess``, which every call overwrites, with the bits of
-        ``components(y, 2)``, and returns y's coefficients."""
-        forward, (write, stacks) = self.forward, self._writer((2,))
+        ``components(y, 2)``, and returns y's coefficients; with ``members``,
+        y is a stack of that many 1-D members."""
+        forward, (write, stacks) = self.forward, self._writer((2,), members)
 
         def write_hessian(y):
             coeffs = forward(y)
@@ -388,8 +422,10 @@ class _JetOps:
         return write_hessian, stacks[0]
 
     def jets(self, coeffs, ranks):
-        """Fresh read-only packed stacks of D^r u, one per rank r in the tuple ``ranks``."""
-        write, stacks = self._writer(ranks)
+        """Fresh read-only packed stacks of D^r u, one per rank r in the tuple
+        ``ranks``, of one state or of a member stack's coefficients."""
+        members = len(coeffs) if coeffs.ndim > self.spec.dim else None
+        write, stacks = self._writer(ranks, members)
         write(coeffs)
         for stack in (stacks,) if self.spec.dim == 1 else stacks:  # 1-D: one array
             stack.setflags(write=False)
@@ -456,17 +492,21 @@ class _FftJetOps(_JetOps):
         return plan
 
     def forward(self, values):
-        spectrum = np.empty(self._half, dtype=np.complex128)
+        half = self._half if values.ndim == self.spec.dim else values.shape[:-1] + self._half
+        spectrum = np.empty(half, dtype=np.complex128)
         _pocketfft.rfft_n_even(values, 1.0, out=spectrum)  # sizes are even
         for axes, _ in self._passes.values():
             _pocketfft.fft(spectrum, 1.0, axes=axes, out=spectrum)
         return spectrum
 
-    def _writer(self, ranks):
+    def _writer(self, ranks, members=None):
         spec, half, plan, inv_n_last = self.spec, self._half, self._plan(ranks), self._inv_n_last
         if spec.dim == 1:
-            stacks = np.empty((len(ranks), 1) + spec.sizes)
-            work = np.empty((len(ranks), 1) + half, dtype=np.complex128)
+            rows = _member_rows(spec, members)
+            stacks = np.empty((len(ranks), 1) + rows + spec.sizes)
+            work = np.empty((len(ranks), 1) + rows + half, dtype=np.complex128)
+            if rows:
+                plan = plan[:, :, None]  # the same multipliers on every member row
 
             def write(spectrum):
                 np.multiply(spectrum, plan, out=work)
@@ -533,18 +573,50 @@ class _DftMatrixJetOps(_JetOps):
             inv = self._inverse[rank] = _frozen_array(np.fft.irfft(basis, n=n).T)
         return inv
 
-    def forward(self, values):
-        return _dot(self._forward_matrix, values - values[0])
+    def hessian_writer(self, members=None):
+        """As ``_JetOps.hessian_writer``; for a member stack the shifted values
+        and the coefficients go into buffers bound once too, so that ``write(y)``
+        runs only bound products, and returns that coefficient buffer, which the
+        next call overwrites."""
+        if members is None:
+            return super().hessian_writer()
+        n = self.spec.sizes[0]
+        shifted, coeffs, hess = np.empty((members, n)), np.empty((members, n + 2)), np.empty(
+            (1, members, n))
+        forward, inverse = self._forward_matrix, self._inverse_matrix(2)
+        products = ([(forward, row, out) for row, out in zip(shifted, coeffs)]
+                    + [(inverse, row, out) for row, out in zip(coeffs, hess[0])])
 
-    def _writer(self, ranks):
-        stacks = np.empty((len(ranks), 1) + self.spec.sizes)
-        if len(ranks) == 1:  # the writer is the product: its call runs no Python frame
+        def write_hessian(y):
+            np.subtract(y, y[:, :1], out=shifted)
+            for args in products:
+                _dot(*args)
+            return coeffs
+        return write_hessian, hess
+
+    def forward(self, values):
+        if values.ndim == 1:
+            return _dot(self._forward_matrix, values - values[0])
+        coeffs = np.empty((len(values), len(self._forward_matrix)))
+        for row, out in zip(values - values[:, :1], coeffs):
+            _dot(self._forward_matrix, row, out)
+        return coeffs
+
+    def _writer(self, ranks, members=None):
+        stacks = np.empty((len(ranks), 1) + _member_rows(self.spec, members) + self.spec.sizes)
+        if members is None and len(ranks) == 1:
+            # the writer is the product: its call runs no Python frame
             return partial(_dot, self._inverse_matrix(ranks[0]), out=stacks[0, 0]), stacks
-        products = [(self._inverse_matrix(rank), stacks[i, 0]) for i, rank in enumerate(ranks)]
+        # one product per member row: one matrix product over the rows rounds differently
+        n = self.spec.sizes[0]
+        products = [(self._inverse_matrix(rank), stacks[i, 0].reshape(-1, n))
+                    for i, rank in enumerate(ranks)]
 
         def write(coeffs):
-            for inv, out in products:
-                _dot(inv, coeffs, out)
+            rows = coeffs.reshape(-1, n + 2)
+            for inv, outs in products:
+                for row, out in zip(rows, outs):
+                    _dot(inv, row, out)
         return write, stacks
 
 

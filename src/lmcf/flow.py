@@ -6,7 +6,9 @@ linearization coefficient matrix mu^(-1) = (I + Q^2)^(-1) satisfies
 uniformly valid and implicit stepping is unnecessary at desk scale.
 
 The integrator is sequential in time and fully deterministic: identical
-configurations reproduce bit-identical trajectories.
+configurations reproduce bit-identical trajectories.  Runs on one 1-D grid,
+scheme and dt can step as one ensemble, ``integrate(runs)``, each member
+bit-identical to its own run.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .monitors import MonitorRecord
 CHECKPOINT_MAGIC = b"LMCF"
 CHECKPOINT_VERSION = 2
 HESSIAN_BLOWUP_GUARD = 10.0  # far outside the small-data regime; not graph-like anymore
+# t_max / dt must stay below this: then t += dt advances t on every step before t_max
+MAX_STEPS = 2.0 ** 52
 
 
 class BlowupError(RuntimeError):
@@ -94,6 +98,13 @@ class FlowConfig:
                            _as_int("checkpoint_every", self.checkpoint_every))
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        dt = self.dt
+        if not (0.0 < dt < math.inf and self.t_max / dt < MAX_STEPS):
+            raise ValueError(
+                f"dt = cfl * min(h)^2 / (2n) = {dt:.3g} from cfl {self.cfl!r}, periods "
+                f"{self.grid.periods} and sizes {self.grid.sizes} cannot reach "
+                f"t_max = {self.t_max:g}: dt must be positive and finite, and t_max / dt "
+                f"below 2^52")
 
     @cached_property
     def dt(self):
@@ -229,6 +240,33 @@ class FlowResult:
         return self.outcome == "converged"
 
 
+@dataclass(frozen=True, eq=False)
+class Run:
+    """One member of an ensemble ``integrate`` call: the arguments of
+    ``integrate(start, cfg, sink, hook)``."""
+
+    start: object
+    cfg: FlowConfig
+    sink: object = None
+    hook: object = None
+
+
+class RunResults(tuple):
+    """The members' FlowResults of an ensemble ``integrate`` call, in run order."""
+
+    __slots__ = ()
+
+    @property
+    def steps(self):
+        """Member-steps taken: the sum of the members' steps."""
+        return sum(result.steps for result in self)
+
+
+class EnsembleError(ValueError):
+    """A run cannot step in one stack with the first run of its ensemble: it has
+    another grid, scheme or dt, or the runs are several on a 2-D or 3-D grid."""
+
+
 def rhs(u: PeriodicScalarField, kappa: float) -> PeriodicScalarField:
     """Right-hand side theta(D^2 u) + kappa*u of the potential flow."""
     ops = jet_ops(u.spec, "spectral")
@@ -236,15 +274,20 @@ def rhs(u: PeriodicScalarField, kappa: float) -> PeriodicScalarField:
     return PeriodicScalarField(u.spec, vals)
 
 
-def _rhs_values(u_vals, hess, kappa, dim, theta=None):
-    """theta(D^2 u) + kappa*u, fresh; ``theta``, if given, is ``hess``' angle."""
+def _rhs_values(u_vals, hess, kappa, dim, theta=None, where=None):
+    """theta(D^2 u) + kappa*u, fresh; ``theta``, if given, is ``hess``' angle.
+    On a member stack with several kappas, ``kappa`` is their column and
+    ``where`` marks its non-zero rows, or is True for all: a kappa = 0 row
+    gains no +0.0 * u, which could flip its signed zeros."""
     out = _angle_values(hess, dim) if theta is None else theta.copy()
-    if kappa != 0.0:
+    if where is not None:
+        np.add(out, kappa * u_vals, out=out, where=where)
+    elif kappa != 0.0:
         out += kappa * u_vals
     return out
 
 
-def _rk4_update(u_vals, k1, dt, write, hess, kappa, dim):
+def _rk4_update(u_vals, k1, dt, write, hess, kappa, dim, where=None):
     """One RK4 step from raw values and k1, a fresh ``_rhs_values`` array of
     u_vals, which the step consumes; each stage is one call of ``write``, an
     ``ops.hessian_writer()`` whose Hessian stack is ``hess``, and then
@@ -257,15 +300,15 @@ def _rk4_update(u_vals, k1, dt, write, hess, kappa, dim):
     y = k1 * (0.5 * dt)
     y += u_vals
     write(y)
-    k2 = _rhs_values(y, hess, kappa, dim)
+    k2 = _rhs_values(y, hess, kappa, dim, None, where)
     np.multiply(k2, 0.5 * dt, out=y)
     y += u_vals
     write(y)
-    k3 = _rhs_values(y, hess, kappa, dim)
+    k3 = _rhs_values(y, hess, kappa, dim, None, where)
     np.multiply(k3, dt, out=y)
     y += u_vals
     write(y)
-    k4 = _rhs_values(y, hess, kappa, dim)
+    k4 = _rhs_values(y, hess, kappa, dim, None, where)
     k2 *= 2.0
     k1 += k2
     k3 *= 2.0
@@ -276,10 +319,11 @@ def _rk4_update(u_vals, k1, dt, write, hess, kappa, dim):
     return k1
 
 
-def _blowup_guard(t, u_vals, d2u_sq):
+def _blowup_guard(t, u_vals, d2u_max):
     """(sup|D^2 u|, None) of the state at t while sup|D^2 u| <= HESSIAN_BLOWUP_GUARD,
-    else (sup|D^2 u|, its BlowupError); a non-finite u has a non-finite Hessian."""
-    sup_d2 = math.sqrt(d2u_sq.max())  # the bits of np.sqrt, for less per-call cost
+    else (sup|D^2 u|, its BlowupError), from ``d2u_max``, the max of |D^2 u|^2 over
+    the grid; a non-finite u has a non-finite Hessian."""
+    sup_d2 = math.sqrt(d2u_max)  # the bits of np.sqrt, for less per-call cost
     if sup_d2 <= HESSIAN_BLOWUP_GUARD:
         return sup_d2, None
     reason = ("non-finite field" if not math.isfinite(sup_d2)
@@ -336,9 +380,70 @@ def _admit(run, cfg: FlowConfig):
     return what
 
 
-def integrate(start, cfg: FlowConfig, sink=None, hook=None) -> FlowResult:
+class _Member:
+    """One run in ``integrate``'s loop: its clock, record cadence, stop rules,
+    records and result.  Steps are counted by the loop, from the call's start."""
+
+    __slots__ = ("cfg", "sink", "visit", "marks", "mark", "t", "values", "first_step",
+                 "kappa", "tol", "t_max", "record_every", "next_record", "records",
+                 "last_emitted", "warned_region", "result")
+
+    def __init__(self, run, lead, count):
+        cfg = self.cfg = run.cfg
+        if not isinstance(cfg, FlowConfig):
+            raise TypeError(f"a run needs a FlowConfig, got {type(cfg).__name__}")
+        what = _admit(run.start, cfg)
+        start = run.start
+        self.t, self.values = (start.t, start._values) if what == "state" else (0.0, start.values)
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"{what} is not finite")
+        if count > 1 and cfg.grid.dim != 1:
+            raise EnsembleError(f"several runs step as one stack on 1-D grids only, "
+                                f"got a {cfg.grid.dim}-D grid")
+        for name in ("grid", "scheme", "dt"):
+            if getattr(cfg, name) != getattr(lead, name):
+                raise EnsembleError(
+                    f"{name} {getattr(cfg, name)!r} differs from the first run's "
+                    f"{getattr(lead, name)!r}: an ensemble's runs share grid, scheme and dt")
+        self.sink, self.kappa, self.first_step = run.sink, cfg.kappa, round(self.t / cfg.dt)
+        self.records, self.last_emitted, self.warned_region, self.result = [], -1, False, None
+        if run.hook is None:
+            self.tol, self.t_max, self.record_every, self.next_record = (
+                cfg.conv_tol, cfg.t_max, cfg.checkpoint_every, 0)
+            self.visit, self.mark = None, -1  # the loop never reaches step -1
+            return
+        # a fixed-step run: sup|D^2 u| < 0 never holds, so no convergence
+        steps, self.visit = run.hook
+        self.marks = iter(sorted({_as_int("hook step", index) - self.first_step
+                                  for index in steps}))
+        self.mark, self.tol, self.t_max, self.record_every, self.next_record = (
+            next(self.marks, -1), 0.0, math.inf, 0, -1)
+        if self.mark < 0:
+            raise ValueError("hook steps must be given and not precede the start's step")
+
+    def recorded(self, step):
+        """Set the next record step after a record at ``step`` (-1: none)."""
+        every = self.record_every
+        self.next_record = step + every - (self.first_step + step) % every if every else -1
+
+
+def _next_record(members):
+    return min((m.next_record for m in members if m.next_record >= 0), default=-1)
+
+
+def _kappa_rows(members):
+    """``(kappa, where)`` of the members' kappa*u term for ``_rhs_values``: a
+    shared kappa and None, else their column and its non-zero rows (True: all)."""
+    kappas = [m.kappa for m in members]
+    if len(set(kappas)) == 1:
+        return kappas[0], None
+    column = np.array(kappas)[:, None]
+    return column, True if all(kappas) else column != 0.0
+
+
+def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
     """Run the flow from ``start``, a u0 field (t = 0) or a ``FlowState`` (its
-    t), until convergence, t_max or blowup.
+    t), until convergence, t_max or blowup; returns a FlowResult.
 
     Convergence means sup|du| < conv_tol and sup|D^2 u| < conv_tol, plus
     sup|u| < conv_tol when kappa != 0: then only the zero potential is
@@ -364,102 +469,156 @@ def integrate(start, cfg: FlowConfig, sink=None, hook=None) -> FlowResult:
     of integers, and ``visit(index, state)`` gets the guarded state once at
     each distinct global step index in it (its Hessian a read-only
     stage-buffer copy); the run ends "timed_out" at the last.
+
+    ``integrate(runs)``, with a tuple of ``Run(start, cfg, sink, hook)``,
+    steps them as one ensemble and returns their ``RunResults``.  Each member
+    is the run ``integrate(start, cfg, sink, hook)`` would make, bit for bit:
+    its own kappa, clock, record cadence, sink, hook, stop rules and region
+    warning.  On 1-D grids the members advance as one (M, N) stack, one
+    synthesis and one guard reduction per stage for all of them, and a member
+    that stops leaves the stack.  The runs must share grid, scheme and dt,
+    and several runs need a 1-D grid (``EnsembleError``, naming the run).
     """
-    what = _admit(start, cfg)
-    t, u = (start.t, start._values) if what == "state" else (0.0, start.values)
-    if not np.isfinite(u).all():
-        raise ValueError(f"{what} is not finite")
-    if cfg.kappa > 0.0:
-        warnings.warn(
-            "kappa > 0 is experimental: no convergence guarantee is certified",
-            stacklevel=2,
-        )
+    runs = (Run(start, cfg, sink, hook),) if cfg is not None else tuple(start)
+    if not runs:
+        raise ValueError("integrate needs a start and a config, or a non-empty tuple of Runs")
+    members = []
+    for index, run in enumerate(runs):
+        if not isinstance(run, Run):
+            raise TypeError(f"run {index}: expected a Run, got {type(run).__name__}")
+        try:
+            members.append(_Member(run, runs[0].cfg, len(runs)))
+        except ValueError as exc:  # its subclasses too, with the run that failed named
+            if cfg is not None:
+                raise
+            raise type(exc)(f"run {index}: {exc}") from None
+        if run.cfg.kappa > 0.0:
+            warnings.warn(
+                "kappa > 0 is experimental: no convergence guarantee is certified",
+                stacklevel=2,
+            )
 
-    ops = jet_ops(cfg.grid, cfg.scheme)
-    dim, dt, tol, kappa, t_max = cfg.grid.dim, cfg.dt, cfg.conv_tol, cfg.kappa, cfg.t_max
-    write_hessian, stage_hess = ops.hessian_writer()
-    record_every, first_record = cfg.checkpoint_every, 0
-
+    lead = runs[0].cfg
+    ops, scheme = jet_ops(lead.grid, lead.scheme), lead.scheme
+    dim, dt, half_dt = lead.grid.dim, lead.dt, 0.5 * lead.dt
+    active = members
+    stacked = len(active) > 1  # one member's arrays have no member axis
+    if stacked:
+        u = np.stack([m.values for m in active])
+        u.setflags(write=False)
+    else:
+        u = active[0].values
+    write_hessian, stage_hess = ops.hessian_writer(len(active) if stacked else None)
+    kappa, where = _kappa_rows(active)
+    record_step = _next_record(active)
     step = 0
-    first_step = round(t / dt)
-    records = []
-    last_emitted = -1
-    warned_region = False
     caller_errstate = np.geterr()
-    angle, mark = None, -1  # mark: the step of the next visit; the loop never reaches -1
-    if hook is not None:  # sup|D^2 u| < 0 never holds, so no convergence
-        marks = iter(sorted({_as_int("hook step", index) - first_step for index in hook[0]}))
-        visit = hook[1]
-        mark, tol, t_max, record_every, first_record = next(marks, -1), 0.0, math.inf, 0, -1
-        if mark < 0:
-            raise ValueError("hook steps must be given and not precede the start's step")
 
-    def state_now(jets):
-        return FlowState._from_loop(t, u, coeffs, jets, ops, cfg.scheme)
+    def row(a, i):
+        """Member i's rows of a loop stack."""
+        return a[..., i, :] if stacked else a
 
-    def emit(state):
-        nonlocal last_emitted, warned_region
-        rec = monitor_record(state, cfg)
-        records.append(rec)
-        if sink is not None:
+    def state_of(i, member, jets):
+        # a member stack's stage writer reuses its coefficients: a state keeps a copy
+        member_coeffs = coeffs[i].copy() if stacked else coeffs
+        return FlowState._from_loop(member.t, row(u, i), member_coeffs, jets, ops, scheme)
+
+    def emit(member, state):
+        rec = monitor_record(state, member.cfg)
+        member.records.append(rec)
+        if member.sink is not None:
             with np.errstate(**caller_errstate):
-                sink(rec)
-        last_emitted = step
-        if not warned_region and cfg.leaves_region(rec.psi_max):
-            warned_region = True
+                member.sink(rec)
+        member.last_emitted = step
+        if not member.warned_region and member.cfg.leaves_region(rec.psi_max):
+            member.warned_region = True
             warnings.warn(f"max psi = {rec.psi_max:.3g} is outside the certified region "
-                          f"psi < eps1^2 = {cfg.eps1_sq:.3g}", stacklevel=3)
-
-    def finish(outcome, blowup=None):
-        hess.setflags(write=False)  # the loop writes it no more
-        state = state_now({2: hess})
-        if last_emitted != step and hook is None:
-            emit(state)
-        return FlowResult(outcome, state, tuple(records), step, blowup=blowup)
+                          f"psi < eps1^2 = {member.cfg.eps1_sq:.3g}", stacklevel=3)
 
     with np.errstate(invalid="ignore"):
         while True:
-            if step == first_record or (record_every and (first_step + step) % record_every == 0):
+            theta = None
+            if step == record_step:
                 coeffs = ops.forward(u)
                 # the ranks monitor_record reads, from one synthesis; they leave
-                # with the record's state, so the RK4 stages and the result's
-                # state do not hold them
+                # with the record states, so the RK4 stages and the result
+                # states do not hold them
                 jets = dict(zip((1, 2, 3), ops.jets(coeffs, (1, 2, 3))))
-                state = state_now(jets)
-                # read before the record, which then reuses them; the angle is k1's too
-                hess, d2u_sq, angle = jets[2], state.norm_sq(2), state.angle_and_density()
-                emit(state)
-                del state, jets
+                hess, d2u_sq = jets[2], sym_norm_sq(jets[2], dim, 2)
+                # read by the records, which then reuse them; the angle is k1's too
+                theta, density = _angle_and_density(hess, dim)
+                for array in (d2u_sq, theta, density):
+                    array.setflags(write=False)
+                for i, member in enumerate(active):
+                    if member.next_record == step:
+                        state = state_of(i, member, {r: row(jet, i) for r, jet in jets.items()})
+                        state._norms_sq[2] = row(d2u_sq, i)
+                        state._angle = row(theta, i), row(density, i)
+                        emit(member, state)
+                        member.recorded(step)
+                record_step = _next_record(active)
+                del state, jets, density
             else:
                 coeffs = write_hessian(u)  # k1 reads it before a stage overwrites it
                 hess = stage_hess
                 d2u_sq = sym_norm_sq(hess, dim, 2)
 
-            sup_d2, blowup = _blowup_guard(t, u, d2u_sq)
-            if blowup is not None:
-                return finish("blowup", blowup)
+            ended = []
+            maxima = d2u_sq.max(axis=-1).tolist() if stacked else (d2u_sq.max(),)
+            for i, (member, d2u_max) in enumerate(zip(active, maxima)):
+                sup_d2, blowup = _blowup_guard(member.t, u[i] if stacked else u, d2u_max)
+                if blowup is not None:
+                    ended.append((i, "blowup", blowup))
+                    continue
+                if step == member.mark:  # a copy of the stage buffer, which the next step overwrites
+                    member.visit(member.first_step + step,
+                                 state_of(i, member, {2: _frozen_array(row(hess, i))}))
+                    member.mark = next(member.marks, -1)
+                    if member.mark < 0:
+                        ended.append((i, "timed_out", None))
+                        continue
+                tol = member.tol
+                if sup_d2 < tol and (member.kappa == 0.0 or float(np.abs(row(u, i)).max()) < tol):
+                    if sym_sup_norm(ops.jets(row(coeffs, i), (1,))[0], dim, 1) < tol:
+                        ended.append((i, "converged", None))
+                        continue
+                if member.t + half_dt >= member.t_max:
+                    ended.append((i, "timed_out", None))
 
-            if step == mark:  # a copy of the stage buffer, which the next step overwrites
-                visit(first_step + step, state_now({2: _frozen_array(hess)}))
-                if (mark := next(marks, -1)) < 0:
-                    return finish("timed_out")
-
-            if sup_d2 < tol and (kappa == 0.0 or float(np.abs(u).max()) < tol):
-                if sym_sup_norm(ops.jets(coeffs, (1,))[0], dim, 1) < tol:
-                    return finish("converged")
-
-            if t + 0.5 * dt >= t_max:
-                return finish("timed_out")
+            if ended:
+                hess.setflags(write=False)  # the loop writes it no more: the rest step on afresh
+                for i, outcome, blowup in ended:
+                    member = active[i]
+                    state = state_of(i, member, {2: row(hess, i)})
+                    if member.last_emitted != step and member.visit is None:
+                        emit(member, state)
+                    member.result = FlowResult(outcome, state, tuple(member.records), step,
+                                               blowup=blowup)
+                    del state
+                stops = {i for i, _, _ in ended}
+                keep = [i for i in range(len(active)) if i not in stops]
+                if not keep:
+                    results = tuple(m.result for m in members)
+                    return results[0] if cfg is not None else RunResults(results)
+                rows = keep[0] if len(keep) == 1 else keep
+                u, hess = u[..., rows, :], hess[..., rows, :]
+                theta = None if theta is None else theta[..., rows, :]
+                active = [active[i] for i in keep]
+                stacked = len(active) > 1
+                write_hessian, stage_hess = ops.hessian_writer(len(active) if stacked else None)
+                kappa, where = _kappa_rows(active)
+                record_step = _next_record(active)
 
             # free it before the stage temporaries, as a guard-only temporary would
             # be: kept across the step, it let 2-D 128^2 jobs fault in about 4x
             # the pages on some heap layouts
             del d2u_sq
-            k1 = _rhs_values(u, hess, kappa, dim, None if angle is None else angle[0])
-            angle = None  # freed too, and the next state has one only if it records
-            u = _rk4_update(u, k1, dt, write_hessian, stage_hess, kappa, dim)
-            u.setflags(write=False)  # so the result state wraps it without a copy
-            t += dt
+            k1 = _rhs_values(u, hess, kappa, dim, theta, where)
+            del theta  # freed too, and the next state has one only if it records
+            u = _rk4_update(u, k1, dt, write_hessian, stage_hess, kappa, dim, where)
+            u.setflags(write=False)  # so the result states wrap it without a copy
+            for member in active:
+                member.t += dt
             step += 1
 
 

@@ -21,7 +21,7 @@ from .fields import (
     sym_norm_sq,
     sym_to_dense,
 )
-from .flow import FlowConfig, integrate
+from .flow import FlowConfig, Run, integrate
 from .geometry import (
     _angle_values,
     angle_gradient,
@@ -211,26 +211,33 @@ def geometry_suite():
 # ---------------------------------------------------------------------------
 # inequalities
 
-def _trajectory_for(seed, kappa, sizes, sample_every, n_samples):
+INEQUALITY_RUNS = ((11, 0.0), (12, -1.0))  # (seed, kappa)
+
+
+def _trajectories_for(sizes, sample_every, n_samples):
+    """u0s, configs and trajectories of ``INEQUALITY_RUNS`` on one grid, one ensemble."""
     spec = GridSpec(1, (sizes,))
-    cfg = FlowConfig(grid=spec, kappa=kappa, t_max=1.0, checkpoint_every=0)
-    u0 = random_bandlimited_potential(spec, 0.08, 3, seed=seed, C0=cfg.C0, C1=cfg.C1)
-    return u0, cfg, sample_trajectory(u0, cfg, sample_every, n_samples)
+    cfgs = tuple(FlowConfig(grid=spec, kappa=kappa, t_max=1.0, checkpoint_every=0)
+                 for _, kappa in INEQUALITY_RUNS)
+    u0s = tuple(random_bandlimited_potential(spec, 0.08, 3, seed=seed, C0=cfg.C0, C1=cfg.C1)
+                for (seed, _), cfg in zip(INEQUALITY_RUNS, cfgs))
+    return u0s, cfgs, sample_trajectory(u0s, cfgs, sample_every, n_samples)
 
 
 def inequalities_suite():
     reports = []
-    for seed, kappa in ((11, 0.0), (12, -1.0)):
+    u0s, cfgs, trajs = _trajectories_for(64, sample_every=40, n_samples=10)
+    runs = integrate(tuple(
+        Run(u0, dataclasses.replace(cfg, checkpoint_every=50, t_max=0.12, conv_tol=1e-12))
+        for u0, cfg in zip(u0s, cfgs)))
+    _, _, fine_trajs = _trajectories_for(128, sample_every=160, n_samples=10)
+    for (seed, kappa), traj, run, traj_fine in zip(INEQUALITY_RUNS, trajs, runs, fine_trajs):
         tag = f"kappa{kappa:g}_seed{seed}"
-        u0, cfg, traj = _trajectory_for(seed, kappa, 64, sample_every=40, n_samples=10)
         by_name = {name: check_evolution_inequality(name, traj) for name in EVOLUTION_NAMES}
-        run_cfg = dataclasses.replace(cfg, checkpoint_every=50, t_max=0.12, conv_tol=1e-12)
         per_trajectory = [*by_name.values(), check_log_jet_monotone(traj, K=10.0),
-                          check_volume_dissipation(traj),
-                          check_psi_monotone(integrate(u0, run_cfg).records)]
+                          check_volume_dissipation(traj), check_psi_monotone(run.records)]
         reports += [dataclasses.replace(rep, name=f"{rep.name}_{tag}") for rep in per_trajectory]
         # resolution stability of the fitted constants (N = 64 vs 128); psi has none
-        _, _, traj_fine = _trajectory_for(seed, kappa, 128, sample_every=160, n_samples=10)
         for name in (name for name in EVOLUTION_NAMES if name != "psi"):
             coarse, fine = by_name[name], check_evolution_inequality(name, traj_fine)
             reports.append(_report(
@@ -253,10 +260,12 @@ def _rate_report(name, records, field, window, target, tol):
 def decay_suite():
     reports = []
     spec = GridSpec(1, (16,))
-    for kappa in (-1.0, -0.5):
-        cfg = FlowConfig(grid=spec, kappa=kappa, t_max=5.0, cfl=0.5,
-                         conv_tol=1e-13, checkpoint_every=100)
-        res = integrate(PeriodicScalarField.constant(spec, 0.01), cfg)
+    kappas = (-1.0, -0.5)
+    u0 = PeriodicScalarField.constant(spec, 0.01)
+    results = integrate(tuple(Run(u0, FlowConfig(grid=spec, kappa=kappa, t_max=5.0, cfl=0.5,
+                                                 conv_tol=1e-13, checkpoint_every=100))
+                              for kappa in kappas))
+    for kappa, res in zip(kappas, results):
         reports.append(_rate_report(
             f"decay_sup_u_kappa{kappa:g}", res.records, "sup_u", (0.5, 4.5), kappa, 1e-6))
         if kappa == -1.0:

@@ -310,22 +310,37 @@ class Trajectory:
     triples: tuple
 
 
-def sample_trajectory(u0, cfg, sample_every, n_samples) -> Trajectory:
+def sample_trajectory(u0, cfg, sample_every, n_samples):
     """(t-dt, t, t+dt) state triples every ``sample_every`` steps from one
     fixed-step ``integrate`` run (looked up by module name) to the last triple,
-    whatever convergence and ``cfg.t_max`` say; its blowup is raised."""
+    whatever convergence and ``cfg.t_max`` say; its blowup is raised.
+
+    ``u0`` and ``cfg`` may instead be equal-length tuples, one (u0, cfg) pair
+    per member: the members step as one ensemble ``integrate`` run (one grid,
+    scheme and dt), and the result is the tuple of their Trajectories, each
+    bit-identical to its own run's."""
     sample_every = _as_int("sample_every", sample_every)
     n_samples = _as_int("n_samples", n_samples)
     if sample_every < 1 or n_samples < 1:
         raise ValueError("sample_every and n_samples must be >= 1")
     centers = [k * sample_every for k in range(1, n_samples + 1)]
-    kept = {}
-    result = flow.integrate(u0, cfg, hook=({c + d for c in centers for d in (-1, 0, 1)},
-                                           kept.__setitem__))
-    if result.blowup is not None:
-        raise result.blowup
-    triples = tuple(TrajectoryTriple(kept[c - 1], kept[c], kept[c + 1]) for c in centers)
-    return Trajectory(cfg=cfg, triples=triples)
+    steps = {c + d for c in centers for d in (-1, 0, 1)}
+    several = isinstance(u0, tuple)
+    members = tuple(zip(u0, cfg, strict=True)) if several else ((u0, cfg),)
+    kept = [{} for _ in members]
+    if several:
+        results = flow.integrate(tuple(flow.Run(start, run_cfg, hook=(steps, states.__setitem__))
+                                       for (start, run_cfg), states in zip(members, kept)))
+    else:
+        results = (flow.integrate(u0, cfg, hook=(steps, kept[0].__setitem__)),)
+    for result in results:
+        if result.blowup is not None:
+            raise result.blowup
+    trajectories = tuple(
+        Trajectory(cfg=run_cfg, triples=tuple(
+            TrajectoryTriple(states[c - 1], states[c], states[c + 1]) for c in centers))
+        for (_, run_cfg), states in zip(members, kept))
+    return trajectories if several else trajectories[0]
 
 
 def _check_region(trajectory):

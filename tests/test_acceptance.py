@@ -18,6 +18,7 @@ from lmcf.fields import GridSpec, PeriodicScalarField, mean_value, sup_norm
 from lmcf.flow import (
     FlowConfig,
     FlowState,
+    Run,
     checkpoint_load,
     checkpoint_save,
     integrate,
@@ -73,29 +74,35 @@ def _small_data_cfg(sizes, kappa):
                       conv_tol=1e-13, checkpoint_every=50)
 
 
+def _small_data_u0(cfg, seed, amp):
+    return random_bandlimited_potential(cfg.grid, amp, 3, seed=seed, C0=cfg.C0, C1=cfg.C1)
+
+
 @pytest.fixture(scope="module")
 def small_data_runs():
-    runs = []
+    # the 20 runs step as one ensemble, each member bit-identical to its own run
+    members = []
     t0 = time.perf_counter()
     for seed, kappa, amp in SMALL_DATA_SPECS:
         cfg = FlowConfig(grid=GridSpec(1, (64,)), kappa=kappa, t_max=0.12,
                          conv_tol=1e-13, checkpoint_every=50)
-        u0 = random_bandlimited_potential(cfg.grid, amp, 3, seed=seed,
-                                          C0=cfg.C0, C1=cfg.C1)
-        result = integrate(u0, cfg)
-        runs.append((seed, kappa, amp, cfg, u0, result))
+        members.append((seed, kappa, amp, cfg, _small_data_u0(cfg, seed, amp)))
+    results = integrate(tuple(Run(u0, cfg) for *_, cfg, u0 in members))
+    runs = [(*member, result) for member, result in zip(members, results)]
     return runs, time.perf_counter() - t0
+
+
+def _small_data_trajectories(specs, sizes, sample_every):
+    """One ensemble ``sample_trajectory`` of (seed, kappa, amp) specs on one grid."""
+    cfgs = tuple(_small_data_cfg(sizes, kappa) for _, kappa, _ in specs)
+    u0s = tuple(_small_data_u0(cfg, seed, amp) for (seed, _, amp), cfg in zip(specs, cfgs))
+    return sample_trajectory(u0s, cfgs, sample_every, 8)
 
 
 @pytest.fixture(scope="module")
 def small_data_trajectories():
-    trajs = []
-    for seed, kappa, amp in SMALL_DATA_SPECS:
-        cfg = _small_data_cfg(64, kappa)
-        u0 = random_bandlimited_potential(cfg.grid, amp, 3, seed=seed,
-                                          C0=cfg.C0, C1=cfg.C1)
-        trajs.append((seed, kappa, sample_trajectory(u0, cfg, 40, 8)))
-    return trajs
+    trajs = _small_data_trajectories(SMALL_DATA_SPECS, 64, 40)
+    return [(seed, kappa, traj) for (seed, kappa, _), traj in zip(SMALL_DATA_SPECS, trajs)]
 
 
 def test_criterion_1_angle_oracle_equivalence():
@@ -222,15 +229,10 @@ def test_criterion_8_evolution_certification(small_data_trajectories):
     # resolution stability of the fitted lettered constants
     stable_all = True
     details = []
-    for seed, kappa, amp in (SMALL_DATA_SPECS[0], SMALL_DATA_SPECS[1]):
-        coarse_cfg = _small_data_cfg(64, kappa)
-        fine_cfg = _small_data_cfg(128, kappa)
-        u0c = random_bandlimited_potential(coarse_cfg.grid, amp, 3, seed=seed,
-                                           C0=coarse_cfg.C0, C1=coarse_cfg.C1)
-        u0f = random_bandlimited_potential(fine_cfg.grid, amp, 3, seed=seed,
-                                           C0=fine_cfg.C0, C1=fine_cfg.C1)
-        traj_c = sample_trajectory(u0c, coarse_cfg, 40, 8)
-        traj_f = sample_trajectory(u0f, fine_cfg, 160, 8)
+    # each grid's pair of trajectories steps as one ensemble
+    pair = SMALL_DATA_SPECS[:2]
+    for (seed, kappa, amp), traj_c, traj_f in zip(pair, _small_data_trajectories(pair, 64, 40),
+                                                  _small_data_trajectories(pair, 128, 160)):
         for name in ("u2", "du2", "d2u2", "d3u2"):
             rc = check_evolution_inequality(name, traj_c)
             rf = check_evolution_inequality(name, traj_f)

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +206,19 @@ class TestRunCommand:
         cfg.write_text(text)
         assert main(["run", str(cfg), "-o", str(tmp_path / "o")]) == 1
         assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,named", [("periods = 1e-320", "periods (1e-320,)"),
+                                            ("cfl = 1e-320", "cfl 1e-320,")])
+    def test_unreachable_dt_exits_1(self, tmp_path, line, named):
+        # dt = 0 died in a ZeroDivisionError and dt = 2e-323 never reached
+        # t_max; in a subprocess, whose timeout turns a hang into a failure
+        cfg = tmp_path / "tiny_dt.cfg"
+        cfg.write_text(QUICK_CONFIG + line + "\n")
+        proc = subprocess.run([sys.executable, "-m", "lmcf.cli", "run", str(cfg), "-o",
+                               str(tmp_path / "o")], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("lmcf: dt = ") and named in proc.stderr
+        assert "Traceback" not in proc.stderr and not (tmp_path / "o").exists()
 
     def test_rerun_is_bit_identical(self, quick_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,8 @@
 """Field calculus on periodic grids: derivatives, norms, pairings."""
 
 import functools
+import importlib.util
+import re
 import sys
 from types import SimpleNamespace
 
@@ -37,6 +39,27 @@ from lmcf.initial_data import random_bandlimited_potential
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(np.float64).eps
+
+
+class TestNumpyInternals:
+    @pytest.mark.parametrize("missing", ["dot_implementation", "pocketfft_module",
+                                         "pocketfft_kernel"])
+    def test_a_missing_internal_fails_the_import(self, monkeypatch, missing):
+        # the module binds numpy internals at import: without one it names the
+        # installed and the tested numpy instead of failing at first use
+        if missing == "dot_implementation":
+            monkeypatch.setattr(np, "dot", lambda a, b, out=None: np.matmul(a, b, out=out))
+        elif missing == "pocketfft_module":
+            monkeypatch.delattr(np.fft, "_pocketfft_umath")
+            monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+        else:
+            monkeypatch.delattr(fields._pocketfft, "irfft")
+        spec = importlib.util.find_spec("lmcf.fields")
+        fresh = importlib.util.module_from_spec(spec)  # not in sys.modules
+        with pytest.raises(ImportError, match=re.escape(f"numpy {np.__version__} lacks") + ".*"
+                           + re.escape(f"tested with numpy {fields.TESTED_NUMPY}")):
+            spec.loader.exec_module(fresh)
+        assert fields.TESTED_NUMPY == "2.4.6"
 
 # numpy.fft's public call for each pocketfft kernel, given the kernel's input and output
 PUBLIC_FFT = {

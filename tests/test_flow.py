@@ -31,8 +31,11 @@ from lmcf.flow import (
     HESSIAN_BLOWUP_GUARD,
     BlowupError,
     CheckpointError,
+    EnsembleError,
     FlowConfig,
     FlowState,
+    Run,
+    RunResults,
     _blowup_guard,
     _rhs_values,
     _rk4_update,
@@ -83,6 +86,25 @@ for steps in ([2.5], [True]):
         integrate(u0, cfg, hook=(steps, lambda index, state: seen.append(index)))
     except ValueError as exc:
         print(exc)
+"""
+
+# an ensemble and its members' own runs; its output must not depend on the BLAS threads
+ENSEMBLE_THREADS_RUN = """
+import dataclasses, sys
+from lmcf.fields import GridSpec
+from lmcf.flow import FlowConfig, Run, integrate
+from lmcf.initial_data import random_bandlimited_potential
+spec = GridSpec(1, (int(sys.argv[1]),))
+base = FlowConfig(grid=spec, kappa=0.0, t_max=1.0, conv_tol=1e-13)
+runs = [Run(random_bandlimited_potential(spec, 0.05, 3, seed=seed), dataclasses.replace(
+            base, kappa=kappa, t_max=steps * base.dt, checkpoint_every=every))
+        for seed, kappa, steps, every in ((1, 0.0, 30.25, 7), (2, -0.5, 24.5, 5),
+                                          (3, -1.0, 40.25, 6))]
+def digest(result):
+    return (result.outcome, result.steps, [tuple(vars(rec).values()) for rec in result.records],
+            result.state.u.values.tobytes().hex())
+print(repr([digest(result) for result in integrate(tuple(runs))]))
+print(repr([digest(integrate(run.start, run.cfg)) for run in runs]))
 """
 
 # grids, step counts, schemes and kappas that take integrate through each jet
@@ -304,7 +326,7 @@ class TestBoundStage:
     @pytest.mark.parametrize("peak", [0.0, 5e-324, 1e-300, 1e300, math.inf, math.nan])
     def test_blowup_guard_reads_the_bits_of_np_sqrt(self, peak):
         d2u_sq = np.array([0.0, peak, 0.0])
-        sup_d2, blowup = _blowup_guard(0.5, np.ones(3), d2u_sq)
+        sup_d2, blowup = _blowup_guard(0.5, np.ones(3), d2u_sq.max())
         want = float(np.sqrt(d2u_sq.max()))
         assert struct.pack("<d", sup_d2) == struct.pack("<d", want)
         if want <= HESSIAN_BLOWUP_GUARD:
@@ -477,8 +499,8 @@ class TestIntegrate:
         forward, jets, hessian_writer = ops.forward, ops.jets, ops.hessian_writer
         forwards, ranks = [], []
 
-        def spy_writer():
-            write, hess = hessian_writer()
+        def spy_writer(*members):
+            write, hess = hessian_writer(*members)
             return (lambda y: ranks.append((2,)) or write(y)), hess
 
         monkeypatch.setattr(ops, "forward", lambda v: forwards.append(v) or forward(v))
@@ -520,15 +542,15 @@ class TestIntegrate:
             finally:
                 inside.pop()
 
-        def spy_writer(ranks):
-            out = writer(ranks)
+        def spy_writer(ranks, *members):
+            out = writer(ranks, *members)
             if not inside:
                 calls.append(ranks)
                 sets.append(out[1])
             return out
 
-        def spy_hessian_writer():
-            pair = hessian_writer()
+        def spy_hessian_writer(*members):
+            pair = hessian_writer(*members)
             bound.append(pair)
             return pair
 
@@ -746,6 +768,156 @@ class TestIntegrate:
         ]
 
 
+def ensemble_matrix(n):
+    """(start, cfg, hook steps or None) of runs on one 1-D grid that differ in
+    everything a member owns: kappa 0 / -0.5 / -1, record cadence and t_max,
+    conv_tol (run 2 converges at step 12), a blowup mid-run (run 3), a start
+    state at t = 13 dt (run 4) and a fixed-step hook run of signed zeros (run 5)."""
+    spec = GridSpec(1, (n,))
+    base = FlowConfig(grid=spec, kappa=0.0, t_max=1.0, conv_tol=1e-14)
+    dt = base.dt
+
+    def cfg(**changes):
+        return dataclasses.replace(base, **changes)
+
+    # sup|D^2 u| is this mode's largest jet norm: a tolerance between its values
+    # at steps 11 and 12 stops the run at step 12
+    conv_u0 = single_mode_potential(spec, 1e-6, (2,))
+    probe = integrate(conv_u0, cfg(kappa=-1.0, t_max=12.25 * dt, checkpoint_every=1)).records
+    conv_tol = 0.5 * (probe[11].max_d2u + probe[12].max_d2u)
+    # sup|D^2 u| starts near the guard, and kappa u grows it by about 500 per unit time
+    blowup_u0 = single_mode_potential(spec, (10.0 - 4000.0 * dt) / FOUR_PI_SQ, (1,))
+    signed_zeros = PeriodicScalarField(spec, np.where(np.arange(n) % 2, -0.0, 0.0))
+    return [
+        (random_bandlimited_potential(spec, 0.05, 3, seed=1),
+         cfg(t_max=40.25 * dt, checkpoint_every=7), None),
+        (random_bandlimited_potential(spec, 0.05, 3, seed=2),
+         cfg(kappa=-0.5, t_max=33.75 * dt, checkpoint_every=5), None),
+        (conv_u0, cfg(kappa=-1.0, t_max=60.25 * dt, conv_tol=conv_tol, checkpoint_every=4), None),
+        (blowup_u0, cfg(kappa=50.0, t_max=60.25 * dt, checkpoint_every=3), None),
+        (FlowState(13 * dt, random_bandlimited_potential(spec, 0.05, 3, seed=3), "spectral"),
+         cfg(kappa=-1.0, t_max=50.25 * dt, checkpoint_every=6), None),
+        (signed_zeros, cfg(), {3, 17, 18, 31}),
+    ]
+
+
+def assert_same_state(got, want):
+    assert got.t == want.t
+    assert got.u.values.tobytes() == want.u.values.tobytes()  # signed zeros included
+    assert got.d2u.components.tobytes() == want.d2u.components.tobytes()
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    def test_members_are_their_own_runs(self, n):
+        # the DFT matrix pair at 16-128 points, the FFT route at 256
+        matrix = ensemble_matrix(n)
+        assert type(jet_ops(matrix[0][1].grid, "spectral")) is (
+            _DftMatrixJetOps if n <= 128 else _FftJetOps)
+
+        def runs(seen, kept):
+            return [Run(start, cfg, sink=seen[i].append if steps is None else None,
+                        hook=None if steps is None else (steps, kept[i].__setitem__))
+                    for i, (start, cfg, steps) in enumerate(matrix)]
+
+        outputs = []
+        for together in (True, False):
+            seen, kept = [[] for _ in matrix], [{} for _ in matrix]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if together:
+                    results = integrate(tuple(runs(seen, kept)))
+                else:
+                    results = [integrate(run.start, run.cfg, run.sink, run.hook)
+                               for run in runs(seen, kept)]
+            outputs.append((results, seen, kept, sorted(str(w.message) for w in caught)))
+        (ensemble, seen, kept, warned), (alone, seen_alone, kept_alone, warned_alone) = outputs
+        assert type(ensemble) is RunResults
+        assert ensemble.steps == sum(result.steps for result in alone)
+        # one kappa > 0 warning and one region warning per run that earns them
+        assert warned == warned_alone and len(warned) == 2
+        assert [result.outcome for result in ensemble] == [
+            "timed_out", "timed_out", "converged", "blowup", "timed_out", "timed_out"]
+        assert ensemble[2].steps == 12 and 0 < ensemble[3].steps < ensemble[1].steps
+        assert ensemble[3].blowup.reason == f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}"
+        for got, want in zip(ensemble, alone):
+            assert (got.outcome, got.steps, got.records) == (want.outcome, want.steps,
+                                                             want.records)
+            assert_same_state(got.state, want.state)
+            assert np.array_equal(np.signbit(got.state.u.values), np.signbit(want.state.u.values))
+            assert str(got.blowup) == str(want.blowup)
+        for i, (_, _, steps) in enumerate(matrix):
+            if steps is None:
+                assert seen[i] == seen_alone[i] == list(ensemble[i].records)
+            else:
+                assert sorted(kept[i]) == sorted(kept_alone[i]) == sorted(steps)
+                for index, state in kept[i].items():
+                    assert_same_state(state, kept_alone[i][index])
+
+    def test_records_identical_across_blas_threads(self):
+        # the members' DFT matrix products are BLAS matvecs at N = 64 and 128
+        for n in ("64", "128"):
+            outs = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                env.pop("OMP_NUM_THREADS", None)
+                proc = subprocess.run([sys.executable, "-c", ENSEMBLE_THREADS_RUN, n], env=env,
+                                      capture_output=True, text=True, timeout=60, check=True)
+                together, alone = map(ast.literal_eval, proc.stdout.splitlines())
+                assert together == alone, (n, threads)
+                outs.append(together)
+            assert len(outs[0][0][2]) > 2
+            assert outs[0] == outs[1], n
+
+    def test_kappa_zero_row_keeps_signed_zeros(self):
+        # a kappa = 0 row of a mixed stack gains no +0.0 * u: -0.0 + 0.0 * 1.0 is +0.0
+        hess = np.array([[[-0.0, -0.0, 0.5, -0.25], [-0.0, 0.3, 0.0, 1.0]]])
+        u = np.array([[1.0, 2.0, 3.0, -1.0], [1.0, -2.0, 0.5, 4.0]])
+        kappas = np.array([[0.0], [-1.0]])
+        got = _rhs_values(u, hess, kappas, 1, where=kappas != 0.0)
+        for i, kappa in enumerate(kappas[:, 0]):
+            want = _rhs_values(u[i], hess[:, i], kappa, 1)
+            assert got[i].tobytes() == want.tobytes()
+        assert np.signbit(got[0, :2]).all()
+
+    @pytest.mark.parametrize("change,name", [
+        (dict(grid=GridSpec(1, (32,))), "grid"),
+        (dict(scheme="central4"), "scheme"),
+        (dict(cfl=0.1), "dt"),
+    ])
+    def test_members_share_grid_scheme_and_dt(self, change, name):
+        cfg = FlowConfig(grid=GridSpec(1, (16,)), kappa=0.0, t_max=0.01)
+        other = dataclasses.replace(cfg, **change)
+        runs = tuple(Run(random_bandlimited_potential(c.grid, 0.05, 2, seed=1), c)
+                     for c in (cfg, cfg, other))
+        with pytest.raises(EnsembleError, match=rf"^run 2: {name} .* differs from the first "
+                                                r"run's .*: an ensemble's runs share grid"):
+            integrate(runs)
+
+    @pytest.mark.parametrize("sizes", [(16, 16), (8, 8, 8)])
+    def test_several_members_need_a_1d_grid(self, sizes):
+        cfg = FlowConfig(grid=GridSpec(len(sizes), sizes), kappa=0.0, t_max=0.01)
+        u0 = random_bandlimited_potential(cfg.grid, 0.05, 2, seed=1)
+        with pytest.raises(EnsembleError, match=rf"^run 0: .* 1-D grids only, got a "
+                                                rf"{len(sizes)}-D grid"):
+            integrate((Run(u0, cfg), Run(u0, cfg)))
+        (alone,) = integrate((Run(u0, cfg),))  # one run is no stack
+        assert alone.records == integrate(u0, cfg).records
+
+    def test_admission_names_the_run(self):
+        cfg = FlowConfig(grid=GridSpec(1, (16,)), kappa=0.0, t_max=0.01)
+        u0 = random_bandlimited_potential(cfg.grid, 0.05, 2, seed=1)
+        bad = PeriodicScalarField(cfg.grid, np.full(16, np.nan))
+        with pytest.raises(ValueError, match="^run 1: u0 is not finite$"):
+            integrate((Run(u0, cfg), Run(bad, cfg)))
+        with pytest.raises(SpecMismatchError, match="^run 1: u0 grid does not match"):
+            integrate((Run(u0, cfg), Run(PeriodicScalarField.zeros(GridSpec(1, (32,))), cfg)))
+        with pytest.raises(TypeError, match="^run 0: expected a Run, got tuple$"):
+            integrate(((u0, cfg),))
+        with pytest.raises(ValueError, match="non-empty tuple of Runs"):
+            integrate(())
+
+
 def curve_shortening_potential(spec, a):
     """Mean-zero spectral antiderivative, on a 1-D grid, of v = asinh(a sin 2 pi x) / 2 pi,
     from a 65536-point rfft truncated to the grid's modes below its Nyquist mode."""
@@ -902,6 +1074,23 @@ class TestFlowConfig:
         with pytest.raises(ValueError, match=re.escape(
                 f"checkpoint_every must be an integer, got {every!r}")):
             FlowConfig(grid=GridSpec(1, (16,)), kappa=0.0, t_max=1.0, checkpoint_every=every)
+
+    @pytest.mark.parametrize("change", [
+        dict(grid=GridSpec(1, (16,), (1e-320,))),  # h^2 underflows: dt = 0
+        dict(cfl=1e-320),  # dt = 2e-323: t += dt stops advancing below ulp(t) / 2
+        dict(t_max=2.0 ** 52 * FlowConfig(grid=GridSpec(1, (16,)), kappa=0.0, t_max=1.0).dt),
+    ])
+    def test_dt_must_reach_t_max(self, change):
+        base = dict(grid=GridSpec(1, (16,)), kappa=0.0, t_max=1.0)
+        base.update(change)
+        with pytest.raises(ValueError, match=r"^dt = cfl \* min\(h\)\^2 / \(2n\) = .* from "
+                                             r"cfl .*, periods .* and sizes \(16,\) cannot "
+                                             r"reach t_max"):
+            FlowConfig(**base)
+
+    def test_dt_that_reaches_t_max_is_admitted(self):
+        cfg = FlowConfig(grid=GridSpec(1, (16,)), kappa=0.0, t_max=1.0)
+        assert dataclasses.replace(cfg, t_max=2.0 ** 51 * cfg.dt).dt == cfg.dt
 
     def test_checkpoint_every_takes_numpy_integers(self):
         cfg = FlowConfig(grid=GridSpec(1, (16,)), kappa=0.0, t_max=1.0,
