@@ -390,8 +390,6 @@ class _Member:
 
     def __init__(self, run, lead, count):
         cfg = self.cfg = run.cfg
-        if not isinstance(cfg, FlowConfig):
-            raise TypeError(f"a run needs a FlowConfig, got {type(cfg).__name__}")
         what = _admit(run.start, cfg)
         start = run.start
         self.t, self.values = (start.t, start._values) if what == "state" else (0.0, start.values)
@@ -570,7 +568,7 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                 if blowup is not None:
                     ended.append((i, "blowup", blowup))
                     continue
-                if step == member.mark:  # a copy of the stage buffer, which the next step overwrites
+                if step == member.mark:  # the stage buffer's copy: the next step overwrites it
                     member.visit(member.first_step + step,
                                  state_of(i, member, {2: _frozen_array(row(hess, i))}))
                     member.mark = next(member.marks, -1)

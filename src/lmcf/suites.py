@@ -225,26 +225,33 @@ def _trajectories_for(sizes, sample_every, n_samples):
 
 
 def inequalities_suite():
-    reports = []
+    tags = [f"kappa{kappa:g}_seed{seed}" for seed, kappa in INEQUALITY_RUNS]
     u0s, cfgs, trajs = _trajectories_for(64, sample_every=40, n_samples=10)
     runs = integrate(tuple(
         Run(u0, dataclasses.replace(cfg, checkpoint_every=50, t_max=0.12, conv_tol=1e-12))
         for u0, cfg in zip(u0s, cfgs)))
-    _, _, fine_trajs = _trajectories_for(128, sample_every=160, n_samples=10)
-    for (seed, kappa), traj, run, traj_fine in zip(INEQUALITY_RUNS, trajs, runs, fine_trajs):
-        tag = f"kappa{kappa:g}_seed{seed}"
+    # each trajectory is dropped, with its states' caches, once its checks are done
+    trajs, by_names, reports = list(trajs), [], []
+    for tag, run in zip(tags, runs):
+        traj = trajs.pop(0)
         by_name = {name: check_evolution_inequality(name, traj) for name in EVOLUTION_NAMES}
         per_trajectory = [*by_name.values(), check_log_jet_monotone(traj, K=10.0),
                           check_volume_dissipation(traj), check_psi_monotone(run.records)]
-        reports += [dataclasses.replace(rep, name=f"{rep.name}_{tag}") for rep in per_trajectory]
-        # resolution stability of the fitted constants (N = 64 vs 128); psi has none
+        reports.append([dataclasses.replace(rep, name=f"{rep.name}_{tag}")
+                        for rep in per_trajectory])
+        by_names.append(by_name)
+    del traj
+    # resolution stability of the fitted constants (N = 64 vs 128); psi has none
+    fine_trajs = list(_trajectories_for(128, sample_every=160, n_samples=10)[2])
+    for tag, by_name, seed_reports in zip(tags, by_names, reports):
+        traj_fine = fine_trajs.pop(0)
         for name in (name for name in EVOLUTION_NAMES if name != "psi"):
             coarse, fine = by_name[name], check_evolution_inequality(name, traj_fine)
-            reports.append(_report(
+            seed_reports.append(_report(
                 f"constant_stability_{name}_{tag}", _agreement_samples(64.0, coarse, 128.0, fine),
                 constants_stable(coarse, fine),
                 note="fitted c at N=64 and N=128 must agree within 2x"))
-    return reports
+    return [rep for seed_reports in reports for rep in seed_reports]
 
 
 # ---------------------------------------------------------------------------

@@ -328,11 +328,8 @@ def sample_trajectory(u0, cfg, sample_every, n_samples):
     several = isinstance(u0, tuple)
     members = tuple(zip(u0, cfg, strict=True)) if several else ((u0, cfg),)
     kept = [{} for _ in members]
-    if several:
-        results = flow.integrate(tuple(flow.Run(start, run_cfg, hook=(steps, states.__setitem__))
-                                       for (start, run_cfg), states in zip(members, kept)))
-    else:
-        results = (flow.integrate(u0, cfg, hook=(steps, kept[0].__setitem__)),)
+    results = flow.integrate(tuple(flow.Run(start, run_cfg, hook=(steps, states.__setitem__))
+                                   for (start, run_cfg), states in zip(members, kept)))
     for result in results:
         if result.blowup is not None:
             raise result.blowup

@@ -207,17 +207,26 @@ class TestRunCommand:
         assert main(["run", str(cfg), "-o", str(tmp_path / "o")]) == 1
         assert match in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line,named", [("periods = 1e-320", "periods (1e-320,)"),
-                                            ("cfl = 1e-320", "cfl 1e-320,")])
-    def test_unreachable_dt_exits_1(self, tmp_path, line, named):
-        # dt = 0 died in a ZeroDivisionError and dt = 2e-323 never reached
-        # t_max; in a subprocess, whose timeout turns a hang into a failure
+    def test_zero_dt_exits_1(self, tmp_path, capsys):
+        # h^2 underflows to 0: dt = 0 died in a ZeroDivisionError
+        cfg = tmp_path / "zero_dt.cfg"
+        cfg.write_text(QUICK_CONFIG + "periods = 1e-320\n")
+        assert main(["run", str(cfg), "-o", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lmcf: dt = cfl * min(h)^2 / (2n) = 0 from cfl 0.2, "
+                              "periods (1e-320,)")
+        assert not (tmp_path / "o").exists()
+
+    def test_unreachable_dt_exits_1(self, tmp_path):
+        # dt = 2e-323 never reached t_max: in a subprocess, whose timeout turns
+        # a hang into a failure, and whose stderr shows any traceback
         cfg = tmp_path / "tiny_dt.cfg"
-        cfg.write_text(QUICK_CONFIG + line + "\n")
+        cfg.write_text(QUICK_CONFIG + "cfl = 1e-320\n")
         proc = subprocess.run([sys.executable, "-m", "lmcf.cli", "run", str(cfg), "-o",
                                str(tmp_path / "o")], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("lmcf: dt = ") and named in proc.stderr
+        assert proc.stderr.startswith("lmcf: dt = cfl * min(h)^2 / (2n) = 1.98e-323 "
+                                      "from cfl 1e-320,")
         assert "Traceback" not in proc.stderr and not (tmp_path / "o").exists()
 
     def test_rerun_is_bit_identical(self, quick_config, tmp_path):

@@ -94,17 +94,18 @@ import dataclasses, sys
 from lmcf.fields import GridSpec
 from lmcf.flow import FlowConfig, Run, integrate
 from lmcf.initial_data import random_bandlimited_potential
-spec = GridSpec(1, (int(sys.argv[1]),))
-base = FlowConfig(grid=spec, kappa=0.0, t_max=1.0, conv_tol=1e-13)
-runs = [Run(random_bandlimited_potential(spec, 0.05, 3, seed=seed), dataclasses.replace(
-            base, kappa=kappa, t_max=steps * base.dt, checkpoint_every=every))
-        for seed, kappa, steps, every in ((1, 0.0, 30.25, 7), (2, -0.5, 24.5, 5),
-                                          (3, -1.0, 40.25, 6))]
 def digest(result):
     return (result.outcome, result.steps, [tuple(vars(rec).values()) for rec in result.records],
             result.state.u.values.tobytes().hex())
-print(repr([digest(result) for result in integrate(tuple(runs))]))
-print(repr([digest(integrate(run.start, run.cfg)) for run in runs]))
+for n in sys.argv[1:]:
+    spec = GridSpec(1, (int(n),))
+    base = FlowConfig(grid=spec, kappa=0.0, t_max=1.0, conv_tol=1e-13)
+    runs = [Run(random_bandlimited_potential(spec, 0.05, 3, seed=seed), dataclasses.replace(
+                base, kappa=kappa, t_max=steps * base.dt, checkpoint_every=every))
+            for seed, kappa, steps, every in ((1, 0.0, 30.25, 7), (2, -0.5, 24.5, 5),
+                                              (3, -1.0, 40.25, 6))]
+    print(repr([digest(result) for result in integrate(tuple(runs))]))
+    print(repr([digest(integrate(run.start, run.cfg)) for run in runs]))
 """
 
 # grids, step counts, schemes and kappas that take integrate through each jet
@@ -856,18 +857,18 @@ class TestEnsemble:
 
     def test_records_identical_across_blas_threads(self):
         # the members' DFT matrix products are BLAS matvecs at N = 64 and 128
-        for n in ("64", "128"):
-            outs = []
-            for threads in ("1", "2"):
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-                env.pop("OMP_NUM_THREADS", None)
-                proc = subprocess.run([sys.executable, "-c", ENSEMBLE_THREADS_RUN, n], env=env,
-                                      capture_output=True, text=True, timeout=60, check=True)
-                together, alone = map(ast.literal_eval, proc.stdout.splitlines())
-                assert together == alone, (n, threads)
-                outs.append(together)
-            assert len(outs[0][0][2]) > 2
-            assert outs[0] == outs[1], n
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env.pop("OMP_NUM_THREADS", None)
+            proc = subprocess.run([sys.executable, "-c", ENSEMBLE_THREADS_RUN, "64", "128"],
+                                  env=env, capture_output=True, text=True, timeout=60, check=True)
+            lines = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+            for together, alone in zip(lines[::2], lines[1::2]):
+                assert together == alone, threads
+            outs.append(lines)
+        assert len(outs[0]) == 4 and len(outs[0][0][0][2]) > 2
+        assert outs[0] == outs[1]
 
     def test_kappa_zero_row_keeps_signed_zeros(self):
         # a kappa = 0 row of a mixed stack gains no +0.0 * u: -0.0 + 0.0 * 1.0 is +0.0

@@ -287,14 +287,15 @@ class TestSampleTrajectory:
 
         integrate = lmcf.flow.integrate
 
-        def spying_integrate(u0, cfg, hook):
-            steps, visit = hook
+        def spying_integrate(runs):
+            (run,) = runs
+            steps, visit = run.hook
 
             def spy(index, state):
                 alive_at_visit.append(alive() - {index})  # besides the state handed over
                 visited.append(index)
                 visit(index, state)
-            return integrate(u0, cfg, hook=(steps, spy))
+            return integrate((dataclasses.replace(run, hook=(steps, spy)),))
 
         monkeypatch.setattr(FlowState, "_from_loop", classmethod(recording_from_loop))
         monkeypatch.setattr(lmcf.flow, "integrate", spying_integrate)
