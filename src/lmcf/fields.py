@@ -381,9 +381,11 @@ def _rank_multipliers(spec, rank, scheme):
 
 def _member_rows(spec, members):
     """The member axis of a writer's stacks: () for one state, (members,) on a 1-D grid."""
-    if members is not None and spec.dim != 1:
+    if members is None:
+        return ()
+    if spec.dim != 1:
         raise ValueError(f"a member stack needs a 1-D grid, got {spec.dim}-D")
-    return () if members is None else (members,)
+    return (members,)
 
 
 class _JetOps:
@@ -607,17 +609,19 @@ class _DftMatrixJetOps(_JetOps):
         if members is None and len(ranks) == 1:
             # the writer is the product: its call runs no Python frame
             return partial(_dot, self._inverse_matrix(ranks[0]), out=stacks[0, 0]), stacks
-        # one product per member row: one matrix product over the rows rounds differently
-        n = self.spec.sizes[0]
-        products = [(self._inverse_matrix(rank), stacks[i, 0].reshape(-1, n))
-                    for i, rank in enumerate(ranks)]
+        products = [(self._inverse_matrix(rank), stacks[i, 0]) for i, rank in enumerate(ranks)]
+        if members is None:
+            def write(coeffs):
+                for inv, out in products:
+                    _dot(inv, coeffs, out)
+            return write, stacks
 
-        def write(coeffs):
-            rows = coeffs.reshape(-1, n + 2)
+        # one product per member row: one matrix product over the rows rounds differently
+        def write_rows(coeffs):
             for inv, outs in products:
-                for row, out in zip(rows, outs):
+                for row, out in zip(coeffs, outs):
                     _dot(inv, row, out)
-        return write, stacks
+        return write_rows, stacks
 
 
 @lru_cache(maxsize=32)

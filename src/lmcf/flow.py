@@ -46,6 +46,7 @@ CHECKPOINT_VERSION = 2
 HESSIAN_BLOWUP_GUARD = 10.0  # far outside the small-data regime; not graph-like anymore
 # t_max / dt must stay below this: then t += dt advances t on every step before t_max
 MAX_STEPS = 2.0 ** 52
+NEVER = 1 << 62  # a step index the stepping loop never reaches
 
 
 class BlowupError(RuntimeError):
@@ -408,25 +409,21 @@ class _Member:
         if run.hook is None:
             self.tol, self.t_max, self.record_every, self.next_record = (
                 cfg.conv_tol, cfg.t_max, cfg.checkpoint_every, 0)
-            self.visit, self.mark = None, -1  # the loop never reaches step -1
+            self.visit, self.mark = None, NEVER
             return
         # a fixed-step run: sup|D^2 u| < 0 never holds, so no convergence
         steps, self.visit = run.hook
         self.marks = iter(sorted({_as_int("hook step", index) - self.first_step
                                   for index in steps}))
         self.mark, self.tol, self.t_max, self.record_every, self.next_record = (
-            next(self.marks, -1), 0.0, math.inf, 0, -1)
-        if self.mark < 0:
+            next(self.marks, NEVER), 0.0, math.inf, 0, NEVER)
+        if self.mark < 0 or self.mark == NEVER:
             raise ValueError("hook steps must be given and not precede the start's step")
 
     def recorded(self, step):
-        """Set the next record step after a record at ``step`` (-1: none)."""
+        """Set the next record step after a record at ``step``."""
         every = self.record_every
-        self.next_record = step + every - (self.first_step + step) % every if every else -1
-
-
-def _next_record(members):
-    return min((m.next_record for m in members if m.next_record >= 0), default=-1)
+        self.next_record = step + every - (self.first_step + step) % every if every else NEVER
 
 
 def _kappa_rows(members):
@@ -508,8 +505,8 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
         u = active[0].values
     write_hessian, stage_hess = ops.hessian_writer(len(active) if stacked else None)
     kappa, where = _kappa_rows(active)
-    record_step = _next_record(active)
-    step = 0
+    record_step = min([m.next_record for m in active])
+    step, angle = 0, None
     caller_errstate = np.geterr()
 
     def row(a, i):
@@ -517,25 +514,34 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
         return a[..., i, :] if stacked else a
 
     def state_of(i, member, jets):
-        # a member stack's stage writer reuses its coefficients: a state keeps a copy
-        member_coeffs = coeffs[i].copy() if stacked else coeffs
-        return FlowState._from_loop(member.t, row(u, i), member_coeffs, jets, ops, scheme)
+        if stacked:  # a member stack's stage writer reuses its coefficients: keep a copy
+            return FlowState._from_loop(member.t, u[i], coeffs[i].copy(), jets, ops, scheme)
+        return FlowState._from_loop(member.t, u, coeffs, jets, ops, scheme)
+
+    def record_state(i, member, jets, d2u_sq, angle):
+        """State of a record, seeded with the stack's |D^2 u|^2 and angle rows."""
+        if stacked:
+            jets = {rank: jet[:, i] for rank, jet in jets.items()}
+            d2u_sq, angle = d2u_sq[i], (angle[0][i], angle[1][i])
+        state = state_of(i, member, jets)
+        state._norms_sq[2], state._angle = d2u_sq, angle
+        return state
 
     def emit(member, state):
-        rec = monitor_record(state, member.cfg)
+        cfg, sink = member.cfg, member.sink
+        rec = monitor_record(state, cfg)
         member.records.append(rec)
-        if member.sink is not None:
+        if sink is not None:
             with np.errstate(**caller_errstate):
-                member.sink(rec)
+                sink(rec)
         member.last_emitted = step
-        if not member.warned_region and member.cfg.leaves_region(rec.psi_max):
+        if not member.warned_region and cfg.leaves_region(rec.psi_max):
             member.warned_region = True
             warnings.warn(f"max psi = {rec.psi_max:.3g} is outside the certified region "
-                          f"psi < eps1^2 = {member.cfg.eps1_sq:.3g}", stacklevel=3)
+                          f"psi < eps1^2 = {cfg.eps1_sq:.3g}", stacklevel=3)
 
     with np.errstate(invalid="ignore"):
         while True:
-            theta = None
             if step == record_step:
                 coeffs = ops.forward(u)
                 # the ranks monitor_record reads, from one synthesis; they leave
@@ -544,18 +550,15 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                 jets = dict(zip((1, 2, 3), ops.jets(coeffs, (1, 2, 3))))
                 hess, d2u_sq = jets[2], sym_norm_sq(jets[2], dim, 2)
                 # read by the records, which then reuse them; the angle is k1's too
-                theta, density = _angle_and_density(hess, dim)
-                for array in (d2u_sq, theta, density):
+                angle = _angle_and_density(hess, dim)
+                for array in (d2u_sq, *angle):
                     array.setflags(write=False)
                 for i, member in enumerate(active):
                     if member.next_record == step:
-                        state = state_of(i, member, {r: row(jet, i) for r, jet in jets.items()})
-                        state._norms_sq[2] = row(d2u_sq, i)
-                        state._angle = row(theta, i), row(density, i)
-                        emit(member, state)
+                        emit(member, record_state(i, member, jets, d2u_sq, angle))
                         member.recorded(step)
-                record_step = _next_record(active)
-                del state, jets, density
+                record_step = min([m.next_record for m in active])
+                del jets
             else:
                 coeffs = write_hessian(u)  # k1 reads it before a stage overwrites it
                 hess = stage_hess
@@ -563,16 +566,16 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
 
             ended = []
             maxima = d2u_sq.max(axis=-1).tolist() if stacked else (d2u_sq.max(),)
-            for i, (member, d2u_max) in enumerate(zip(active, maxima)):
-                sup_d2, blowup = _blowup_guard(member.t, u[i] if stacked else u, d2u_max)
+            for i, member in enumerate(active):
+                sup_d2, blowup = _blowup_guard(member.t, u[i] if stacked else u, maxima[i])
                 if blowup is not None:
                     ended.append((i, "blowup", blowup))
                     continue
                 if step == member.mark:  # the stage buffer's copy: the next step overwrites it
                     member.visit(member.first_step + step,
                                  state_of(i, member, {2: _frozen_array(row(hess, i))}))
-                    member.mark = next(member.marks, -1)
-                    if member.mark < 0:
+                    member.mark = next(member.marks, NEVER)
+                    if member.mark == NEVER:
                         ended.append((i, "timed_out", None))
                         continue
                 tol = member.tol
@@ -600,19 +603,19 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                     return results[0] if cfg is not None else RunResults(results)
                 rows = keep[0] if len(keep) == 1 else keep
                 u, hess = u[..., rows, :], hess[..., rows, :]
-                theta = None if theta is None else theta[..., rows, :]
+                angle = None if angle is None else (angle[0][..., rows, :],)
                 active = [active[i] for i in keep]
                 stacked = len(active) > 1
                 write_hessian, stage_hess = ops.hessian_writer(len(active) if stacked else None)
                 kappa, where = _kappa_rows(active)
-                record_step = _next_record(active)
+                record_step = min([m.next_record for m in active])
 
             # free it before the stage temporaries, as a guard-only temporary would
             # be: kept across the step, it let 2-D 128^2 jobs fault in about 4x
             # the pages on some heap layouts
             del d2u_sq
-            k1 = _rhs_values(u, hess, kappa, dim, theta, where)
-            del theta  # freed too, and the next state has one only if it records
+            k1 = _rhs_values(u, hess, kappa, dim, None if angle is None else angle[0], where)
+            angle = None  # freed too, and the next state has one only if it records
             u = _rk4_update(u, k1, dt, write_hessian, stage_hess, kappa, dim, where)
             u.setflags(write=False)  # so the result states wrap it without a copy
             for member in active:
