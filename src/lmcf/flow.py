@@ -385,9 +385,8 @@ class _Member:
     """One run in ``integrate``'s loop: its clock, record cadence, stop rules,
     records and result.  Steps are counted by the loop, from the call's start."""
 
-    __slots__ = ("cfg", "sink", "visit", "marks", "mark", "t", "values", "first_step",
-                 "kappa", "tol", "t_max", "record_every", "next_record", "records",
-                 "last_emitted", "warned_region", "result")
+    __slots__ = ("cfg", "sink", "visit", "marks", "mark", "t", "values", "first_step", "tol",
+                 "t_max", "next_record", "records", "last_emitted", "warned_region", "result")
 
     def __init__(self, run, lead, count):
         cfg = self.cfg = run.cfg
@@ -404,32 +403,31 @@ class _Member:
                 raise EnsembleError(
                     f"{name} {getattr(cfg, name)!r} differs from the first run's "
                     f"{getattr(lead, name)!r}: an ensemble's runs share grid, scheme and dt")
-        self.sink, self.kappa, self.first_step = run.sink, cfg.kappa, round(self.t / cfg.dt)
+        self.sink, self.first_step = run.sink, round(self.t / cfg.dt)
         self.records, self.last_emitted, self.warned_region, self.result = [], -1, False, None
         if run.hook is None:
-            self.tol, self.t_max, self.record_every, self.next_record = (
-                cfg.conv_tol, cfg.t_max, cfg.checkpoint_every, 0)
+            self.tol, self.t_max, self.next_record = cfg.conv_tol, cfg.t_max, 0
             self.visit, self.mark = None, NEVER
             return
         # a fixed-step run: sup|D^2 u| < 0 never holds, so no convergence
         steps, self.visit = run.hook
         self.marks = iter(sorted({_as_int("hook step", index) - self.first_step
                                   for index in steps}))
-        self.mark, self.tol, self.t_max, self.record_every, self.next_record = (
-            next(self.marks, NEVER), 0.0, math.inf, 0, NEVER)
+        self.mark, self.tol, self.t_max, self.next_record = (
+            next(self.marks, NEVER), 0.0, math.inf, NEVER)
         if self.mark < 0 or self.mark == NEVER:
             raise ValueError("hook steps must be given and not precede the start's step")
 
     def recorded(self, step):
         """Set the next record step after a record at ``step``."""
-        every = self.record_every
+        every = self.cfg.checkpoint_every
         self.next_record = step + every - (self.first_step + step) % every if every else NEVER
 
 
 def _kappa_rows(members):
     """``(kappa, where)`` of the members' kappa*u term for ``_rhs_values``: a
     shared kappa and None, else their column and its non-zero rows (True: all)."""
-    kappas = [m.kappa for m in members]
+    kappas = [m.cfg.kappa for m in members]
     if len(set(kappas)) == 1:
         return kappas[0], None
     column = np.array(kappas)[:, None]
@@ -579,7 +577,8 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                         ended.append((i, "timed_out", None))
                         continue
                 tol = member.tol
-                if sup_d2 < tol and (member.kappa == 0.0 or float(np.abs(row(u, i)).max()) < tol):
+                if sup_d2 < tol and (member.cfg.kappa == 0.0
+                                     or float(np.abs(row(u, i)).max()) < tol):
                     if sym_sup_norm(ops.jets(row(coeffs, i), (1,))[0], dim, 1) < tol:
                         ended.append((i, "converged", None))
                         continue
