@@ -292,7 +292,8 @@ def _rk4_update(u_vals, k1, dt, write, hess, kappa, dim, where=None):
     """One RK4 step from raw values and k1, a fresh ``_rhs_values`` array of
     u_vals, which the step consumes; each stage is one call of ``write``, an
     ``ops.hessian_writer()`` whose Hessian stack is ``hess``, and then
-    ``_rhs_values`` of that stack.  Returns a fresh array.
+    ``_rhs_values`` of that stack (``kappa`` and ``where`` as there).
+    Returns a fresh array.
 
     The stage arithmetic runs in place, in the order of
     ``u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` with ``y = u + c dt k``, so the
@@ -467,9 +468,9 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
     steps them as one ensemble and returns their ``RunResults``.  Each member
     is the run ``integrate(start, cfg, sink, hook)`` would make, bit for bit:
     its own kappa, clock, record cadence, sink, hook, stop rules and region
-    warning.  On 1-D grids the members advance as one (M, N) stack, one
-    synthesis and one guard reduction per stage for all of them, and a member
-    that stops leaves the stack.  The runs must share grid, scheme and dt,
+    warning.  On 1-D grids the members advance as one (M, N) stack, with one
+    synthesis per stage and one guard reduction per step for all of them,
+    and a member that stops leaves the stack.  The runs must share grid, scheme and dt,
     and several runs need a 1-D grid (``EnsembleError``, naming the run).
     """
     runs = (Run(start, cfg, sink, hook),) if cfg is not None else tuple(start)
