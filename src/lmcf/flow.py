@@ -399,7 +399,7 @@ class _Member:
         if count > 1 and cfg.grid.dim != 1:
             raise EnsembleError(f"several runs step as one stack on 1-D grids only, "
                                 f"got a {cfg.grid.dim}-D grid")
-        for name in ("grid", "scheme", "dt"):
+        for name in ("grid", "scheme", "dt") if cfg is not lead else ():
             if getattr(cfg, name) != getattr(lead, name):
                 raise EnsembleError(
                     f"{name} {getattr(cfg, name)!r} differs from the first run's "
@@ -469,21 +469,28 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
     is the run ``integrate(start, cfg, sink, hook)`` would make, bit for bit:
     its own kappa, clock, record cadence, sink, hook, stop rules and region
     warning.  On 1-D grids the members advance as one (M, N) stack, with one
-    synthesis per stage and one guard reduction per step for all of them,
-    and a member that stops leaves the stack.  The runs must share grid, scheme and dt,
-    and several runs need a 1-D grid (``EnsembleError``, naming the run).
+    synthesis per stage and one guard and convergence test per step for all
+    of them, and a member that stops leaves the stack.  The runs must share
+    grid, scheme and dt, and several runs need a 1-D grid (``EnsembleError``);
+    admission errors of several runs name the run, and one run raises what
+    ``integrate(start, cfg)`` raises.  Sink and hook come inside the Runs.
     """
-    runs = (Run(start, cfg, sink, hook),) if cfg is not None else tuple(start)
+    if cfg is None:
+        if sink is not None or hook is not None:
+            raise TypeError("integrate(runs) takes each run's sink and hook from its Run")
+        runs = tuple(start)
+    else:
+        runs = (Run(start, cfg, sink, hook),)
     if not runs:
         raise ValueError("integrate needs a start and a config, or a non-empty tuple of Runs")
     members = []
     for index, run in enumerate(runs):
-        if not isinstance(run, Run):
-            raise TypeError(f"run {index}: expected a Run, got {type(run).__name__}")
         try:
+            if not isinstance(run, Run):
+                raise TypeError(f"expected a Run, got {type(run).__name__}")
             members.append(_Member(run, runs[0].cfg, len(runs)))
-        except ValueError as exc:  # its subclasses too, with the run that failed named
-            if cfg is not None:
+        except (TypeError, ValueError) as exc:  # subclasses too; several runs: name the one
+            if len(runs) == 1:
                 raise
             raise type(exc)(f"run {index}: {exc}") from None
         if run.cfg.kappa > 0.0:
@@ -495,34 +502,44 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
     lead = runs[0].cfg
     ops, scheme = jet_ops(lead.grid, lead.scheme), lead.scheme
     dim, dt, half_dt = lead.grid.dim, lead.dt, 0.5 * lead.dt
+    step, angle = 0, None
+    caller_errstate = np.geterr()
+
+    def bind(active):
+        """The loop's bindings for the members ``active``: whether they are a
+        stack, the stage writer and its Hessian, the kappa term, and the first
+        steps at which one of them records or visits and their largest tolerance,
+        below which alone one can converge."""
+        stacked = len(active) > 1
+        return (stacked, *ops.hessian_writer(len(active) if stacked else None),
+                *_kappa_rows(active), min([m.next_record for m in active]),
+                min([m.mark for m in active]), max([m.tol for m in active]))
+
     active = members
-    stacked = len(active) > 1  # one member's arrays have no member axis
-    if stacked:
+    stacked, write_hessian, stage_hess, kappa, where, record_step, mark_step, tol = bind(active)
+    if stacked:  # one member's arrays have no member axis
         u = np.stack([m.values for m in active])
         u.setflags(write=False)
     else:
         u = active[0].values
-    write_hessian, stage_hess = ops.hessian_writer(len(active) if stacked else None)
-    kappa, where = _kappa_rows(active)
-    record_step = min([m.next_record for m in active])
-    step, angle = 0, None
-    caller_errstate = np.geterr()
+    timed = any(m.t + half_dt >= m.t_max for m in active)
 
     def row(a, i):
         """Member i's rows of a loop stack."""
         return a[..., i, :] if stacked else a
 
     def state_of(i, member, jets):
-        if stacked:  # a member stack's stage writer reuses its coefficients: keep a copy
-            return FlowState._from_loop(member.t, u[i], coeffs[i].copy(), jets, ops, scheme)
+        if stacked:
+            return FlowState._from_loop(member.t, u[i], coeffs[i], jets, ops, scheme)
         return FlowState._from_loop(member.t, u, coeffs, jets, ops, scheme)
 
     def record_state(i, member, jets, d2u_sq, angle):
         """State of a record, seeded with the stack's |D^2 u|^2 and angle rows."""
         if stacked:
-            jets = {rank: jet[:, i] for rank, jet in jets.items()}
+            state = state_of(i, member, {rank: jet[:, i] for rank, jet in jets.items()})
             d2u_sq, angle = d2u_sq[i], (angle[0][i], angle[1][i])
-        state = state_of(i, member, jets)
+        else:
+            state = FlowState._from_loop(member.t, u, coeffs, jets, ops, scheme)
         state._norms_sq[2], state._angle = d2u_sq, angle
         return state
 
@@ -556,59 +573,65 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                     if member.next_record == step:
                         emit(member, record_state(i, member, jets, d2u_sq, angle))
                         member.recorded(step)
-                record_step = min([m.next_record for m in active])
+                record_step = min([m.next_record for m in active]) if stacked else member.next_record
                 del jets
             else:
                 coeffs = write_hessian(u)  # k1 reads it before a stage overwrites it
                 hess = stage_hess
                 d2u_sq = sym_norm_sq(hess, dim, 2)
 
-            ended = []
-            maxima = d2u_sq.max(axis=-1).tolist() if stacked else (d2u_sq.max(),)
-            for i, member in enumerate(active):
-                sup_d2, blowup = _blowup_guard(member.t, u[i] if stacked else u, maxima[i])
-                if blowup is not None:
-                    ended.append((i, "blowup", blowup))
-                    continue
-                if step == member.mark:  # the stage buffer's copy: the next step overwrites it
-                    member.visit(member.first_step + step,
-                                 state_of(i, member, {2: _frozen_array(row(hess, i))}))
-                    member.mark = next(member.marks, NEVER)
-                    if member.mark == NEVER:
+            # one guard and one convergence test for all members: only when one of
+            # them may stop or visit are they looked at one by one
+            if stacked:
+                maxima = d2u_sq.max(axis=-1).tolist()
+                worst, least = math.sqrt(d2u_sq.max()), math.sqrt(min(maxima))
+            else:
+                maxima = (d2u_sq.max(),)
+                worst = least = math.sqrt(maxima[0])
+            if timed or step == mark_step or not worst <= HESSIAN_BLOWUP_GUARD or least < tol:
+                ended = []
+                for i, member in enumerate(active):
+                    sup_d2, blowup = _blowup_guard(member.t, row(u, i), maxima[i])
+                    if blowup is not None:
+                        ended.append((i, "blowup", blowup))
+                        continue
+                    if step == member.mark:  # the stage buffer's copy: the next step overwrites it
+                        member.visit(member.first_step + step,
+                                     state_of(i, member, {2: _frozen_array(row(hess, i))}))
+                        member.mark = next(member.marks, NEVER)
+                        if member.mark == NEVER:
+                            ended.append((i, "timed_out", None))
+                            continue
+                    if sup_d2 < member.tol and (member.cfg.kappa == 0.0
+                                                or float(np.abs(row(u, i)).max()) < member.tol):
+                        if sym_sup_norm(ops.jets(row(coeffs, i), (1,))[0], dim, 1) < member.tol:
+                            ended.append((i, "converged", None))
+                            continue
+                    if member.t + half_dt >= member.t_max:
                         ended.append((i, "timed_out", None))
-                        continue
-                tol = member.tol
-                if sup_d2 < tol and (member.cfg.kappa == 0.0
-                                     or float(np.abs(row(u, i)).max()) < tol):
-                    if sym_sup_norm(ops.jets(row(coeffs, i), (1,))[0], dim, 1) < tol:
-                        ended.append((i, "converged", None))
-                        continue
-                if member.t + half_dt >= member.t_max:
-                    ended.append((i, "timed_out", None))
+                mark_step = min([m.mark for m in active])
 
-            if ended:
-                hess.setflags(write=False)  # the loop writes it no more: the rest step on afresh
-                for i, outcome, blowup in ended:
-                    member = active[i]
-                    state = state_of(i, member, {2: row(hess, i)})
-                    if member.last_emitted != step and member.visit is None:
-                        emit(member, state)
-                    member.result = FlowResult(outcome, state, tuple(member.records), step,
-                                               blowup=blowup)
-                    del state
-                stops = {i for i, _, _ in ended}
-                keep = [i for i in range(len(active)) if i not in stops]
-                if not keep:
-                    results = tuple(m.result for m in members)
-                    return results[0] if cfg is not None else RunResults(results)
-                rows = keep[0] if len(keep) == 1 else keep
-                u, hess = u[..., rows, :], hess[..., rows, :]
-                angle = None if angle is None else (angle[0][..., rows, :],)
-                active = [active[i] for i in keep]
-                stacked = len(active) > 1
-                write_hessian, stage_hess = ops.hessian_writer(len(active) if stacked else None)
-                kappa, where = _kappa_rows(active)
-                record_step = min([m.next_record for m in active])
+                if ended:
+                    hess.setflags(write=False)  # the loop writes it no more: the rest step on afresh
+                    for i, outcome, blowup in ended:
+                        member = active[i]
+                        state = state_of(i, member, {2: row(hess, i)})
+                        if member.last_emitted != step and member.visit is None:
+                            emit(member, state)
+                        member.result = FlowResult(outcome, state, tuple(member.records), step,
+                                                   blowup=blowup)
+                        del state
+                    stops = {i for i, _, _ in ended}
+                    keep = [i for i in range(len(active)) if i not in stops]
+                    if not keep:
+                        results = tuple(m.result for m in members)
+                        return results[0] if cfg is not None else RunResults(results)
+                    rows = keep[0] if len(keep) == 1 else keep
+                    u, hess = u[..., rows, :], hess[..., rows, :]
+                    angle = None if angle is None else (angle[0][..., rows, :],)
+                    active = [active[i] for i in keep]
+                    (stacked, write_hessian, stage_hess, kappa, where, record_step, mark_step,
+                     tol) = bind(active)
 
             # free it before the stage temporaries, as a guard-only temporary would
             # be: kept across the step, it let 2-D 128^2 jobs fault in about 4x
@@ -618,8 +641,11 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
             angle = None  # freed too, and the next state has one only if it records
             u = _rk4_update(u, k1, dt, write_hessian, stage_hess, kappa, dim, where)
             u.setflags(write=False)  # so the result states wrap it without a copy
+            timed = False
             for member in active:
                 member.t += dt
+                if member.t + half_dt >= member.t_max:
+                    timed = True
             step += 1
 
 

@@ -914,9 +914,21 @@ class TestEnsemble:
         with pytest.raises(SpecMismatchError, match="^run 1: u0 grid does not match"):
             integrate((Run(u0, cfg), Run(PeriodicScalarField.zeros(GridSpec(1, (32,))), cfg)))
         with pytest.raises(TypeError, match="^run 0: expected a Run, got tuple$"):
-            integrate(((u0, cfg),))
+            integrate(((u0, cfg), Run(u0, cfg)))
         with pytest.raises(ValueError, match="non-empty tuple of Runs"):
             integrate(())
+        # one run is the call integrate(start, cfg) and raises its plain errors
+        with pytest.raises(ValueError, match="^u0 is not finite$"):
+            integrate((Run(bad, cfg),))
+        with pytest.raises(TypeError, match="^expected a Run, got tuple$"):
+            integrate(((u0, cfg),))
+
+    @pytest.mark.parametrize("extra", [dict(sink=print), dict(hook=({1}, print))])
+    def test_runs_carry_their_own_sink_and_hook(self, extra):
+        cfg = FlowConfig(grid=GridSpec(1, (16,)), kappa=0.0, t_max=0.01)
+        u0 = random_bandlimited_potential(cfg.grid, 0.05, 2, seed=1)
+        with pytest.raises(TypeError, match="takes each run's sink and hook from its Run"):
+            integrate((Run(u0, cfg),), **extra)
 
 
 def curve_shortening_potential(spec, a):
