@@ -529,8 +529,9 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
         return a[..., i, :] if stacked else a
 
     def state_of(i, member, jets):
-        if stacked:
-            return FlowState._from_loop(member.t, u[i], coeffs[i], jets, ops, scheme)
+        if stacked:  # a stack's stage writer may reuse its coefficients (the DFT pair's does)
+            return FlowState._from_loop(member.t, u[i], coeffs[i] if fresh else coeffs[i].copy(),
+                                        jets, ops, scheme)
         return FlowState._from_loop(member.t, u, coeffs, jets, ops, scheme)
 
     def record_state(i, member, jets, d2u_sq, angle):
@@ -559,7 +560,7 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
     with np.errstate(invalid="ignore"):
         while True:
             if step == record_step:
-                coeffs = ops.forward(u)
+                coeffs, fresh = ops.forward(u), True
                 # the ranks monitor_record reads, from one synthesis; they leave
                 # with the record states, so the RK4 stages and the result
                 # states do not hold them
@@ -576,15 +577,15 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                 record_step = min([m.next_record for m in active]) if stacked else member.next_record
                 del jets
             else:
-                coeffs = write_hessian(u)  # k1 reads it before a stage overwrites it
+                coeffs, fresh = write_hessian(u), False  # k1 reads them before a stage writes
                 hess = stage_hess
                 d2u_sq = sym_norm_sq(hess, dim, 2)
 
             # one guard and one convergence test for all members: only when one of
             # them may stop or visit are they looked at one by one
-            if stacked:
+            if stacked:  # the sum bounds every row's maximum and carries a NaN
                 maxima = d2u_sq.max(axis=-1).tolist()
-                worst, least = math.sqrt(d2u_sq.max()), math.sqrt(min(maxima))
+                worst, least = math.sqrt(sum(maxima)), math.sqrt(min(maxima))
             else:
                 maxima = (d2u_sq.max(),)
                 worst = least = math.sqrt(maxima[0])
