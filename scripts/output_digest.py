@@ -9,15 +9,17 @@ pair at N = 16 and 64 and FFT, 2-D and 3-D FFT), the central4 symbol on each
 then ``lmcf verify all``, then what no CLI command runs: the RK4 order fit's
 ``step_rk4`` chain at dt = 4e-4 (cfl 0.2048 at N = 16), two
 ``sample_trajectory`` runs (1-D DFT matrix and 2-D FFT), each chain step and
-each trajectory one fixed-step ``integrate`` run, and one ensemble
-``integrate`` run per 1-D route (DFT matrix pair at N = 16, FFT at N = 256).
-Prints one sha256 per run pair, one over all of them (exit codes,
-monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf verify all``,
-one over all of those files, one per chain or trajectory (t, u and
-``monitor_record`` of every state) and one per ensemble member (outcome,
-steps, records and final t and u), marked "= alone" when it equals the
-member's own run, so two checkouts' outputs can be compared report by
-report.  A resumed summary echoes its checkpoint path, so run
+each trajectory one fixed-step ``integrate`` run, one ensemble
+``integrate`` run per 1-D route (DFT matrix pair at N = 16, FFT at N = 256),
+and last one more run pair that the blowup guard stops, off its record
+cadence, so that the record emitted at a stop and its CSV row are pinned.
+Prints one sha256 per run pair, one over all of them but the last (exit
+codes, monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf
+verify all``, one over all of those files, one per chain or trajectory (t,
+u and ``monitor_record`` of every state), one per ensemble member
+(outcome, steps, records and final t and u), marked "= alone" when it
+equals the member's own run, and one for the blowup pair, so two
+checkouts' outputs can be compared report by report.  A resumed summary echoes its checkpoint path, so run
 it from the root of each checkout with the same relative output directory:
 
     PYTHONPATH=src python scripts/output_digest.py [out_dir]
@@ -68,6 +70,10 @@ CONFIGS = {
                        "t_max = 0.0003\ncheckpoint_every = 1\nu0_amplitude = 0.03\nu0_modes = 2\n"
                        + _RANDOM,
 }
+# sup|D^2 u0| = 4 pi^2 * 0.25083 = 9.9024 starts just below the guard, and
+# kappa u grows it past 10 at step 9, off the record cadence of 4
+BLOWUP_CONFIG = ("dim = 1\nsizes = 64\nkappa = 50\nt_max = 0.01\ncheckpoint_every = 4\n"
+                 "u0_preset = single_mode\nu0_amplitude = 0.25083\nu0_modes = 1\n")
 RUN_FILES = ("monitors.csv", "summary.txt", "final.lmcf")
 
 
@@ -187,6 +193,9 @@ def digest(out_dir):
     for name, (together, alone) in ensemble_digests().items():
         mark = "= alone" if together.digest() == alone.digest() else f"alone {alone.hexdigest()}"
         print(f"{name:20s} {together.hexdigest()}  {mark}")
+    path = out / "blowup_1d_64.cfg"
+    path.write_text(BLOWUP_CONFIG)
+    print(f"{'blowup_1d_64':20s} {run_pair(out, 'blowup_1d_64', str(path)).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -47,6 +47,8 @@ HESSIAN_BLOWUP_GUARD = 10.0  # far outside the small-data regime; not graph-like
 # t_max / dt must stay below this: then t += dt advances t on every step before t_max
 MAX_STEPS = 2.0 ** 52
 NEVER = 1 << 62  # a step index the stepping loop never reaches
+# a record's stack (FlowState.monitor_maxima): |u|, |du|^2, |D^2 u|^2, |D^3 u|^2, psi
+MONITOR_ROWS = 5
 
 
 class BlowupError(RuntimeError):
@@ -127,31 +129,44 @@ class FlowState:
     and sqrt(det mu), the induced metric mu and the graph volume are computed
     once per state, all jets from one forward transform of u, and cached
     read-only; the field wrappers ``u``, ``du``, ``d2u`` and ``d3u`` are built
-    only when asked for.  ``integrate`` builds its records, its result and its
-    hook's states over the loop's own arrays, transform and jets included."""
+    only when asked for.  A record's maxima come from one (5, *grid) stack
+    (``monitor_maxima``), whose rows are then the state's |D^k u|^2 (k = 1-3)
+    and psi caches.  ``integrate`` builds its records, its result and its
+    hook's states over the loop's own arrays, transform, jets and record
+    stack included."""
 
     __slots__ = ("t", "spec", "scheme", "_u", "_values", "_ops", "_coeffs", "_jets",
-                 "_norms_sq", "_psi", "_angle", "_metric", "_volume", "__weakref__")
+                 "_norms_sq", "_psi", "_rows", "_peaks", "_angle", "_metric", "_volume",
+                 "__weakref__")
 
     def __init__(self, t, u, scheme="spectral"):
         self.t, self.spec, self.scheme, self._u = float(t), u.spec, scheme, u
         self._values, self._ops, self._coeffs = u.values, jet_ops(u.spec, scheme), None
         self._jets, self._norms_sq, self._psi = {}, {}, {}
-        self._angle = self._metric = self._volume = None
+        self._rows = self._peaks = self._angle = self._metric = self._volume = None
 
     @classmethod
     def initial(cls, u0, cfg):
         return cls(0.0, u0, scheme=cfg.scheme)
 
     @classmethod
-    def _from_loop(cls, t, values, coeffs, jets, ops, scheme):
+    def _from_loop(cls, t, values, coeffs, jets, ops, scheme, rows=None, angle=None):
         """State over ``integrate``'s frozen arrays: u's values, their coefficients
-        under ``ops`` and the jet stacks by rank (the Hessian at least)."""
+        under ``ops`` and the jet stacks by rank (the Hessian at least); a record
+        state also gets the loop's record stack ``rows``, its |D^k u|^2 rows
+        (k = 1-3) written, and its read-only (theta, sqrt(det mu)) ``angle``."""
         state = cls.__new__(cls)
         state.t, state.spec, state.scheme, state._u = t, ops.spec, scheme, None
         state._values, state._ops, state._coeffs = values, ops, coeffs
-        state._jets, state._norms_sq, state._psi = jets, {}, {}
-        state._angle = state._metric = state._volume = None
+        state._jets, state._psi = jets, {}
+        state._rows, state._angle, state._peaks = rows, angle, None
+        state._metric = state._volume = None
+        if rows is None:
+            state._norms_sq = {}
+        else:
+            norms = rows[1:4]
+            norms.setflags(write=False)
+            state._norms_sq = dict(zip((1, 2, 3), norms))
         return state
 
     @property
@@ -182,7 +197,8 @@ class FlowState:
         return SymTensor3Field(self.spec, self._jet(3))
 
     def norm_sq(self, rank):
-        """Read-only pointwise |D^rank u|^2 (u^2 for rank 0), computed once per state."""
+        """Read-only pointwise |D^rank u|^2 (u^2 for rank 0), computed once per
+        state; ranks 1-3 are record stack rows once the state has one."""
         out = self._norms_sq.get(rank)
         if out is None:
             if rank == 0:
@@ -192,6 +208,42 @@ class FlowState:
             out.setflags(write=False)
             self._norms_sq[rank] = out
         return out
+
+    def monitor_maxima(self, C0, C1):
+        """(max |u|, max |du|^2, max |D^2 u|^2, max |D^3 u|^2, max psi) over the
+        grid, psi with (C0, C1), computed once per state: the five quantities
+        are the rows of one (5, *grid) stack, reduced in one call, and then
+        its read-only rows are the state's norm and psi caches.  A quantity
+        cached before the stack was made is copied into its row.  A maximum
+        is exact, so each equals its own reduction, NaN included."""
+        peaks = self._peaks
+        if peaks is not None:
+            if peaks[0] == (C0, C1):
+                return peaks[1]
+            # the stack's psi row has other constants: psi(C0, C1) is its own array
+            return (*peaks[1][:4], float(self.psi(C0, C1).max()))
+        rows, norms, values = self._rows, self._norms_sq, self._values
+        if rows is None:  # the loop's record states come with theirs, rows 1-3 written
+            jets = [self._jet(rank) for rank in (1, 2, 3)]  # synthesized before the stack
+            rows = self._rows = np.empty((MONITOR_ROWS,) + values.shape)
+            for rank, jet in enumerate(jets, 1):
+                cached = norms.get(rank)  # made before the stack: copied in
+                if cached is None:
+                    sym_norm_sq(jet, self.spec.dim, rank, rows[rank])
+                else:
+                    np.copyto(rows[rank], cached)
+        np.abs(values, out=rows[0])
+        psi = self._psi.get((C0, C1))
+        if psi is None:
+            psi_values(values, rows[1], rows[2], C0, C1, rows[4])
+        else:
+            np.copyto(rows[4], psi)
+        rows.setflags(write=False)  # and so its rows, the caches from now on
+        norms[1], norms[2], norms[3], self._psi[C0, C1] = rows[1:]
+        # rows.max(axis=1) without ndarray.max's Python wrapper: the same reduction
+        maxima = tuple(np.maximum.reduce(rows.reshape(MONITOR_ROWS, -1), 1).tolist())
+        self._peaks = ((C0, C1), maxima)
+        return maxima
 
     def angle_and_density(self):
         """Read-only pointwise (theta, sqrt(det mu)), computed once per state."""
@@ -349,20 +401,18 @@ def step_rk4(state: FlowState, cfg: FlowConfig) -> FlowState:
 
 def monitor_record(state: FlowState, cfg: FlowConfig) -> MonitorRecord:
     """All tracked scalars of one state (sup norms, psi, angle range, volume),
-    read through the state's caches, which then serve later readers too."""
-    theta = state.angle_and_density()[0]
-    return MonitorRecord(
-        t=state.t,
-        max_u=float(np.abs(state._values).max()),
-        max_du=math.sqrt(state.norm_sq(1).max()),
-        max_d2u=math.sqrt(state.norm_sq(2).max()),
-        max_d3u=math.sqrt(state.norm_sq(3).max()),
-        psi_max=float(state.psi(cfg.C0, cfg.C1).max()),
-        theta_min=float(theta.min()),
-        theta_max=float(theta.max()),
-        volume=state.volume(),
-        dt=cfg.dt,
-    )
+    read through the state's caches, which then serve later readers too.
+    The sup norms and max psi are ``FlowState.monitor_maxima``: one (5, *grid)
+    stack of |u|, |du|^2, |D^2 u|^2, |D^3 u|^2 and psi, and one reduction, each
+    maximum with the bits of its own reduction."""
+    theta = state.angle_and_density()[0]  # first: its temporaries are gone before the stack
+    max_u, du_sq, d2u_sq, d3u_sq, psi_max = state.monitor_maxima(cfg.C0, cfg.C1)
+    # in field order (t, max_u, max_du, max_d2u, max_d3u, psi_max, theta_min,
+    # theta_max, volume, dt): positional arguments cost less than keywords;
+    # theta's reductions are theta.min() and .max() without their wrappers
+    return MonitorRecord(state.t, max_u, math.sqrt(du_sq), math.sqrt(d2u_sq),
+                         math.sqrt(d3u_sq), psi_max, float(np.minimum.reduce(theta, None)),
+                         float(np.maximum.reduce(theta, None)), state.volume(), cfg.dt)
 
 
 def _admit(run, cfg: FlowConfig):
@@ -507,16 +557,19 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
 
     def bind(active):
         """The loop's bindings for the members ``active``: whether they are a
-        stack, the stage writer and its Hessian, the kappa term, and the first
-        steps at which one of them records or visits and their largest tolerance,
-        below which alone one can converge."""
+        stack, the stage writer and its Hessian, the kappa term, the first steps
+        at which one of them records or visits, their largest tolerance, below
+        which alone one can converge, and whether every kappa is non-zero, so
+        that sup|u| must be below it too."""
         stacked = len(active) > 1
         return (stacked, *ops.hessian_writer(len(active) if stacked else None),
                 *_kappa_rows(active), min([m.next_record for m in active]),
-                min([m.mark for m in active]), max([m.tol for m in active]))
+                min([m.mark for m in active]), max([m.tol for m in active]),
+                all([m.cfg.kappa != 0.0 for m in active]))
 
     active = members
-    stacked, write_hessian, stage_hess, kappa, where, record_step, mark_step, tol = bind(active)
+    (stacked, write_hessian, stage_hess, kappa, where, record_step, mark_step, tol,
+     pinned) = bind(active)
     if stacked:  # one member's arrays have no member axis
         u = np.stack([m.values for m in active])
         u.setflags(write=False)
@@ -534,15 +587,14 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                                         jets, ops, scheme)
         return FlowState._from_loop(member.t, u, coeffs, jets, ops, scheme)
 
-    def record_state(i, member, jets, d2u_sq, angle):
-        """State of a record, seeded with the stack's |D^2 u|^2 and angle rows."""
+    def record_state(i, member, jets, record_stack, angle):
+        """State of a record over member i's rows of the jets, the record stack
+        and the angle: views, no copies."""
         if stacked:
-            state = state_of(i, member, {rank: jet[:, i] for rank, jet in jets.items()})
-            d2u_sq, angle = d2u_sq[i], (angle[0][i], angle[1][i])
-        else:
-            state = FlowState._from_loop(member.t, u, coeffs, jets, ops, scheme)
-        state._norms_sq[2], state._angle = d2u_sq, angle
-        return state
+            return FlowState._from_loop(member.t, u[i], coeffs[i],
+                                        {rank: jet[:, i] for rank, jet in jets.items()}, ops,
+                                        scheme, row(record_stack, i), (angle[0][i], angle[1][i]))
+        return FlowState._from_loop(member.t, u, coeffs, jets, ops, scheme, record_stack, angle)
 
     def emit(member, state):
         cfg, sink = member.cfg, member.sink
@@ -564,18 +616,31 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                 # the ranks monitor_record reads, from one synthesis; they leave
                 # with the record states, so the RK4 stages and the result
                 # states do not hold them
-                jets = dict(zip((1, 2, 3), ops.jets(coeffs, (1, 2, 3))))
-                hess, d2u_sq = jets[2], sym_norm_sq(jets[2], dim, 2)
-                # read by the records, which then reuse them; the angle is k1's too
+                synthesis = ops.jets(coeffs, (1, 2, 3))
+                jets = dict(zip((1, 2, 3), synthesis))
+                hess = jets[2]
+                # read by the records, which then reuse them; the angle is k1's
+                # too; first, so that its temporaries are gone before the stack
                 angle = _angle_and_density(hess, dim)
-                for array in (d2u_sq, *angle):
+                for array in angle:
                     array.setflags(write=False)
+                # the records' stacks (FlowState.monitor_maxima), with a member
+                # axis on a stack, their |D^k u|^2 rows (k = 1-3) written here,
+                # the guard's among them; 1-D ranks have one component each, so
+                # one call writes all three
+                record_stack = np.empty((MONITOR_ROWS,) + u.shape)
+                if dim == 1:
+                    sym_norm_sq(synthesis.swapaxes(0, 1), dim, 1, record_stack[1:4])
+                else:
+                    for rank in (1, 2, 3):
+                        sym_norm_sq(jets[rank], dim, rank, record_stack[rank])
+                d2u_sq = record_stack[2]
                 for i, member in enumerate(active):
                     if member.next_record == step:
-                        emit(member, record_state(i, member, jets, d2u_sq, angle))
+                        emit(member, record_state(i, member, jets, record_stack, angle))
                         member.recorded(step)
                 record_step = min([m.next_record for m in active]) if stacked else member.next_record
-                del jets
+                del synthesis, jets, record_stack
             else:
                 coeffs, fresh = write_hessian(u), False  # k1 reads them before a stage writes
                 hess = stage_hess
@@ -584,12 +649,15 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
             # one guard and one convergence test for all members: only when one of
             # them may stop or visit are they looked at one by one
             if stacked:  # the sum bounds every row's maximum and carries a NaN
-                maxima = d2u_sq.max(axis=-1).tolist()
+                maxima = np.maximum.reduce(d2u_sq, -1).tolist()
                 worst, least = math.sqrt(sum(maxima)), math.sqrt(min(maxima))
             else:
-                maxima = (d2u_sq.max(),)
+                maxima = (np.maximum.reduce(d2u_sq, None),)  # d2u_sq.max(), no wrapper
                 worst = least = math.sqrt(maxima[0])
-            if timed or step == mark_step or not worst <= HESSIAN_BLOWUP_GUARD or least < tol:
+            near = least < tol  # then one member may converge
+            if near and pinned:  # every kappa != 0: only if its sup|u| is below tol too
+                near = np.abs(u).max(axis=-1 if stacked else None).min() < tol
+            if timed or step == mark_step or not worst <= HESSIAN_BLOWUP_GUARD or near:
                 ended = []
                 for i, member in enumerate(active):
                     sup_d2, blowup = _blowup_guard(member.t, row(u, i), maxima[i])
@@ -632,7 +700,7 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                     angle = None if angle is None else (angle[0][..., rows, :],)
                     active = [active[i] for i in keep]
                     (stacked, write_hessian, stage_hess, kappa, where, record_step, mark_step,
-                     tol) = bind(active)
+                     tol, pinned) = bind(active)
 
             # free it before the stage temporaries, as a guard-only temporary would
             # be: kept across the step, it let 2-D 128^2 jobs fault in about 4x

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lmcf.fields
 import lmcf.flow
 import lmcf.geometry
 from lmcf.fields import (
@@ -1415,6 +1416,186 @@ class TestMonitorRecordContents:
         assert psi is state.psi(cfg.C0, cfg.C1) and not psi.flags.writeable
         assert np.array_equal(psi, psi_field(u0, cfg).values)
         assert not np.array_equal(state.psi(1.0, 1.0), psi)
+
+
+# a state on each jet route: the DFT matrix pair, the 1-D FFT, 2-D and 3-D FFT
+RECORD_GRIDS = [
+    pytest.param((64,), (1.0,), id="dft_1d_64"),
+    pytest.param((256,), (1.0,), id="fft_1d_256"),
+    pytest.param((32, 24), (1.0, 1.5), id="fft_2d_32x24"),
+    pytest.param((16, 12, 8), (1.0, 1.5, 0.5), id="fft_3d_16x12x8"),
+]
+
+
+def reduced_apart(state, cfg):
+    """Each MonitorRecord field as its own reduction over arrays computed
+    apart from any record stack, on a fresh state over a copy of u."""
+    fresh = FlowState(state.t, PeriodicScalarField(state.spec, state.u.values.copy()),
+                      state.scheme)
+    theta = fresh.angle_and_density()[0]
+    return (fresh.t, float(np.abs(fresh.u.values).max()),
+            *(math.sqrt(fresh.norm_sq(k).max()) for k in (1, 2, 3)),
+            float(fresh.psi(cfg.C0, cfg.C1).max()), float(theta.min()), float(theta.max()),
+            fresh.volume(), cfg.dt)
+
+
+def assert_same_fields(rec, want):
+    got = dataclasses.astuple(rec)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b or (math.isnan(a) and math.isnan(b)), (got, want)
+
+
+class TestMonitorStack:
+    """A record's sup norms and max psi come from one stack and one reduction,
+    each with the bits of its own reduction."""
+
+    @pytest.mark.parametrize("sizes,periods", RECORD_GRIDS)
+    def test_loop_records_equal_each_reduction(self, sizes, periods, monkeypatch):
+        spec = GridSpec(len(sizes), sizes, periods)
+        cfg = FlowConfig(grid=spec, kappa=-0.5, t_max=1.0, checkpoint_every=2)
+        cfg = dataclasses.replace(cfg, t_max=5.25 * cfg.dt)
+        u0 = random_bandlimited_potential(spec, 0.05, 2, seed=4)
+        seen = []
+        record = lmcf.flow.monitor_record
+        monkeypatch.setattr(lmcf.flow, "monitor_record",
+                            lambda state, c: seen.append((state, record(state, c))) or seen[-1][1])
+        runs = [Run(u0, cfg)]
+        if len(sizes) == 1:  # and two stacked members, one recording off the first's cadence
+            runs += [Run(u0, dataclasses.replace(cfg, kappa=-1.0, checkpoint_every=3))]
+        for run in runs:
+            integrate(run.start, run.cfg)
+        if len(runs) > 1:
+            integrate(tuple(runs))
+        assert len(seen) == (4 if len(sizes) > 1 else 4 + 3 + 4 + 3)
+        for state, rec in seen:
+            assert_same_fields(rec, reduced_apart(state, cfg))
+            # the caches are read-only rows of the one stack
+            rows = [state.norm_sq(k) for k in (1, 2, 3)] + [state.psi(cfg.C0, cfg.C1)]
+            assert all(row.base is rows[0].base is not None for row in rows)
+            assert not any(row.flags.writeable for row in rows)
+            assert monitor_record(state, cfg) == rec
+
+    @pytest.mark.parametrize("sizes,periods", RECORD_GRIDS)
+    def test_state_records_equal_each_reduction(self, sizes, periods):
+        spec = GridSpec(len(sizes), sizes, periods)
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)
+        u0 = random_bandlimited_potential(spec, 0.05, 2, seed=8)
+        state = FlowState(0.25, u0)
+        rec = monitor_record(state, cfg)
+        assert_same_fields(rec, reduced_apart(state, cfg))
+        for k in (1, 2, 3):
+            assert not state.norm_sq(k).flags.writeable
+        assert not state.psi(cfg.C0, cfg.C1).flags.writeable
+        # another (C0, C1) on the same state: psi is its own array, the norms stay
+        other = dataclasses.replace(cfg, C0=3.0, C1=2.0)
+        assert_same_fields(monitor_record(state, other), reduced_apart(state, other))
+        assert monitor_record(state, cfg) == rec
+        # quantities cached before the first record are copied into the stack
+        early = FlowState(0.25, u0)
+        apart = [early.norm_sq(1), early.norm_sq(3), early.psi(cfg.C0, cfg.C1)]
+        assert monitor_record(early, cfg) == rec
+        for k, was in zip((1, 3), apart):
+            assert np.array_equal(early.norm_sq(k), was) and not early.norm_sq(k).flags.writeable
+        assert np.array_equal(early.psi(cfg.C0, cfg.C1), apart[2])
+
+    @pytest.mark.parametrize("sizes", [(64,), (256,), (8, 10)])
+    def test_nan_propagates_to_every_field(self, sizes):
+        spec = GridSpec(len(sizes), sizes)
+        cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)
+        values = random_bandlimited_potential(spec, 0.05, 2, seed=3).values.copy()
+        values.flat[5] = np.nan
+        state = FlowState(0.0, PeriodicScalarField(spec, values))
+        with np.errstate(invalid="ignore"):
+            rec = monitor_record(state, cfg)
+            want = reduced_apart(state, cfg)
+        assert math.isnan(rec.max_u) and math.isnan(rec.psi_max)
+        assert_same_fields(rec, want)
+
+
+def rk4_constant(c, kappa, dt, tol):
+    """(steps, u) of ``integrate`` from the constant c with D^2 u = 0 at every
+    stage, so that theta = 0: the loop's RK4 arithmetic in its order on one
+    float, until |u| < tol."""
+    u, steps = c, 0
+    while not abs(u) < tol:
+        k1 = 0.0 + kappa * u
+        y = k1 * (0.5 * dt) + u
+        k2 = 0.0 + kappa * y
+        y = k2 * (0.5 * dt) + u
+        k3 = 0.0 + kappa * y
+        y = k3 * dt + u
+        k4 = 0.0 + kappa * y
+        u = (((k1 + 2.0 * k2) + 2.0 * k3) + k4) * (dt / 6.0) + u
+        steps += 1
+    return steps, u
+
+
+class TestStopTest:
+    def test_flat_member_with_kappa_stops_on_sup_u(self):
+        # decay's constant kappa -1 / -0.5 pair: D^2 u = 0 at every step on the
+        # DFT matrix pair, so only sup|u| < conv_tol can stop a member
+        spec = GridSpec(1, (16,))
+        u0 = PeriodicScalarField.constant(spec, 1e-3)
+        base = FlowConfig(grid=spec, kappa=-1.0, t_max=10.0, conv_tol=5e-4)
+        slower = dataclasses.replace(base, kappa=-0.5)
+        alone = integrate(u0, base)
+        pair = integrate((Run(u0, base), Run(u0, slower)))
+        for result, cfg in ((alone, base), (pair[0], base), (pair[1], slower)):
+            steps, u = rk4_constant(1e-3, cfg.kappa, cfg.dt, cfg.conv_tol)
+            assert (result.outcome, result.steps) == ("converged", steps)
+            assert result.state.u.values.tobytes() == np.full(16, u).tobytes()
+        assert (alone.records, alone.steps) == (pair[0].records, pair[0].steps) == (
+            pair[0].records, 1775)
+
+
+def run_steps(u0, cfg, steps=40):
+    """u after ``steps`` RK4 steps of ``integrate`` from u0."""
+    kept = {}
+    integrate(u0, cfg, hook=({steps}, kept.__setitem__))
+    return kept[steps].u.values
+
+
+def unit_hessian_data(spec):
+    """Band-limited data with sup|D^2 u0| = 1, so that theta is far from linear."""
+    u0 = random_bandlimited_potential(spec, 0.05, 3 if spec.dim == 1 else 2, seed=21)
+    return u0.values / sup_norm(lmcf.fields.derivative(u0, 2))
+
+
+class TestExactSymmetries:
+    """The flow commutes with scaling the torus and with permuting its axes."""
+
+    @pytest.mark.parametrize("sizes,periods", RECORD_GRIDS)
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    def test_period_scaling_is_bitwise(self, sizes, periods, kappa):
+        # v(x, t) = P^2 u(x / P, t / P^2) solves the flow on P times the periods
+        # with kappa / P^2; for P a power of 2 every scaling is exact
+        spec = GridSpec(len(sizes), sizes, periods)
+        values = unit_hessian_data(spec)
+        want = run_steps(PeriodicScalarField(spec, values),
+                         FlowConfig(grid=spec, kappa=kappa, t_max=1.0))
+        for scale in (2.0, 0.5):
+            scaled = GridSpec(spec.dim, sizes, [scale * p for p in periods])
+            got = run_steps(PeriodicScalarField(scaled, scale * scale * values),
+                            FlowConfig(grid=scaled, kappa=kappa / scale ** 2, t_max=1.0))
+            assert got.tobytes() == (scale * scale * want).tobytes()
+
+    @pytest.mark.parametrize("sizes,periods,axes", [
+        ((32, 24), (1.0, 1.5), (1, 0)),
+        ((16, 12, 8), (1.0, 1.5, 0.5), (2, 0, 1)),
+    ])
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    def test_axis_permutation_within_roundoff(self, sizes, periods, axes, kappa):
+        # not bitwise: a component's bits depend on the order of its passes;
+        # the gap is 1.5 (2-D) and 2 (3-D) ulps of max|u| on this data
+        spec = GridSpec(len(sizes), sizes, periods)
+        values = unit_hessian_data(spec)
+        want = np.transpose(run_steps(PeriodicScalarField(spec, values),
+                                      FlowConfig(grid=spec, kappa=kappa, t_max=1.0)), axes)
+        permuted = GridSpec(spec.dim, [sizes[a] for a in axes], [periods[a] for a in axes])
+        got = run_steps(PeriodicScalarField(permuted, np.transpose(values, axes)),
+                        FlowConfig(grid=permuted, kappa=kappa, t_max=1.0))
+        assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
 
 
 class TestFlowState:
