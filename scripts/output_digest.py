@@ -9,14 +9,14 @@ pair at N = 16 and 64 and FFT, 2-D and 3-D FFT), the central4 symbol on each
 then ``lmcf verify all``, then what no CLI command runs: the RK4 order fit's
 ``step_rk4`` chain at dt = 4e-4 (cfl 0.2048 at N = 16), two
 ``sample_trajectory`` runs (1-D DFT matrix and 2-D FFT), each chain step and
-each trajectory one fixed-step ``integrate`` run, one ensemble
-``integrate`` run per 1-D route (DFT matrix pair at N = 16, FFT at N = 256),
+each trajectory one fixed-step ``integrate`` run, three two-member ensemble
+``integrate`` runs per 1-D route (DFT matrix pair at N = 16, FFT at N = 256),
 and last one more run pair that the blowup guard stops, off its record
 cadence, so that the record emitted at a stop and its CSV row are pinned.
 Prints one sha256 per run pair, one over all of them but the last (exit
 codes, monitors.csv, summary.txt, final.lmcf), one per file of ``lmcf
 verify all``, one over all of those files, one per chain or trajectory (t,
-u and ``monitor_record`` of every state), one per ensemble member
+u and ``monitor_record`` of every state), one per ensemble's first member
 (outcome, steps, records and final t and u), marked "= alone" when it
 equals the member's own run, and one for the blowup pair, so two
 checkouts' outputs can be compared report by report.  A resumed summary echoes its checkpoint path, so run
@@ -146,8 +146,9 @@ def _result_digest(result):
 
 
 def ensemble_digests():
-    """sha256 of each member of one ensemble run per 1-D route, each paired
-    with the sha256 of the member run alone: kappa 0, -0.5 and -1, each with
+    """sha256 of each of three runs per 1-D route, each run stepped in a
+    two-member ensemble with a partner that differs from it only in kappa,
+    paired with the sha256 of the run alone: kappa 0, -0.5 and -1, each with
     its own t_max and record cadence, the last from a state at step 20."""
     out = {}
     for route, n, t_max in (("dft_16", 16, 0.02), ("fft_256", 256, 0.0015)):
@@ -159,7 +160,9 @@ def ensemble_digests():
                                                 checkpoint_every=3)),
                 Run(FlowState(20 * base.dt, u0s[2]),
                     dataclasses.replace(base, kappa=-1.0, checkpoint_every=5)))
-        for i, (together, run) in enumerate(zip(integrate(runs), runs)):
+        for i, (run, kappa) in enumerate(zip(runs, (-1.0, 0.0, -0.5))):
+            partner = Run(run.start, dataclasses.replace(run.cfg, kappa=kappa))
+            together = integrate((run, partner))[0]
             out[f"ensemble_{route}[{i}]"] = (_result_digest(together),
                                              _result_digest(integrate(run.start, run.cfg)))
     return out

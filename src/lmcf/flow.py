@@ -17,8 +17,9 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from itertools import chain, count
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .fields import (
     SymTensor3Field,
     VectorField,
     _as_int,
-    _frozen_array,
     jet_ops,
     psi_values,
     sym_norm_sq,
@@ -46,7 +46,6 @@ CHECKPOINT_VERSION = 2
 HESSIAN_BLOWUP_GUARD = 10.0  # far outside the small-data regime; not graph-like anymore
 # t_max / dt must stay below this: then t += dt advances t on every step before t_max
 MAX_STEPS = 2.0 ** 52
-NEVER = 1 << 62  # a step index the stepping loop never reaches
 # a record's stack (FlowState.monitor_maxima): |u|, |du|^2, |D^2 u|^2, |D^3 u|^2, psi
 MONITOR_ROWS = 5
 
@@ -296,7 +295,8 @@ class FlowResult:
 @dataclass(frozen=True, eq=False)
 class Run:
     """One member of an ensemble ``integrate`` call: the arguments of
-    ``integrate(start, cfg, sink, hook)``."""
+    ``integrate(start, cfg, sink, hook)``.  The Runs of one call share one
+    clock: configs equal but for kappa, one start t, the same hook steps."""
 
     start: object
     cfg: FlowConfig
@@ -316,8 +316,9 @@ class RunResults(tuple):
 
 
 class EnsembleError(ValueError):
-    """A run cannot step in one stack with the first run of its ensemble: it has
-    another grid, scheme or dt, or the runs are several on a 2-D or 3-D grid."""
+    """A run cannot share the clock of its ensemble's first run: its config
+    differs in more than kappa, or its start t or hook steps differ (a hook
+    and none included); or the runs are several on a 2-D or 3-D grid."""
 
 
 def rhs(u: PeriodicScalarField, kappa: float) -> PeriodicScalarField:
@@ -433,56 +434,32 @@ def _admit(run, cfg: FlowConfig):
 
 
 class _Member:
-    """One run in ``integrate``'s loop: its clock, record cadence, stop rules,
-    records and result.  Steps are counted by the loop, from the call's start."""
+    """One run in ``integrate``'s loop: its start values, config (its kappa),
+    sink, hook visit, records, region warning and result; the clock and its
+    schedule, the stop tolerance and t_max are the loop's, one for all."""
 
-    __slots__ = ("cfg", "sink", "visit", "marks", "mark", "t", "values", "first_step", "tol",
-                 "t_max", "next_record", "records", "last_emitted", "warned_region", "result")
+    __slots__ = ("cfg", "sink", "visit", "values", "records", "warned_region", "result")
 
-    def __init__(self, run, lead, count):
-        cfg = self.cfg = run.cfg
-        what = _admit(run.start, cfg)
-        start = run.start
-        self.t, self.values = (start.t, start._values) if what == "state" else (0.0, start.values)
-        if not np.isfinite(self.values).all():
-            raise ValueError(f"{what} is not finite")
-        if count > 1 and cfg.grid.dim != 1:
-            raise EnsembleError(f"several runs step as one stack on 1-D grids only, "
-                                f"got a {cfg.grid.dim}-D grid")
-        for name in ("grid", "scheme", "dt") if cfg is not lead else ():
-            if getattr(cfg, name) != getattr(lead, name):
-                raise EnsembleError(
-                    f"{name} {getattr(cfg, name)!r} differs from the first run's "
-                    f"{getattr(lead, name)!r}: an ensemble's runs share grid, scheme and dt")
-        self.sink, self.first_step = run.sink, round(self.t / cfg.dt)
-        self.records, self.last_emitted, self.warned_region, self.result = [], -1, False, None
-        if run.hook is None:
-            self.tol, self.t_max, self.next_record = cfg.conv_tol, cfg.t_max, 0
-            self.visit, self.mark = None, NEVER
-            return
-        # a fixed-step run: sup|D^2 u| < 0 never holds, so no convergence
-        steps, self.visit = run.hook
-        self.marks = iter(sorted({_as_int("hook step", index) - self.first_step
-                                  for index in steps}))
-        self.mark, self.tol, self.t_max, self.next_record = (
-            next(self.marks, NEVER), 0.0, math.inf, NEVER)
-        if self.mark < 0 or self.mark == NEVER:
-            raise ValueError("hook steps must be given and not precede the start's step")
-
-    def recorded(self, step):
-        """Set the next record step after a record at ``step``."""
-        every = self.cfg.checkpoint_every
-        self.next_record = step + every - (self.first_step + step) % every if every else NEVER
+    def __init__(self, run, values):
+        self.cfg, self.sink, self.values = run.cfg, run.sink, values
+        self.visit = None if run.hook is None else run.hook[1]
+        self.records, self.warned_region, self.result = [], False, None
 
 
-def _kappa_rows(members):
-    """``(kappa, where)`` of the members' kappa*u term for ``_rhs_values``: a
-    shared kappa and None, else their column and its non-zero rows (True: all)."""
-    kappas = [m.cfg.kappa for m in members]
-    if len(set(kappas)) == 1:
-        return kappas[0], None
-    column = np.array(kappas)[:, None]
-    return column, True if all(kappas) else column != 0.0
+def _clock(run):
+    """(start values, clock) of ``run``: by name, every config field but kappa,
+    the start t and the sorted distinct hook steps, read once (None: no hook).
+    Raises what ``_admit`` raises, and ValueError for non-finite start values
+    or hook steps that are not integers, none or before the start's step."""
+    what = _admit(run.start, run.cfg)
+    t, values = (run.start.t, run.start._values) if what == "state" else (0.0, run.start.values)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} is not finite")
+    steps = None if run.hook is None else sorted({_as_int("hook step", i) for i in run.hook[0]})
+    if steps is not None and (not steps or steps[0] < round(t / run.cfg.dt)):
+        raise ValueError("hook steps must be given and not precede the start's step")
+    shared = {f.name: getattr(run.cfg, f.name) for f in fields(FlowConfig) if f.name != "kappa"}
+    return values, {**shared, "start t": t, "hook steps": steps}
 
 
 def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
@@ -509,20 +486,21 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
     floating-point error state.
 
     ``hook = (steps, visit)`` makes a fixed-step run with no records, no
-    convergence test and no time limit: ``steps`` is a non-empty collection
-    of integers, and ``visit(index, state)`` gets the guarded state once at
-    each distinct global step index in it (its Hessian a read-only
-    stage-buffer copy); the run ends "timed_out" at the last.
+    convergence test and no time limit: ``steps``, read once, holds integers,
+    and ``visit(index, state)`` gets the guarded state, built as a record
+    state is, once at each distinct global step index in it; the run ends
+    "timed_out" at the last.
 
     ``integrate(runs)``, with a tuple of ``Run(start, cfg, sink, hook)``,
-    steps them as one ensemble and returns their ``RunResults``.  Each member
-    is the run ``integrate(start, cfg, sink, hook)`` would make, bit for bit:
-    its own kappa, clock, record cadence, sink, hook, stop rules and region
-    warning.  On 1-D grids the members advance as one (M, N) stack, with one
-    synthesis per stage and one guard and convergence test per step for all
-    of them, and a member that stops leaves the stack.  The runs must share
-    grid, scheme and dt, and several runs need a 1-D grid (``EnsembleError``);
-    admission errors of several runs name the run, and one run raises what
+    steps them as one ensemble on one clock and returns their ``RunResults``:
+    configs equal but for kappa, one start t and the same hook steps, or
+    ``EnsembleError`` naming the field.  Each member is the run
+    ``integrate(start, cfg, sink, hook)`` would make, bit for bit, with its
+    own start values, kappa, sink, visit, records, region warning and stop.
+    On 1-D grids the members advance as one (M, N) stack, with one synthesis
+    per stage and one guard and convergence test per step for all of them,
+    and a member that stops leaves the stack; several runs need a 1-D grid.
+    Admission errors of several runs name the run, and one run raises what
     ``integrate(start, cfg)`` raises.  Sink and hook come inside the Runs.
     """
     if cfg is None:
@@ -533,12 +511,22 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
         runs = (Run(start, cfg, sink, hook),)
     if not runs:
         raise ValueError("integrate needs a start and a config, or a non-empty tuple of Runs")
-    members = []
+    members, first = [], None
     for index, run in enumerate(runs):
         try:
             if not isinstance(run, Run):
                 raise TypeError(f"expected a Run, got {type(run).__name__}")
-            members.append(_Member(run, runs[0].cfg, len(runs)))
+            values, clock = _clock(run)
+            if len(runs) > 1 and run.cfg.grid.dim != 1:
+                raise EnsembleError(f"several runs step as one stack on 1-D grids only, "
+                                    f"got a {run.cfg.grid.dim}-D grid")
+            first = clock if first is None else first
+            for name, value in clock.items():
+                if value != first[name]:
+                    raise EnsembleError(
+                        f"{name} {value!r} differs from the first run's {first[name]!r}: an "
+                        f"ensemble's runs differ only in kappa, start values, sink and visit")
+            members.append(_Member(run, values))
         except (TypeError, ValueError) as exc:  # subclasses too; several runs: name the one
             if len(runs) == 1:
                 raise
@@ -549,52 +537,52 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                 stacklevel=2,
             )
 
-    lead = runs[0].cfg
+    t, steps, lead = first["start t"], first["hook steps"], runs[0].cfg
     ops, scheme = jet_ops(lead.grid, lead.scheme), lead.scheme
-    dim, dt, half_dt = lead.grid.dim, lead.dt, 0.5 * lead.dt
-    step, angle = 0, None
+    dim, dt, half_dt, every = lead.grid.dim, lead.dt, 0.5 * lead.dt, lead.checkpoint_every
+    first_step, hooked = round(t / dt), steps is not None
+    if hooked:  # a fixed-step run: no convergence (sup|D^2 u| < 0 never holds), no time limit
+        marks, tol, t_max = iter([index - first_step for index in steps]), 0.0, math.inf
+    else:  # step 0, then each step whose global index is a multiple of checkpoint_every
+        marks = chain([0], count(every - first_step % every, every) if every else ())
+        tol, t_max = lead.conv_tol, lead.t_max
+    due = next(marks)  # the next step that records or visits
+    step, angle, visits = 0, None, None
     caller_errstate = np.geterr()
 
     def bind(active):
         """The loop's bindings for the members ``active``: whether they are a
-        stack, the stage writer and its Hessian, the kappa term, the first steps
-        at which one of them records or visits, their largest tolerance, below
-        which alone one can converge, and whether every kappa is non-zero, so
-        that sup|u| must be below it too."""
-        stacked = len(active) > 1
-        return (stacked, *ops.hessian_writer(len(active) if stacked else None),
-                *_kappa_rows(active), min([m.next_record for m in active]),
-                min([m.mark for m in active]), max([m.tol for m in active]),
-                all([m.cfg.kappa != 0.0 for m in active]))
+        stack, the stage writer and its Hessian, the kappa term (one kappa and
+        None, else their column and its non-zero rows, True: all) and whether
+        every kappa is non-zero, so that sup|u| must be below tol too."""
+        stacked, kappas = len(active) > 1, [m.cfg.kappa for m in active]
+        kappa, where = kappas[0], None
+        if len(set(kappas)) > 1:
+            kappa = np.array(kappas)[:, None]
+            where = True if all(kappas) else kappa != 0.0
+        return (stacked, *ops.hessian_writer(len(active) if stacked else None), kappa, where,
+                all(kappas))
 
     active = members
-    (stacked, write_hessian, stage_hess, kappa, where, record_step, mark_step, tol,
-     pinned) = bind(active)
-    if stacked:  # one member's arrays have no member axis
-        u = np.stack([m.values for m in active])
-        u.setflags(write=False)
-    else:
-        u = active[0].values
-    timed = any(m.t + half_dt >= m.t_max for m in active)
+    stacked, write_hessian, stage_hess, kappa, where, pinned = bind(active)
+    u = np.stack([m.values for m in active]) if stacked else active[0].values
+    u.setflags(write=False)  # a member's values, with no member axis, are read-only already
 
     def row(a, i):
         """Member i's rows of a loop stack."""
         return a[..., i, :] if stacked else a
 
-    def state_of(i, member, jets):
-        if stacked:  # a stack's stage writer may reuse its coefficients (the DFT pair's does)
-            return FlowState._from_loop(member.t, u[i], coeffs[i] if fresh else coeffs[i].copy(),
-                                        jets, ops, scheme)
-        return FlowState._from_loop(member.t, u, coeffs, jets, ops, scheme)
-
-    def record_state(i, member, jets, record_stack, angle):
-        """State of a record over member i's rows of the jets, the record stack
-        and the angle: views, no copies."""
-        if stacked:
-            return FlowState._from_loop(member.t, u[i], coeffs[i],
-                                        {rank: jet[:, i] for rank, jet in jets.items()}, ops,
-                                        scheme, row(record_stack, i), (angle[0][i], angle[1][i]))
-        return FlowState._from_loop(member.t, u, coeffs, jets, ops, scheme, record_stack, angle)
+    def state_of(i, jets, record_stack=None, angle=None):
+        """Member i's state over its rows of the loop's u, coefficients, jets by
+        rank and, at a record or hook step, record stack and angle: views, but a
+        copy of a stack's stage coefficients, which its writer may reuse."""
+        if not stacked:
+            return FlowState._from_loop(t, u, coeffs, jets, ops, scheme, record_stack, angle)
+        return FlowState._from_loop(
+            t, u[i], coeffs[i] if fresh else coeffs[i].copy(),
+            {rank: jet[:, i] for rank, jet in jets.items()}, ops, scheme,
+            None if record_stack is None else record_stack[:, i],
+            None if angle is None else (angle[0][i], angle[1][i]))
 
     def emit(member, state):
         cfg, sink = member.cfg, member.sink
@@ -603,7 +591,6 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
         if sink is not None:
             with np.errstate(**caller_errstate):
                 sink(rec)
-        member.last_emitted = step
         if not member.warned_region and cfg.leaves_region(rec.psi_max):
             member.warned_region = True
             warnings.warn(f"max psi = {rec.psi_max:.3g} is outside the certified region "
@@ -611,23 +598,25 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
 
     with np.errstate(invalid="ignore"):
         while True:
-            if step == record_step:
+            timed = t + half_dt >= t_max
+            at = step == due  # a record or hook step: the members' states are built
+            if at:
                 coeffs, fresh = ops.forward(u), True
                 # the ranks monitor_record reads, from one synthesis; they leave
-                # with the record states, so the RK4 stages and the result
-                # states do not hold them
+                # with the states, so the RK4 stages and the result states do
+                # not hold them
                 synthesis = ops.jets(coeffs, (1, 2, 3))
                 jets = dict(zip((1, 2, 3), synthesis))
                 hess = jets[2]
-                # read by the records, which then reuse them; the angle is k1's
+                # read by the states, which then reuse them; the angle is k1's
                 # too; first, so that its temporaries are gone before the stack
                 angle = _angle_and_density(hess, dim)
                 for array in angle:
                     array.setflags(write=False)
-                # the records' stacks (FlowState.monitor_maxima), with a member
-                # axis on a stack, their |D^k u|^2 rows (k = 1-3) written here,
-                # the guard's among them; 1-D ranks have one component each, so
-                # one call writes all three
+                # the states' record stacks (FlowState.monitor_maxima), with a
+                # member axis on a stack, their |D^k u|^2 rows (k = 1-3) written
+                # here, the guard's among them; 1-D ranks have one component
+                # each, so one call writes all three
                 record_stack = np.empty((MONITOR_ROWS,) + u.shape)
                 if dim == 1:
                     sym_norm_sq(synthesis.swapaxes(0, 1), dim, 1, record_stack[1:4])
@@ -635,11 +624,13 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                     for rank in (1, 2, 3):
                         sym_norm_sq(jets[rank], dim, rank, record_stack[rank])
                 d2u_sq = record_stack[2]
-                for i, member in enumerate(active):
-                    if member.next_record == step:
-                        emit(member, record_state(i, member, jets, record_stack, angle))
-                        member.recorded(step)
-                record_step = min([m.next_record for m in active]) if stacked else member.next_record
+                due = next(marks, -1)  # -1: none left
+                if hooked:  # visited after the guard; the last hook step ends the run
+                    visits = [state_of(i, jets, record_stack, angle) for i in range(len(active))]
+                    timed = due < 0
+                else:
+                    for i, member in enumerate(active):
+                        emit(member, state_of(i, jets, record_stack, angle))
                 del synthesis, jets, record_stack
             else:
                 coeffs, fresh = write_hessian(u), False  # k1 reads them before a stage writes
@@ -657,41 +648,31 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
             near = least < tol  # then one member may converge
             if near and pinned:  # every kappa != 0: only if its sup|u| is below tol too
                 near = np.abs(u).max(axis=-1 if stacked else None).min() < tol
-            if timed or step == mark_step or not worst <= HESSIAN_BLOWUP_GUARD or near:
-                ended = []
+            if timed or visits is not None or not worst <= HESSIAN_BLOWUP_GUARD or near:
                 for i, member in enumerate(active):
-                    sup_d2, blowup = _blowup_guard(member.t, row(u, i), maxima[i])
+                    sup_d2, blowup = _blowup_guard(t, row(u, i), maxima[i])
+                    if blowup is None and visits is not None:
+                        member.visit(first_step + step, visits[i])
                     if blowup is not None:
-                        ended.append((i, "blowup", blowup))
+                        outcome = "blowup"
+                    elif (sup_d2 < tol and (member.cfg.kappa == 0.0
+                                            or float(np.abs(row(u, i)).max()) < tol)
+                          and sym_sup_norm(ops.jets(row(coeffs, i), (1,))[0], dim, 1) < tol):
+                        outcome = "converged"
+                    elif timed:
+                        outcome = "timed_out"
+                    else:
                         continue
-                    if step == member.mark:  # the stage buffer's copy: the next step overwrites it
-                        member.visit(member.first_step + step,
-                                     state_of(i, member, {2: _frozen_array(row(hess, i))}))
-                        member.mark = next(member.marks, NEVER)
-                        if member.mark == NEVER:
-                            ended.append((i, "timed_out", None))
-                            continue
-                    if sup_d2 < member.tol and (member.cfg.kappa == 0.0
-                                                or float(np.abs(row(u, i)).max()) < member.tol):
-                        if sym_sup_norm(ops.jets(row(coeffs, i), (1,))[0], dim, 1) < member.tol:
-                            ended.append((i, "converged", None))
-                            continue
-                    if member.t + half_dt >= member.t_max:
-                        ended.append((i, "timed_out", None))
-                mark_step = min([m.mark for m in active])
-
-                if ended:
-                    hess.setflags(write=False)  # the loop writes it no more: the rest step on afresh
-                    for i, outcome, blowup in ended:
-                        member = active[i]
-                        state = state_of(i, member, {2: row(hess, i)})
-                        if member.last_emitted != step and member.visit is None:
-                            emit(member, state)
-                        member.result = FlowResult(outcome, state, tuple(member.records), step,
-                                                   blowup=blowup)
-                        del state
-                    stops = {i for i, _, _ in ended}
-                    keep = [i for i in range(len(active)) if i not in stops]
+                    hess.setflags(write=False)  # written no more: the rest step on afresh
+                    state = state_of(i, {2: hess})
+                    if not (at or hooked):  # a record run records where it stops
+                        emit(member, state)
+                    member.result = FlowResult(outcome, state, tuple(member.records), step,
+                                               blowup=blowup)
+                    del state
+                visits = None
+                keep = [i for i, member in enumerate(active) if member.result is None]
+                if len(keep) < len(active):
                     if not keep:
                         results = tuple(m.result for m in members)
                         return results[0] if cfg is not None else RunResults(results)
@@ -699,22 +680,17 @@ def integrate(start, cfg: FlowConfig | None = None, sink=None, hook=None):
                     u, hess = u[..., rows, :], hess[..., rows, :]
                     angle = None if angle is None else (angle[0][..., rows, :],)
                     active = [active[i] for i in keep]
-                    (stacked, write_hessian, stage_hess, kappa, where, record_step, mark_step,
-                     tol, pinned) = bind(active)
+                    stacked, write_hessian, stage_hess, kappa, where, pinned = bind(active)
 
             # free it before the stage temporaries, as a guard-only temporary would
             # be: kept across the step, it let 2-D 128^2 jobs fault in about 4x
             # the pages on some heap layouts
             del d2u_sq
             k1 = _rhs_values(u, hess, kappa, dim, None if angle is None else angle[0], where)
-            angle = None  # freed too, and the next state has one only if it records
+            angle = None  # freed too, and the next state has one only if it records or visits
             u = _rk4_update(u, k1, dt, write_hessian, stage_hess, kappa, dim, where)
             u.setflags(write=False)  # so the result states wrap it without a copy
-            timed = False
-            for member in active:
-                member.t += dt
-                if member.t + half_dt >= member.t_max:
-                    timed = True
+            t += dt
             step += 1
 
 

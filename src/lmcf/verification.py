@@ -313,12 +313,13 @@ class Trajectory:
 def sample_trajectory(u0, cfg, sample_every, n_samples):
     """(t-dt, t, t+dt) state triples every ``sample_every`` steps from one
     fixed-step ``integrate`` run (looked up by module name) to the last triple,
-    whatever convergence and ``cfg.t_max`` say; its blowup is raised.
+    whatever convergence and ``cfg.t_max`` say; its blowup is raised.  Each
+    state is built as a record state is, its jets, norms and angle cached.
 
     ``u0`` and ``cfg`` may instead be equal-length tuples, one (u0, cfg) pair
-    per member: the members step as one ensemble ``integrate`` run (one grid,
-    scheme and dt), and the result is the tuple of their Trajectories, each
-    bit-identical to its own run's."""
+    per member: the members step as one ensemble ``integrate`` run on one
+    clock (configs that differ only in kappa), and the result is the tuple of
+    their Trajectories, each bit-identical to its own run's."""
     sample_every = _as_int("sample_every", sample_every)
     n_samples = _as_int("n_samples", n_samples)
     if sample_every < 1 or n_samples < 1:
@@ -471,12 +472,14 @@ def check_evolution_inequality(name, trajectory: Trajectory) -> ResidualReport:
 
 
 def _non_increasing_report(name, series):
-    """Each step of a (t, value) series of at least 2 points may rise by at most MONOTONE_SLACK."""
+    """Each step of a (t, value) series of at least 2 points may rise by at most
+    MONOTONE_SLACK; the fitted constant is the largest rise, NaN if any is NaN."""
     if len(series) < 2:
         raise ValueError(f"{name} needs at least 2 points, got {len(series)}")
     rows = tuple((t, value - prev, MONOTONE_SLACK)
                  for (_, prev), (t, value) in zip(series, series[1:]))
-    fitted_c = max(res for _, res, _ in rows)
+    rises = [res for _, res, _ in rows]
+    fitted_c = math.nan if any(math.isnan(res) for res in rises) else max(rises)
     return ResidualReport(name, rows, fitted_c, math.nan, _within_bounds(rows))
 
 

@@ -89,7 +89,8 @@ for steps in ([2.5], [True]):
         print(exc)
 """
 
-# an ensemble and its members' own runs; its output must not depend on the BLAS threads
+# a shared-clock ensemble and its members' own runs; its output must not depend
+# on the BLAS threads
 ENSEMBLE_THREADS_RUN = """
 import dataclasses, sys
 from lmcf.fields import GridSpec
@@ -100,11 +101,11 @@ def digest(result):
             result.state.u.values.tobytes().hex())
 for n in sys.argv[1:]:
     spec = GridSpec(1, (int(n),))
-    base = FlowConfig(grid=spec, kappa=0.0, t_max=1.0, conv_tol=1e-13)
-    runs = [Run(random_bandlimited_potential(spec, 0.05, 3, seed=seed), dataclasses.replace(
-                base, kappa=kappa, t_max=steps * base.dt, checkpoint_every=every))
-            for seed, kappa, steps, every in ((1, 0.0, 30.25, 7), (2, -0.5, 24.5, 5),
-                                              (3, -1.0, 40.25, 6))]
+    base = FlowConfig(grid=spec, kappa=0.0, t_max=1.0, conv_tol=1e-13, checkpoint_every=6)
+    base = dataclasses.replace(base, t_max=30.25 * base.dt)
+    runs = [Run(random_bandlimited_potential(spec, 0.05, 3, seed=seed),
+                dataclasses.replace(base, kappa=kappa))
+            for seed, kappa in ((1, 0.0), (2, -0.5), (3, -1.0))]
     print(repr([digest(result) for result in integrate(tuple(runs))]))
     print(repr([digest(integrate(run.start, run.cfg)) for run in runs]))
 """
@@ -757,6 +758,34 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="must be given and not precede"):
                 integrate(chain[10], cfg, hook=(steps, kept.__setitem__))
 
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_visited_states_are_guarded_record_states(self, n):
+        # a visit is never made at a blowup step, and a visited state has the
+        # jets, norms and angle of a fresh state, read-only and built once;
+        # the hook steps may come from a generator, read once per run
+        spec = GridSpec(1, (n,))
+        cfg = FlowConfig(grid=spec, kappa=50.0, t_max=1.0)
+        u0 = single_mode_potential(spec, (10.0 - 4000.0 * cfg.dt) / FOUR_PI_SQ, (1,))
+        kept = [{}, {}]
+        with pytest.warns(UserWarning, match="experimental"):
+            results = integrate(tuple(
+                Run(start, c, hook=((index for index in range(60)), states.__setitem__))
+                for start, c, states in ((u0, cfg, kept[0]),
+                                         (u0, dataclasses.replace(cfg, kappa=40.0), kept[1]))))
+        for result, states in zip(results, kept):
+            assert result.outcome == "blowup" and 0 < result.steps < 60
+            assert sorted(states) == list(range(result.steps))
+        for index, state in kept[0].items():
+            fresh = FlowState(state.t, PeriodicScalarField(spec, state.u.values.copy()))
+            for name in ("du", "d2u", "d3u"):
+                got = getattr(state, name).components
+                assert not got.flags.writeable, name
+                assert got.tobytes() == getattr(fresh, name).components.tobytes(), name
+            for k in (1, 2, 3):
+                assert state.norm_sq(k).tobytes() == fresh.norm_sq(k).tobytes()
+            for got, want in zip(state.angle_and_density(), fresh.angle_and_density()):
+                assert not got.flags.writeable and got.tobytes() == want.tobytes()
+
     def test_hook_visits_each_integer_step_once(self):
         # a repeated step is visited once and a float or bool step is refused;
         # either used to leave a mark the loop never reaches, so this runs in a
@@ -771,10 +800,12 @@ class TestIntegrate:
 
 
 def ensemble_matrix(n):
-    """(start, cfg, hook steps or None) of runs on one 1-D grid that differ in
-    everything a member owns: kappa 0 / -0.5 / -1, record cadence and t_max,
-    conv_tol (run 2 converges at step 12), a blowup mid-run (run 3), a start
-    state at t = 13 dt (run 4) and a fixed-step hook run of signed zeros (run 5)."""
+    """Shared-clock ensembles on one 1-D grid, each a list of (start, cfg, hook
+    steps or None) whose configs differ only in kappa: a record ensemble of
+    kappa 0 / -0.5 / -1 / 50 members with a shared conv_tol that stops one at
+    step 12, a blowup mid-run and signed zeros (which converge at once); a
+    record ensemble from states at t = 13 dt; and a fixed-step hook ensemble
+    with signed zeros at kappa 0 and a blowup at step 9, off its hook steps."""
     spec = GridSpec(1, (n,))
     base = FlowConfig(grid=spec, kappa=0.0, t_max=1.0, conv_tol=1e-14)
     dt = base.dt
@@ -782,24 +813,31 @@ def ensemble_matrix(n):
     def cfg(**changes):
         return dataclasses.replace(base, **changes)
 
+    def seeded(seed):
+        return random_bandlimited_potential(spec, 0.05, 3, seed=seed)
+
     # sup|D^2 u| is this mode's largest jet norm: a tolerance between its values
     # at steps 11 and 12 stops the run at step 12
     conv_u0 = single_mode_potential(spec, 1e-6, (2,))
     probe = integrate(conv_u0, cfg(kappa=-1.0, t_max=12.25 * dt, checkpoint_every=1)).records
-    conv_tol = 0.5 * (probe[11].max_d2u + probe[12].max_d2u)
+    records = cfg(t_max=40.25 * dt, checkpoint_every=7,
+                  conv_tol=0.5 * (probe[11].max_d2u + probe[12].max_d2u))
     # sup|D^2 u| starts near the guard, and kappa u grows it by about 500 per unit time
     blowup_u0 = single_mode_potential(spec, (10.0 - 4000.0 * dt) / FOUR_PI_SQ, (1,))
     signed_zeros = PeriodicScalarField(spec, np.where(np.arange(n) % 2, -0.0, 0.0))
+    from_state = cfg(t_max=50.25 * dt, checkpoint_every=6)
     return [
-        (random_bandlimited_potential(spec, 0.05, 3, seed=1),
-         cfg(t_max=40.25 * dt, checkpoint_every=7), None),
-        (random_bandlimited_potential(spec, 0.05, 3, seed=2),
-         cfg(kappa=-0.5, t_max=33.75 * dt, checkpoint_every=5), None),
-        (conv_u0, cfg(kappa=-1.0, t_max=60.25 * dt, conv_tol=conv_tol, checkpoint_every=4), None),
-        (blowup_u0, cfg(kappa=50.0, t_max=60.25 * dt, checkpoint_every=3), None),
-        (FlowState(13 * dt, random_bandlimited_potential(spec, 0.05, 3, seed=3), "spectral"),
-         cfg(kappa=-1.0, t_max=50.25 * dt, checkpoint_every=6), None),
-        (signed_zeros, cfg(), {3, 17, 18, 31}),
+        [(seeded(1), records, None),
+         (seeded(2), dataclasses.replace(records, kappa=-0.5), None),
+         (conv_u0, dataclasses.replace(records, kappa=-1.0), None),
+         (blowup_u0, dataclasses.replace(records, kappa=50.0), None),
+         (signed_zeros, records, None)],
+        [(FlowState(13 * dt, seeded(3), "spectral"), dataclasses.replace(from_state, kappa=-1.0),
+          None),
+         (FlowState(13 * dt, seeded(4), "spectral"), from_state, None)],
+        [(signed_zeros, base, {3, 8, 17, 31}),
+         (seeded(5), cfg(kappa=-0.5), {3, 8, 17, 31}),
+         (blowup_u0, cfg(kappa=50.0), {3, 8, 17, 31})],
     ]
 
 
@@ -814,47 +852,63 @@ class TestEnsemble:
     def test_members_are_their_own_runs(self, n):
         # the DFT matrix pair at 16-128 points, the FFT route at 256
         matrix = ensemble_matrix(n)
-        assert type(jet_ops(matrix[0][1].grid, "spectral")) is (
+        assert type(jet_ops(matrix[0][0][1].grid, "spectral")) is (
             _DftMatrixJetOps if n <= 128 else _FftJetOps)
 
-        def runs(seen, kept):
+        def runs(members, seen, kept):
             return [Run(start, cfg, sink=seen[i].append if steps is None else None,
                         hook=None if steps is None else (steps, kept[i].__setitem__))
-                    for i, (start, cfg, steps) in enumerate(matrix)]
+                    for i, (start, cfg, steps) in enumerate(members)]
 
-        outputs = []
-        for together in (True, False):
-            seen, kept = [[] for _ in matrix], [{} for _ in matrix]
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                if together:
-                    results = integrate(tuple(runs(seen, kept)))
+        ensembles = []
+        for members in matrix:
+            outputs = []
+            for together in (True, False):
+                seen, kept = [[] for _ in members], [{} for _ in members]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    if together:
+                        results = integrate(tuple(runs(members, seen, kept)))
+                    else:
+                        results = [integrate(run.start, run.cfg, run.sink, run.hook)
+                                   for run in runs(members, seen, kept)]
+                outputs.append((results, seen, kept, sorted(str(w.message) for w in caught)))
+            (ensemble, seen, kept, warned), (alone, seen_alone, kept_alone, warned_alone) = outputs
+            assert type(ensemble) is RunResults
+            assert ensemble.steps == sum(result.steps for result in alone)
+            # one kappa > 0 warning and one region warning per run that earns them
+            assert warned == warned_alone
+            for got, want in zip(ensemble, alone):
+                assert (got.outcome, got.steps, got.records) == (want.outcome, want.steps,
+                                                                 want.records)
+                assert_same_state(got.state, want.state)
+                assert np.array_equal(np.signbit(got.state.u.values),
+                                      np.signbit(want.state.u.values))
+                assert str(got.blowup) == str(want.blowup)
+            for i, (_, _, steps) in enumerate(members):
+                if steps is None:
+                    assert seen[i] == seen_alone[i] == list(ensemble[i].records)
                 else:
-                    results = [integrate(run.start, run.cfg, run.sink, run.hook)
-                               for run in runs(seen, kept)]
-            outputs.append((results, seen, kept, sorted(str(w.message) for w in caught)))
-        (ensemble, seen, kept, warned), (alone, seen_alone, kept_alone, warned_alone) = outputs
-        assert type(ensemble) is RunResults
-        assert ensemble.steps == sum(result.steps for result in alone)
-        # one kappa > 0 warning and one region warning per run that earns them
-        assert warned == warned_alone and len(warned) == 2
-        assert [result.outcome for result in ensemble] == [
-            "timed_out", "timed_out", "converged", "blowup", "timed_out", "timed_out"]
-        assert ensemble[2].steps == 12 and 0 < ensemble[3].steps < ensemble[1].steps
-        assert ensemble[3].blowup.reason == f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}"
-        for got, want in zip(ensemble, alone):
-            assert (got.outcome, got.steps, got.records) == (want.outcome, want.steps,
-                                                             want.records)
-            assert_same_state(got.state, want.state)
-            assert np.array_equal(np.signbit(got.state.u.values), np.signbit(want.state.u.values))
-            assert str(got.blowup) == str(want.blowup)
-        for i, (_, _, steps) in enumerate(matrix):
-            if steps is None:
-                assert seen[i] == seen_alone[i] == list(ensemble[i].records)
-            else:
-                assert sorted(kept[i]) == sorted(kept_alone[i]) == sorted(steps)
-                for index, state in kept[i].items():
-                    assert_same_state(state, kept_alone[i][index])
+                    assert sorted(kept[i]) == sorted(kept_alone[i])
+                    for index, state in kept[i].items():
+                        assert_same_state(state, kept_alone[i][index])
+                        assert np.array_equal(np.signbit(state.u.values),
+                                              np.signbit(kept_alone[i][index].u.values))
+            ensembles.append((ensemble, kept, warned))
+        (records, _, warned), (from_state, _, _), (hooked, kept, _) = ensembles
+        assert [(result.outcome, result.steps) for result in records][:3] == [
+            ("timed_out", 40), ("timed_out", 40), ("converged", 12)]
+        assert records[3].outcome == "blowup" and 0 < records[3].steps < 40
+        assert records[3].blowup.reason == f"sup|D2u| exceeded {HESSIAN_BLOWUP_GUARD}"
+        assert (records[4].outcome, records[4].steps) == ("converged", 0)
+        assert np.signbit(records[4].state.u.values[1::2]).all()
+        assert len(warned) == 2
+        assert [(result.outcome, result.steps) for result in from_state] == [
+            ("timed_out", 37), ("timed_out", 37)]
+        assert [result.outcome for result in hooked] == ["timed_out", "timed_out", "blowup"]
+        assert sorted(kept[0]) == sorted(kept[1]) == [3, 8, 17, 31]
+        assert sorted(kept[2]) == [3, 8] and hooked[2].steps == 9
+        assert all(result.records == () for result in hooked)  # a hook run makes no records
 
     def test_records_identical_across_blas_threads(self):
         # the members' DFT matrix products are BLAS matvecs at N = 64 and 128
@@ -882,19 +936,35 @@ class TestEnsemble:
             assert got[i].tobytes() == want.tobytes()
         assert np.signbit(got[0, :2]).all()
 
-    @pytest.mark.parametrize("change,name", [
-        (dict(grid=GridSpec(1, (32,))), "grid"),
-        (dict(scheme="central4"), "scheme"),
-        (dict(cfl=0.1), "dt"),
+    @pytest.mark.parametrize("field,value", [
+        ("grid", GridSpec(1, (32,))), ("scheme", "central4"), ("cfl", 0.1), ("t_max", 0.02),
+        ("conv_tol", 1e-9), ("checkpoint_every", 3), ("C0", 50.0),
+        ("start t", 13), ("hook steps", [2, 5]), ("hook steps", None),
     ])
-    def test_members_share_grid_scheme_and_dt(self, change, name):
+    def test_members_share_the_clock(self, field, value):
+        # runs 0 and 1 differ in kappa and start values only, run 2 in one field
+        # more: a config field, its start step, or its hook steps against [2, 4]
         cfg = FlowConfig(grid=GridSpec(1, (16,)), kappa=0.0, t_max=0.01)
-        other = dataclasses.replace(cfg, **change)
-        runs = tuple(Run(random_bandlimited_potential(c.grid, 0.05, 2, seed=1), c)
-                     for c in (cfg, cfg, other))
-        with pytest.raises(EnsembleError, match=rf"^run 2: {name} .* differs from the first "
-                                                r"run's .*: an ensemble's runs share grid"):
+        hooked = field == "hook steps"
+
+        def run(seed, kappa, t=0, steps=[2, 4] if hooked else None, **change):
+            c = dataclasses.replace(cfg, kappa=kappa, **change)
+            u0 = random_bandlimited_potential(c.grid, 0.05, 2, seed=seed)
+            return Run(FlowState(t * c.dt, u0) if t else u0, c,
+                       hook=None if steps is None else (steps, lambda index, state: None))
+
+        if field == "start t":
+            other = run(3, -1.0, t=value)
+        elif hooked:
+            other = run(3, -1.0, steps=value)
+        else:
+            other = run(3, -1.0, **{field: value})
+        runs = (run(1, 0.0), run(2, -0.5), other)
+        with pytest.raises(EnsembleError, match=rf"^run 2: {field} .* differs from the first "
+                                                r"run's .*: an ensemble's runs differ only in "
+                                                r"kappa, start values, sink and visit$"):
             integrate(runs)
+        assert len(integrate(runs[:2])) == 2
 
     @pytest.mark.parametrize("sizes", [(16, 16), (8, 8, 8)])
     def test_several_members_need_a_1d_grid(self, sizes):
@@ -1461,13 +1531,13 @@ class TestMonitorStack:
         monkeypatch.setattr(lmcf.flow, "monitor_record",
                             lambda state, c: seen.append((state, record(state, c))) or seen[-1][1])
         runs = [Run(u0, cfg)]
-        if len(sizes) == 1:  # and two stacked members, one recording off the first's cadence
-            runs += [Run(u0, dataclasses.replace(cfg, kappa=-1.0, checkpoint_every=3))]
+        if len(sizes) == 1:  # and two stacked members, a state's rows views of the stack
+            runs += [Run(u0, dataclasses.replace(cfg, kappa=-1.0))]
         for run in runs:
             integrate(run.start, run.cfg)
         if len(runs) > 1:
             integrate(tuple(runs))
-        assert len(seen) == (4 if len(sizes) > 1 else 4 + 3 + 4 + 3)
+        assert len(seen) == 4 * (1 if len(sizes) > 1 else 4)
         for state, rec in seen:
             assert_same_fields(rec, reduced_apart(state, cfg))
             # the caches are read-only rows of the one stack

@@ -495,6 +495,29 @@ class TestMonotoneQuantities:
         ]
         assert check_psi_monotone(recs).passed
 
+    @pytest.mark.parametrize("check", ["psi", "log_jet"])
+    @pytest.mark.parametrize("where", [0, 2, 3])
+    def test_monotone_constant_is_nan_with_any_nan_row(self, check, where):
+        # max() skips a NaN after the first item: the constant read -0.5 with
+        # a NaN in the middle
+        values = [1.0, 0.5, 0.3, 0.2]
+        values[where] = math.nan
+        if check == "psi":
+            rep = check_psi_monotone([
+                MonitorRecord(t=float(k), max_u=0, max_du=0, max_d2u=0, max_d3u=0,
+                              psi_max=1e-3 * value, theta_min=0, theta_max=0, volume=1.0,
+                              dt=1e-3)
+                for k, value in enumerate(values)])
+        else:  # one mode at falling amplitudes; a NaN amplitude makes a NaN state
+            cfg = make_cfg(sizes=(16,), kappa=0.0)
+            mode = single_mode_potential(cfg.grid, 1e-3, (1,)).values
+            states = [FlowState(float(k), PeriodicScalarField(cfg.grid, value * mode))
+                      for k, value in enumerate(values)]
+            rep = check_log_jet_monotone(
+                Trajectory(cfg, tuple(TrajectoryTriple(at, at, at) for at in states)), K=10.0)
+        assert math.isnan(rep.fitted_constant) and not rep.passed
+        assert rep.lines()[-1] == f"{check}_monotone,nan,nan,fail"
+
     @pytest.mark.parametrize("count", [0, 1])
     def test_psi_monotone_needs_two_records(self, count):
         # a report with no step to check would pass with zero rows
