@@ -1,10 +1,13 @@
 """Deterministic initial potentials for experiments.
 
 Three families: exact constants, single Fourier modes with a raw
-amplitude, and seeded random band-limited fields.  Random fields are
-rescaled so that the initial max of psi = C0 u^2 + C1 |du|^2 + |D^2 u|^2
-equals amplitude^2 exactly (psi is homogeneous of degree two in u), since
-the certified hypothesis is a psi bound rather than a norm bound on u.
+amplitude, and seeded random band-limited fields.  A random field is the
+seeded trigonometric polynomial, synthesized from its coefficients by one
+inverse FFT, rescaled so that the initial max of psi = C0 u^2 + C1 |du|^2
++ |D^2 u|^2 equals amplitude^2 to rounding (psi is homogeneous of degree
+two in u; recomputed from the returned field it is within 1e-12 relative,
+as the rescaled field's jets round differently), since the certified
+hypothesis is a psi bound rather than a norm bound on u.
 """
 
 from __future__ import annotations
@@ -68,22 +71,27 @@ def random_bandlimited_potential(
     C1: float = 10.0,
     scheme: str = "spectral",
 ) -> PeriodicScalarField:
-    """Seeded random mean-zero field, scaled so initial max psi = amplitude^2."""
+    """Seeded random mean-zero field, scaled so initial max psi = amplitude^2 to rounding."""
     max_mode, seed = _as_int("max_mode", max_mode), _as_int("seed", seed)
     if max_mode < 1:
         raise ValueError("max_mode must be >= 1")
     if seed < 0:
         raise ValueError(f"random_bandlimited seed must be >= 0, got {seed}")
     _check_resolved(spec, (max_mode,) * spec.dim)
-    rng = np.random.default_rng(seed)
-    coords = spec.coordinates()
-    values = np.zeros(spec.sizes)
-    for mode in _half_space_modes(spec.dim, max_mode):
-        a, b = rng.standard_normal(2)
-        phase = np.zeros(spec.sizes)
-        for k, x, p in zip(mode, coords, spec.periods):
-            phase += k * x / p
-        values += a * np.cos(2.0 * np.pi * phase) + b * np.sin(2.0 * np.pi * phase)
+    # a cos + b sin of mode k is Re(c e^{2 pi i k.x/P}) with c = a - ib; its
+    # rfftn coefficient is (N/2) c at k, stored as conj at -k where k_last < 0
+    modes = np.array(_half_space_modes(spec.dim, max_mode))
+    a, b = np.random.default_rng(seed).standard_normal((len(modes), 2)).T  # draws in mode order
+    coeffs = 0.5 * spec.npoints * (a - 1j * b)
+    flip = modes[:, -1] < 0
+    modes[flip], coeffs[flip] = -modes[flip], coeffs[flip].conj()
+    sizes = np.array(spec.sizes)
+    spectrum = np.zeros(spec.sizes[:-1] + (spec.sizes[-1] // 2 + 1,), dtype=np.complex128)
+    np.add.at(spectrum, tuple((modes % sizes).T), coeffs)  # modes may alias to one entry
+    # the last axis' 0 and Nyquist planes hold both k and -k
+    both = (modes[:, -1] == 0) | (2 * modes[:, -1] == sizes[-1])
+    np.add.at(spectrum, tuple((-modes[both] % sizes).T), coeffs[both].conj())
+    values = np.fft.irfftn(spectrum, spec.sizes, axes=range(spec.dim))
     ops = jet_ops(spec, scheme)
     du, d2u = ops.jets(ops.forward(values), (1, 2))
     du_sq = sym_norm_sq(du, spec.dim, 1)

@@ -50,11 +50,12 @@ from lmcf.flow import (
 )
 from lmcf.geometry import _angle_values
 from lmcf.initial_data import (
+    _half_space_modes,
     build_initial,
     random_bandlimited_potential,
     single_mode_potential,
 )
-from lmcf.verification import fit_decay_rate
+from lmcf.verification import fit_decay_rate, psi_field
 
 TWO_PI = 2.0 * np.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -1365,16 +1366,69 @@ class TestCheckpoint:
         assert np.array_equal(rest.state.u.values, full.state.u.values)
 
 
+def trig_sum_potential(spec, max_mode, seed):
+    """Reference random_bandlimited data before its psi rescale: the direct sum
+    of a cos + b sin over the half-space modes, one seeded (a, b) per mode."""
+    rng = np.random.default_rng(seed)
+    coords = spec.coordinates()
+    values = np.zeros(spec.sizes)
+    for mode in _half_space_modes(spec.dim, max_mode):
+        a, b = rng.standard_normal(2)
+        phase = sum(k * x / p for k, x, p in zip(mode, coords, spec.periods))
+        values = values + a * np.cos(TWO_PI * phase) + b * np.sin(TWO_PI * phase)
+    return values
+
+
+# (sizes, periods, max modes): up to the smallest Nyquist mode, which is the last
+# axis', so that modes with k_last < 0, = 0 and = N_last/2 all occur; on the
+# equal-sized grids every axis reaches its Nyquist mode, where two modes alias
+BANDLIMITED_GRIDS = [
+    pytest.param((16,), (1.0,), (1, 3, 8), id="1d_16"),
+    pytest.param((64,), (1.0,), (1, 3, 32), id="1d_64"),
+    pytest.param((130,), (1.0,), (1, 3, 65), id="1d_130"),
+    pytest.param((256,), (1.0,), (1, 3, 128), id="1d_256"),
+    pytest.param((32, 24), (1.0, 1.5), (1, 3, 12), id="2d_32x24"),
+    pytest.param((16, 16), (1.0, 1.5), (8,), id="2d_16x16"),
+    pytest.param((16, 12, 8), (1.0, 1.5, 0.5), (1, 2, 4), id="3d_16x12x8"),
+    pytest.param((8, 8, 8), (1.0, 1.5, 0.5), (4,), id="3d_8x8x8"),
+]
+
+
 class TestInitialData:
-    def test_random_bandlimited_controls_psi(self):
-        # amplitude fixes the initial max of psi, the certified quantity
-        spec = GridSpec(1, (64,))
+    @pytest.mark.parametrize("sizes,periods,max_modes", BANDLIMITED_GRIDS)
+    def test_random_bandlimited_matches_trig_sum(self, sizes, periods, max_modes):
+        # one inverse FFT synthesizes the same trigonometric polynomial as the direct
+        # sum, up to the psi rescale's factor.  That factor is compared by projection:
+        # the sum's roundoff in high modes, amplified by D^2, moves its own psi
+        # rescale by up to 3.5e-12 at N = 256 with max mode 1
+        spec = GridSpec(len(sizes), sizes, periods)
+        for max_mode in max_modes:
+            for seed in (0, 11):
+                got = random_bandlimited_potential(spec, 0.05, max_mode, seed).values
+                want = trig_sum_potential(spec, max_mode, seed)
+                want *= np.vdot(want, got) / np.vdot(want, want)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sizes,periods,max_modes", BANDLIMITED_GRIDS)
+    def test_random_bandlimited_is_band_limited_with_mean_zero(self, sizes, periods, max_modes):
+        spec = GridSpec(len(sizes), sizes, periods)
+        wave = [np.abs(np.fft.fftfreq(n, 1.0 / n)) for n in sizes[:-1]]
+        wave.append(np.fft.rfftfreq(sizes[-1], 1.0 / sizes[-1]))
+        band = np.max(np.meshgrid(*wave, indexing="ij"), axis=0)  # max_a |k_a| per coefficient
+        for max_mode in max_modes:
+            u = random_bandlimited_potential(spec, 0.05, max_mode, seed=3).values
+            coeffs = np.abs(np.fft.rfftn(u))
+            assert np.max(coeffs[band > max_mode], initial=0.0) <= 1e-13 * np.max(coeffs)
+            assert abs(np.mean(u)) <= 1e-15 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("sizes", [(64,), (256,), (128, 128), (32, 32, 32)])
+    def test_random_bandlimited_controls_psi(self, sizes):
+        # amplitude fixes the initial max of psi, the certified quantity, to rounding
+        spec = GridSpec(len(sizes), sizes)
         cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)
         for amp in (0.03, 0.09):
             u0 = random_bandlimited_potential(spec, amp, 3, seed=2,
                                               C0=cfg.C0, C1=cfg.C1)
-            from lmcf.verification import psi_field
-
             psi_max = np.max(psi_field(u0, cfg).values)
             assert abs(psi_max - amp * amp) <= 1e-12 * amp * amp
 
@@ -1464,7 +1518,6 @@ class TestMonitorRecordContents:
         # the monitor, the verification psi, the initial-data rescaling and both
         # volume routes read one definition each, so they agree bit for bit
         from lmcf.geometry import graph_volume, metric_from_potential, volume
-        from lmcf.verification import psi_field
 
         spec = GridSpec(dim, (n,) * dim)
         cfg = FlowConfig(grid=spec, kappa=0.0, t_max=1.0)

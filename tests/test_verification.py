@@ -2,9 +2,11 @@
 
 import dataclasses
 import gc
+import importlib.util
 import math
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -712,3 +714,36 @@ class TestConstantsStable:
         finite = math.isfinite(ca) and math.isfinite(cb)
         assert constants_stable(a, b) == (finite and lmcf.verification._within_bounds(rows))
         assert constants_stable(a, b) == constants_stable(b, a) == stable
+
+
+def _report_diff():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "report_diff.py"
+    spec = importlib.util.spec_from_file_location("report_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReportDiff:
+    """``scripts/report_diff.py`` on two ``lmcf verify`` output directories."""
+
+    def _write(self, directory, residual=1e-3, passed=True, extra=False):
+        directory.mkdir()
+        rep = ResidualReport("r", ((0.1, residual, 1e-2),), 0.1, math.nan, passed, "note")
+        write_report(rep, directory / "r.report.txt")
+        (directory / "verify_summary.txt").write_text(rep.lines()[-1] + "\n")
+        if extra:
+            write_report(rep, directory / "s.report.txt")
+        return str(directory)
+
+    def test_largest_change_per_column(self, tmp_path, capsys):
+        a, b = self._write(tmp_path / "a"), self._write(tmp_path / "b", residual=1.25e-3)
+        assert _report_diff().main([a, b]) == 0
+        out = capsys.readouterr().out
+        assert "r.report.txt: residual 0.2, ratio 0.2\n" in out
+        assert "verify_summary.txt: same\n" in out
+
+    @pytest.mark.parametrize("changed", [{"passed": False}, {"extra": True}])
+    def test_verdict_or_report_set_change_fails(self, tmp_path, changed):
+        a, b = self._write(tmp_path / "a"), self._write(tmp_path / "b", **changed)
+        assert _report_diff().main([a, b]) == 1
